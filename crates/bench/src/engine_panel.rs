@@ -10,7 +10,7 @@
 //! up to `gap_per_node · n` rounds between wakes, and sends a single
 //! cheap message per wake. Total rounds then exceed total wake events by
 //! a factor of ~`gap_per_node`, which is exactly where the calendar
-//! driver's heap-jump (`O(log n)` per *wake*) beats the synchronous
+//! driver's calendar jump (`O(1)` amortized per *wake*) beats the synchronous
 //! driver's tick loop (`O(1)` per *round*).
 //!
 //! The naive `O(n)`-scan oracle driver costs `O(rounds · n)` here, which

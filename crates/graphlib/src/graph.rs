@@ -1,5 +1,6 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::GraphError;
 
@@ -280,9 +281,10 @@ impl WeightedGraph {
         self.offsets[node.index()] as usize + port.index()
     }
 
-    /// All port weights in one flat array, indexed by global port slot
-    /// (see [`Self::port_slot`]). One allocation for the whole graph.
-    pub fn flat_port_weights(&self) -> Vec<u64> {
+    /// All port weights in one flat, shareable array, indexed by global
+    /// port slot (see [`Self::port_slot`]). One allocation and one pass
+    /// for the whole graph.
+    pub fn flat_port_weights(&self) -> Arc<[u64]> {
         self.adj.iter().map(|e| e.weight).collect()
     }
 

@@ -8,13 +8,14 @@
 //! `TimeDriver`, selected by [`SimConfig::executor`]:
 //!
 //! * [`Executor::Calendar`] (the default) — keeps the scheduled wakes in
-//!   a `WakeQueue` (a binary-heap calendar of `(next-wake, node)`
-//!   events) and jumps time directly between populated rounds, so a run
-//!   costs `O(W log n + M)` for `W` node-awake events and `M` messages,
-//!   independent of how many silent rounds the schedule spans. This is
-//!   the property the sleeping model exists to exploit: nodes are awake
-//!   only `O(log n)` of the `O(n log n)` rounds, and the calendar never
-//!   visits the empty ones.
+//!   a `WakeQueue`, a monotone bucketed calendar of `(next-wake, node)`
+//!   events, and jumps time directly between populated rounds. Popping a
+//!   round that wakes `k` nodes costs `O(k)` amortized plus a sort of
+//!   the live set, so a run costs `O(W log W + M)` for `W` node-awake
+//!   events and `M` messages, independent of how many silent rounds the
+//!   schedule spans. This is the property the sleeping model exists to
+//!   exploit: nodes are awake only `O(log n)` of the `O(n log n)` rounds,
+//!   and the calendar never visits the empty ones.
 //! * [`Executor::Sync`] — round-synchronous: the clock walks through
 //!   every round one at a time, paying a per-round tick even when every
 //!   node sleeps. Outcomes are bit-identical to the calendar driver; it
@@ -31,20 +32,26 @@
 //! plan, and metrics setting; `tests/differential.rs` pins this with
 //! cross-driver proptests.
 //!
-//! Message routing uses the back ports precomputed by
-//! [`graphlib::GraphBuilder::build`] — the hot loop never scans an
-//! adjacency list — and all per-round state (outbox, the flat inbox
-//! arena, its grouping scratch) lives in an [`ExecutorScratch`] that is
-//! reused across rounds *and across runs*, so the steady-state hot path
-//! performs no allocations.
+//! A round with `k` awake nodes and `M` delivered messages costs
+//! `O(k + M)` mostly sequential work. Message routing uses the back
+//! ports precomputed by [`graphlib::GraphBuilder::build`] — the hot loop
+//! never scans an adjacency list — and touches one per-receiver record
+//! per message. Grouping the round's inboxes assigns each envelope its
+//! inbox position in one pass, then permutes a cache-sized round in
+//! place or gathers a larger one sequentially out of the send lanes'
+//! buffers. All per-run and
+//! per-round state (node contexts, the weight table, send lanes, the
+//! flat inbox arena, its grouping scratch) lives in an
+//! [`ExecutorScratch`] that is reused across rounds *and across runs*,
+//! so the steady-state hot path performs no allocations.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 use graphlib::{NodeId, Port, WeightedGraph};
 
 use crate::metrics::MetricsRecorder;
+use crate::profile::{Stage, StageClock};
 use crate::{
     EnergyModel, Envelope, FaultPlan, NextWake, NodeCtx, Outbox, Payload, PortWeights, Protocol,
     Round, RunOutcome, RunStats, SimConfig, SimError, Trace, TraceEvent, WakePolicy,
@@ -57,6 +64,15 @@ use crate::{
 /// nodes per round). The outcome is bit-identical either way — the
 /// threshold only picks which code path computes it.
 const SHARD_MIN_AWAKE: usize = 128;
+
+/// Rounds whose delivered envelopes fit in this many bytes are grouped
+/// into inboxes in place, in the send buffer; larger rounds are gathered
+/// into a second buffer. In cache, walking the grouping permutation's
+/// cycles is cheap and the second buffer would be memory for nothing;
+/// out of cache, every swap of the walk waits on the previous one's miss,
+/// while a gather issues independent loads. The outcome is bit-identical
+/// either way.
+const IN_PLACE_GROUPING_BYTES: usize = 1 << 20;
 
 /// The shard-engagement decision, as a pure function: `Some(chunk_len)`
 /// when the send half-step of a round with `awake_len` awake nodes runs
@@ -92,7 +108,7 @@ pub enum Executor {
     /// paying a per-round tick even when every node sleeps. The cost
     /// model of a traditional round-driven simulator.
     Sync,
-    /// Event-driven calendar (the default): a binary heap of
+    /// Event-driven calendar (the default): a bucketed calendar of
     /// `(next-wake, node)` events; time jumps directly between populated
     /// rounds.
     #[default]
@@ -163,11 +179,8 @@ fn active_policy(config: &SimConfig) -> Option<WakePolicy> {
 /// `max_external_id` and the shared `weights` array are passed in rather
 /// than recomputed: `max_external_id()` is an `O(n)` scan of the id
 /// table, and calling it per node made setup `O(n²)`; likewise each
-/// node's `port_weights` used to be a fresh `Vec` (n allocations, one
-/// per context) and is now a [`PortWeights`] window into one run-wide
-/// copy of the graph's flat CSR weights. Both were dominant on the
-/// sparse-wake panel, where setup buried the driver cost the panel
-/// exists to measure.
+/// node's `port_weights` is a [`PortWeights`] window into one run-wide
+/// weight table instead of a per-node `Vec`.
 fn node_ctx(
     graph: &WeightedGraph,
     config: &SimConfig,
@@ -192,51 +205,38 @@ fn node_ctx(
     }
 }
 
-/// Per-node construction + `init` call, shared by every driver.
-/// Returns the contexts, protocol values, and each node's first wake
-/// (`None` = halted in `init`).
-#[allow(clippy::type_complexity)]
-fn init_nodes<P, F>(
+/// Refills a scratch's node contexts and shared weight table for a run
+/// on `graph`, in place where the previous run's storage allows.
+///
+/// The previous run's contexts are dropped first: they hold the other
+/// references to the weight table, so afterwards the table is uniquely
+/// owned and, when the port count matches, is overwritten in place
+/// instead of reallocated. It stays shared — and is replaced by a fresh
+/// copy — when a caller still holds a context from an earlier run (a
+/// protocol state that kept its `port_weights`, say), so a reused
+/// scratch can never hand a run stale weights.
+fn refill_contexts(
     graph: &WeightedGraph,
     config: &SimConfig,
-    mut factory: F,
-    trace: &mut Trace,
-) -> Result<(Vec<NodeCtx>, Vec<P>, Vec<Option<Round>>), SimError>
-where
-    P: Protocol,
-    F: FnMut(&NodeCtx) -> P,
-{
-    let n = graph.node_count();
-    let max_external_id = graph.max_external_id();
-    let weights: Arc<[u64]> = graph.flat_port_weights().into();
-    let mut ctxs = Vec::with_capacity(n);
-    let mut protocols = Vec::with_capacity(n);
-    let mut first_wake = Vec::with_capacity(n);
-    for node in graph.nodes() {
-        let ctx = node_ctx(graph, config, node, max_external_id, &weights);
-        let mut protocol = factory(&ctx);
-        match protocol.init(&ctx) {
-            NextWake::At(r) => {
-                if r == 0 {
-                    return Err(SimError::WakeNotInFuture {
-                        node,
-                        round: 0,
-                        requested: 0,
-                    });
-                }
-                first_wake.push(Some(r));
-            }
-            NextWake::Halt => {
-                if config.record_trace {
-                    trace.push(TraceEvent::Halted { round: 0, node });
-                }
-                first_wake.push(None);
+    ctxs: &mut Vec<NodeCtx>,
+    weights: &mut Arc<[u64]>,
+) {
+    ctxs.clear();
+    match Arc::get_mut(weights).filter(|table| table.len() == graph.total_ports()) {
+        Some(table) => {
+            let ports = graph.nodes().flat_map(|node| graph.ports(node));
+            for (slot, entry) in table.iter_mut().zip(ports) {
+                *slot = entry.weight;
             }
         }
-        ctxs.push(ctx);
-        protocols.push(protocol);
+        None => *weights = graph.flat_port_weights(),
     }
-    Ok((ctxs, protocols, first_wake))
+    let max_external_id = graph.max_external_id();
+    ctxs.extend(
+        graph
+            .nodes()
+            .map(|node| node_ctx(graph, config, node, max_external_id, weights)),
+    );
 }
 
 /// Validates one outgoing envelope, accounts its per-edge bits, and routes
@@ -307,13 +307,19 @@ struct SentRecord {
     kind: SentKind,
 }
 
-/// Per-shard working buffers for the parallel send half-step, reused
-/// across rounds (and runs) like every other executor buffer.
+/// One send lane: the working buffers of a shard of the send half-step,
+/// reused across rounds (and runs) like every other executor buffer.
+/// Serial rounds send through lane 0.
 #[derive(Debug)]
 struct ShardScratch<M> {
     outbox: Outbox<M>,
-    /// Delivered envelopes of this shard's nodes, in send order.
+    /// Delivered envelopes of this lane's nodes, in send order. The
+    /// grouping gathers the round's inboxes straight out of these, or
+    /// permutes lane 0's in place.
     arena: Vec<Envelope<M>>,
+    /// Round-wide send index of `arena[0]`: the lanes' arenas,
+    /// concatenated in lane order, are the round's send order.
+    base: u32,
     /// Every adjudicated send attempt of this shard, in send order.
     records: Vec<SentRecord>,
     /// First validation error hit by this shard, if any; the worker
@@ -326,6 +332,7 @@ impl<M> ShardScratch<M> {
         ShardScratch {
             outbox: Outbox::new(),
             arena: Vec::new(),
+            base: 0,
             records: Vec::new(),
             error: None,
         }
@@ -336,7 +343,7 @@ impl<M> ShardScratch<M> {
 /// the round's awake set and adjudicates every envelope — validation,
 /// routing via the precomputed back port, fault verdicts (pure functions
 /// of the plan's seed, so every worker reaches the serial verdicts), and
-/// the awake check against the round's stamp — exactly as the serial
+/// the awake check against the receiver records' stamps — exactly as the serial
 /// path does, but records outcomes into shard-local buffers instead of
 /// the shared stats. The kernel's merge replays them in shard order,
 /// which *is* serial node order (shards partition the ascending awake
@@ -348,7 +355,7 @@ fn shard_send<P: Protocol>(
     bit_limit: Option<usize>,
     faults: Option<&FaultPlan>,
     round: Round,
-    awake_stamp: &[Round],
+    receivers: &[Receiver],
     ctxs: &[NodeCtx],
     part: &mut [P],
     part_base: usize,
@@ -395,7 +402,7 @@ fn shard_send<P: Protocol>(
                     continue;
                 }
             }
-            if awake_stamp[to as usize] == round {
+            if receivers[to as usize].stamp == round {
                 let dup = match faults {
                     Some(plan) => plan.duplicates(round, v, port.raw()),
                     None => false,
@@ -432,53 +439,96 @@ fn shard_send<P: Protocol>(
     }
 }
 
-/// The scheduled-wake priority queue with lazy deletion.
+/// Number of [`WakeQueue`] buckets: one for the settled round plus one
+/// per bit position of a [`Round`].
+const BUCKETS: usize = Round::BITS as usize + 1;
+
+/// The calendar bucket of `round` relative to the settled round `base`:
+/// 0 when they are equal, else one plus the highest bit in which they
+/// differ.
+#[inline]
+fn bucket_of(round: Round, base: Round) -> usize {
+    (Round::BITS - (round ^ base).leading_zeros()) as usize
+}
+
+/// The scheduled-wake calendar: a monotone bucketed priority queue
+/// (a radix heap over rounds) of node ids, keyed by each node's current
+/// wake in `next_wake`.
 ///
-/// `schedule` may supersede an earlier, not-yet-fired entry for the same
-/// node; the stale heap entry is dropped when its round is popped. Rounds
-/// whose entries are all stale still surface from
-/// [`pop_round`](WakeQueue::pop_round) — with an empty live set — so the
-/// kernel can keep adjudicating faults for them; the kernel does **not**
-/// count such rounds toward `RunStats::rounds`. The run's final round is
-/// the last one in which some node actually executed, which is also what
-/// the metrics stream records (`stats.rounds == metrics.last_round()`
-/// whenever metrics are on — every driver agrees).
+/// A node scheduled for round `r` sits in bucket
+/// [`bucket_of`]`(r, settled)`, where `settled` is the last round the
+/// calendar settled on. Bucket 0 holds exactly the nodes of `settled`;
+/// every round in bucket `b` is earlier than every round in bucket
+/// `b + 1`. Settling on the next round therefore looks only at the
+/// lowest non-empty bucket: if its nodes share one round it is popped in
+/// place, otherwise they are redistributed into strictly lower buckets.
+/// An entry moves at most [`Round::BITS`] times in its lifetime, so
+/// popping a round that wakes `k` nodes costs `O(k)` amortized plus the
+/// sort of the live set, [`WakeQueue::peek_round`] is `O(1)` once
+/// settled, and memory is one `u32` per pending entry in a fixed set of
+/// [`BUCKETS`] vectors.
+///
+/// The structure relies on time moving forward: every scheduled round
+/// must be later than the last round popped (the kernel only schedules
+/// wakes strictly after the executing round, and the `validate` feature
+/// checks that the rounds handed to the kernel strictly increase).
+///
+/// `schedule` may supersede a not-yet-fired wake of the same node, and
+/// `halt` may cancel one. The old entry is then stale: it is dropped
+/// when its bucket is settled or popped (or, when it lands with the
+/// node's live entry, deduplicated), and its round never surfaces. The
+/// kernel itself never leaves a stale entry behind — it schedules a node
+/// only right after popping it — so every round it pops has a live node,
+/// unless fault adjudication then removes them all.
 #[derive(Debug)]
 pub(crate) struct WakeQueue {
-    heap: BinaryHeap<Reverse<(Round, u32)>>,
-    /// `Some(r)` = node will wake in round `r`; `None` = halted.
-    next_wake: Vec<Option<Round>>,
-    /// `popped_stamp[v] == r` marks v already returned for round r
-    /// (guards against duplicate heap entries; stamps start at 1).
-    popped_stamp: Vec<Round>,
+    /// Pending node ids by bucket, in scheduling order.
+    buckets: [Vec<u32>; BUCKETS],
+    /// Bit `b` is set iff `buckets[b]` is non-empty.
+    occupied: u128,
+    /// The round the calendar last settled on; no pending wake is
+    /// earlier.
+    settled: Round,
+    /// The bucket known to hold only nodes of round `settled` — the next
+    /// round to pop — once [`WakeQueue::settle`] has found it.
+    ready: Option<usize>,
+    /// `Some(r)` = node will wake (or, popped, is awake) in round `r`;
+    /// `None` = halted. Rounds start at 1, so the option costs no space.
+    next_wake: Vec<Option<NonZeroU64>>,
 }
 
 impl WakeQueue {
     pub(crate) fn new(n: usize) -> Self {
         WakeQueue {
-            heap: BinaryHeap::with_capacity(n),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            settled: 0,
+            ready: None,
             next_wake: vec![None; n],
-            popped_stamp: vec![0; n],
         }
     }
 
     /// Re-initializes a recycled queue for a fresh `n`-node run, keeping
-    /// the allocations. Clearing `popped_stamp` is load-bearing: rounds
-    /// restart from 1 every run, so a stale stamp from a previous run
-    /// could silently swallow a wake (the reused-scratch differential
-    /// proptests pin this).
+    /// the allocations.
     pub(crate) fn reset(&mut self, n: usize) {
-        self.heap.clear();
+        for bucket in &mut self.buckets {
+            bucket.clear();
+        }
+        self.occupied = 0;
+        self.settled = 0;
+        self.ready = None;
         self.next_wake.clear();
         self.next_wake.resize(n, None);
-        self.popped_stamp.clear();
-        self.popped_stamp.resize(n, 0);
     }
 
-    /// Schedules (or re-schedules) `node` to wake in `round`.
+    /// Schedules (or re-schedules) `node` to wake in `round`, which must
+    /// be later than the last popped round.
     pub(crate) fn schedule(&mut self, node: u32, round: Round) {
-        self.next_wake[node as usize] = Some(round);
-        self.heap.push(Reverse((round, node)));
+        debug_assert!(round > self.settled, "wake scheduled into the past");
+        self.next_wake[node as usize] = NonZeroU64::new(round);
+        let bucket = bucket_of(round, self.settled);
+        self.buckets[bucket].push(node);
+        self.occupied |= 1 << bucket;
     }
 
     /// Marks `node` as halted; its pending entry (if any) goes stale.
@@ -486,55 +536,136 @@ impl WakeQueue {
         self.next_wake[node as usize] = None;
     }
 
-    /// Withdraws `node` from the round it was just popped live for: the
-    /// popped stamp is cleared, so [`WakeQueue::is_awake_in`] reports the
-    /// node asleep again. The fault path uses this for spurious sleeps
-    /// and crashes — the node must look asleep to the round's routing so
-    /// messages to it are lost per the model.
-    pub(crate) fn retract(&mut self, node: u32) {
-        self.popped_stamp[node as usize] = 0;
-    }
-
-    /// The earliest scheduled round, if any entry (live or stale) remains.
-    pub(crate) fn peek_round(&self) -> Option<Round> {
-        self.heap.peek().map(|&Reverse((r, _))| r)
-    }
-
-    /// Whether `node` was returned live by the pop for `round` (i.e. the
-    /// node is awake in the round currently being executed).
-    #[inline]
-    pub(crate) fn is_awake_in(&self, node: u32, round: Round) -> bool {
-        self.popped_stamp[node as usize] == round
-    }
-
-    /// Pops every entry of the earliest round. Returns that round and
-    /// fills `live` with the nodes genuinely waking now, **ascending**;
-    /// stale entries are dropped (but still produce a returned round).
-    pub(crate) fn pop_round(&mut self, live: &mut Vec<u32>) -> Option<Round> {
-        live.clear();
-        let Reverse((round, _)) = *self.heap.peek()?;
-        while let Some(&Reverse((r, v))) = self.heap.peek() {
-            if r != round {
+    /// Finds the earliest pending round, makes it `settled`, and returns
+    /// the bucket holding exactly its nodes. `None` = nothing pending.
+    fn settle(&mut self) -> Option<usize> {
+        let WakeQueue {
+            buckets,
+            occupied,
+            settled,
+            ready,
+            next_wake,
+            ..
+        } = self;
+        while ready.is_none() {
+            if *occupied == 0 {
+                return None;
+            }
+            let lowest = occupied.trailing_zeros() as usize;
+            if lowest == 0 {
+                *ready = Some(0);
                 break;
             }
-            self.heap.pop();
-            if self.next_wake[v as usize] == Some(r) && self.popped_stamp[v as usize] != round {
-                self.popped_stamp[v as usize] = round;
-                live.push(v);
+            // Keep the nodes whose current wake still falls in this
+            // bucket; the others have halted or moved, and their live
+            // entry (if any) sits elsewhere.
+            let mut nodes = std::mem::take(&mut buckets[lowest]);
+            *occupied &= !(1 << lowest);
+            let (mut min, mut max) = (Round::MAX, 0);
+            let base = *settled;
+            nodes.retain(|&v| match next_wake[v as usize].map(NonZeroU64::get) {
+                Some(r) if bucket_of(r, base) == lowest => {
+                    min = min.min(r);
+                    max = max.max(r);
+                    true
+                }
+                _ => false,
+            });
+            if !nodes.is_empty() {
+                *settled = min;
+                if min == max {
+                    // One round only: pop it where it is. A later
+                    // `schedule` cannot land here before the pop — its
+                    // round is after `settled`, which has bit
+                    // `lowest - 1` set.
+                    *ready = Some(lowest);
+                } else {
+                    // Every node shares the bits above `lowest - 1` with
+                    // the new `settled`, so each lands in a strictly lower
+                    // bucket; the ones waking in it land in bucket 0.
+                    for &v in &nodes {
+                        if let Some(r) = next_wake[v as usize] {
+                            let bucket = bucket_of(r.get(), min);
+                            buckets[bucket].push(v);
+                            *occupied |= 1 << bucket;
+                        }
+                    }
+                    nodes.clear();
+                    *ready = Some(0);
+                }
             }
+            if !nodes.is_empty() {
+                *occupied |= 1 << lowest;
+            }
+            buckets[lowest] = nodes;
         }
+        *ready
+    }
+
+    /// The earliest scheduled round, if any node is pending. `O(1)`
+    /// after the first call for a given round.
+    pub(crate) fn peek_round(&mut self) -> Option<Round> {
+        self.settle().map(|_| self.settled)
+    }
+
+    /// Whether `node` is awake in the round currently being executed:
+    /// popped for `round`, and neither halted nor rescheduled since.
+    #[inline]
+    pub(crate) fn is_awake_in(&self, node: u32, round: Round) -> bool {
+        self.next_wake[node as usize].map(NonZeroU64::get) == Some(round)
+    }
+
+    /// Pops every node of the earliest round. Returns that round and
+    /// fills `live` with the nodes waking now, **ascending**.
+    pub(crate) fn pop_round(&mut self, live: &mut Vec<u32>) -> Option<Round> {
+        live.clear();
+        let bucket = self.settle()?;
+        self.ready = None;
+        self.occupied &= !(1 << bucket);
+        let round = self.settled;
+        let WakeQueue {
+            buckets, next_wake, ..
+        } = self;
+        live.extend(
+            buckets[bucket]
+                .drain(..)
+                .filter(|&v| next_wake[v as usize].map(NonZeroU64::get) == Some(round)),
+        );
         // Most rounds of the paper's token-passing phases wake a single
-        // node; skip the sort machinery entirely for those.
+        // node; skip the sort machinery entirely for those. Entries keep
+        // their scheduling order, so a round scheduled in node order (a
+        // whole-network wave) is already sorted. A node scheduled twice
+        // for the round (a stale entry re-keyed to its live wake) shows
+        // up twice; the dedup drops the copy.
         if live.len() > 1 {
             live.sort_unstable();
+            live.dedup();
         }
         Some(round)
     }
 }
 
-/// Reusable executor state: the wake queue, the per-round delivery
-/// buffers (outbox, flat inbox arena, grouping scratch), and a pool of
-/// recycled [`RunStats`].
+/// The kernel's per-node receiver record for the executing round: one
+/// lookup per routed message answers whether the receiver is awake,
+/// where its inbox goes, and what it received.
+#[derive(Debug, Clone, Copy, Default)]
+struct Receiver {
+    /// `stamp == r` marks the node awake in round `r` (the kernel's own
+    /// copy of the driver's awake set, written once per round so shard
+    /// workers can read it lock-free; stamps start at 1).
+    stamp: Round,
+    /// The node's index in the round's ascending awake set.
+    slot: u32,
+    /// Envelopes delivered to the node this round, duplicates included.
+    count: u32,
+    /// Bits delivered to the node this round, duplicates included;
+    /// charged to its stats and energy ledger once, at deliver time.
+    bits: u64,
+}
+
+/// Reusable executor state: the wake queue, the node contexts and their
+/// shared weight table, the per-round delivery buffers (send lanes, flat
+/// inbox arena, grouping scratch), and a pool of recycled [`RunStats`].
 ///
 /// [`Simulator::run_with_scratch`](crate::Simulator::run_with_scratch)
 /// threads one value through many runs — a sweep's worker thread creates
@@ -546,28 +677,33 @@ impl WakeQueue {
 pub struct ExecutorScratch<M> {
     queue: WakeQueue,
     awake_now: Vec<u32>,
-    /// `slot_of[v]` = v's index in `awake_now`, valid only while
-    /// the driver reports v awake for the current round.
-    slot_of: Vec<u32>,
-    /// Flat inbox arena: every delivered envelope of the round, grouped by
-    /// receiver slot and sorted by receiver port within each group.
+    /// Receiver records, by node.
+    receivers: Vec<Receiver>,
+    /// Flat inbox arena of rounds too large to group in place: every
+    /// delivered envelope of the round, gathered out of the send lanes,
+    /// grouped by receiver slot and sorted by receiver port within each
+    /// group.
     arena: Vec<Envelope<M>>,
-    /// `slots[i]` = receiver slot of `arena[i]` while the round's arena is
-    /// still in send order (before grouping).
+    /// `slots[i]` = receiver slot of the round's `i`-th delivered envelope
+    /// in send order.
     slots: Vec<u32>,
-    /// Scratch permutation for the in-place counting-sort grouping.
-    perm: Vec<u32>,
-    /// `(start, len)` of each awake node's slice of `arena`, by slot.
-    inbox_ranges: Vec<(u32, u32)>,
-    outbox: Outbox<M>,
-    /// `awake_stamp[v] == r` marks v awake in round r (the kernel's own
-    /// copy of the driver's popped stamp, written once per round from the
-    /// adjudicated awake set so shard workers can read it lock-free).
-    awake_stamp: Vec<Round>,
-    /// Per-shard send buffers (empty until a run with `shards > 1` hits
-    /// a round wide enough to parallelize).
+    /// The grouping permutation between send order and inbox order.
+    order: Vec<u32>,
+    /// Per-slot placement cursor of the grouping scatter.
+    cursor: Vec<u32>,
+    /// The run's node contexts, refilled in place every run.
+    ctxs: Vec<NodeCtx>,
+    /// The run-wide port-weight table every context's
+    /// [`PortWeights`] views.
+    weights: Arc<[u64]>,
+    /// Send lanes: lane 0 serves serial rounds, and a run with
+    /// `shards > 1` adds one per shard the first time a round is wide
+    /// enough to parallelize.
     shard_lanes: Vec<ShardScratch<M>>,
     stats_pool: Vec<RunStats>,
+    /// Per-stage wall-clock profile, accumulated over every run from
+    /// this scratch once [`ExecutorScratch::enable_profile`] turns it on.
+    profile: Option<StageClock>,
 }
 
 impl<M> Default for ExecutorScratch<M> {
@@ -584,15 +720,16 @@ impl<M> ExecutorScratch<M> {
         ExecutorScratch {
             queue: WakeQueue::new(0),
             awake_now: Vec::new(),
-            slot_of: Vec::new(),
+            receivers: Vec::new(),
             arena: Vec::new(),
             slots: Vec::new(),
-            perm: Vec::new(),
-            inbox_ranges: Vec::new(),
-            outbox: Outbox::new(),
-            awake_stamp: Vec::new(),
+            order: Vec::new(),
+            cursor: Vec::new(),
+            ctxs: Vec::new(),
+            weights: Arc::default(),
             shard_lanes: Vec::new(),
             stats_pool: Vec::new(),
+            profile: None,
         }
     }
 
@@ -602,22 +739,36 @@ impl<M> ExecutorScratch<M> {
         self.stats_pool.push(stats);
     }
 
+    /// Turns on the per-stage wall-clock profile ([`StageClock`]) for
+    /// every later run from this scratch. Profiling reads the clock a few
+    /// times per round and never touches simulation state: outcomes are
+    /// bit-identical with it on or off.
+    pub fn enable_profile(&mut self) {
+        self.profile.get_or_insert_with(StageClock::new);
+    }
+
+    /// The per-stage wall time summed over the runs since
+    /// [`ExecutorScratch::enable_profile`]; `None` while profiling is off.
+    #[must_use]
+    pub fn profile(&self) -> Option<&StageClock> {
+        self.profile.as_ref()
+    }
+
     /// Re-initializes every buffer for a fresh `n`-node run.
     fn reset(&mut self, n: usize) {
         self.queue.reset(n);
         self.awake_now.clear();
-        self.slot_of.clear();
-        self.slot_of.resize(n, 0);
+        // Stale stamps would mark nodes awake in a round of the *next*
+        // run (rounds restart from 1), so clearing is load-bearing.
+        self.receivers.clear();
+        self.receivers.resize(n, Receiver::default());
         self.arena.clear();
         self.slots.clear();
-        self.perm.clear();
-        self.inbox_ranges.clear();
-        self.outbox.clear();
-        // Stale stamps would mark nodes awake in a round of the *next*
-        // run (rounds restart from 1), so clearing is load-bearing, like
-        // the wake queue's popped stamps.
-        self.awake_stamp.clear();
-        self.awake_stamp.resize(n, 0);
+        self.order.clear();
+        self.cursor.clear();
+        if self.shard_lanes.is_empty() {
+            self.shard_lanes.push(ShardScratch::new());
+        }
         for lane in self.shard_lanes.iter_mut() {
             lane.outbox.clear();
             lane.arena.clear();
@@ -694,17 +845,13 @@ fn record_dropped(buf: &mut Vec<TraceEvent>, round: Round, from: u32, to: u32) {
 ///
 /// Contract: rounds returned by `next_round` are strictly increasing;
 /// `is_awake_in(v, r)` holds exactly for the nodes returned live for the
-/// currently executing round `r` and is falsified by `retract`/`halt`
-/// (crash) or `retract`+`schedule` (suppression) during fault
-/// adjudication.
+/// currently executing round `r` and is falsified by `halt` (crash) or
+/// `schedule` (suppression) during fault adjudication.
 trait TimeDriver {
     /// Schedules (or re-schedules) `node` to wake in `round`.
     fn schedule(&mut self, node: u32, round: Round);
     /// Marks `node` as halted; it will never be returned live again.
     fn halt(&mut self, node: u32);
-    /// Withdraws `node` from the round it was just returned live for,
-    /// so `is_awake_in` reports it asleep to the round's routing.
-    fn retract(&mut self, node: u32);
     /// Advances to the next round with scheduled activity, filling
     /// `live` with the nodes waking in it (ascending). `None` = no
     /// pending wakes remain. May return a round past the budget (with
@@ -715,8 +862,8 @@ trait TimeDriver {
 }
 
 /// [`Executor::Calendar`]: the event-driven driver. A thin shim over the
-/// [`WakeQueue`] heap — `next_round` pops the earliest populated round,
-/// so the clock jumps over silent rounds in `O(log n)`.
+/// bucketed [`WakeQueue`] — `next_round` pops the earliest populated
+/// round, so the clock jumps over silent rounds without visiting them.
 struct CalendarDriver<'a> {
     queue: &'a mut WakeQueue,
 }
@@ -728,10 +875,6 @@ impl TimeDriver for CalendarDriver<'_> {
 
     fn halt(&mut self, node: u32) {
         self.queue.halt(node);
-    }
-
-    fn retract(&mut self, node: u32) {
-        self.queue.retract(node);
     }
 
     fn next_round(&mut self, live: &mut Vec<u32>) -> Option<Round> {
@@ -776,10 +919,6 @@ impl TimeDriver for SyncDriver<'_> {
         self.queue.halt(node);
     }
 
-    fn retract(&mut self, node: u32) {
-        self.queue.retract(node);
-    }
-
     fn next_round(&mut self, live: &mut Vec<u32>) -> Option<Round> {
         let target = self.queue.peek_round()?;
         // Walk the clock one round at a time up to the next wake — but
@@ -802,7 +941,7 @@ impl TimeDriver for SyncDriver<'_> {
     }
 }
 
-/// [`Executor::Naive`]: the oracle driver. No heap, no stamps — just a
+/// [`Executor::Naive`]: the oracle driver. No calendar, no stamps — just a
 /// per-node next-wake table scanned in full (`O(n)`) for every simulated
 /// round. Too simple to share a bug with the calendar machinery, which
 /// is its entire job.
@@ -834,13 +973,6 @@ impl TimeDriver for NaiveDriver {
         self.next_wake[node as usize] = None;
     }
 
-    fn retract(&mut self, _node: u32) {
-        // Nothing to withdraw: a crash (`halt` → `None`) or a
-        // suppression (`schedule` for `round + 1`) already falsifies
-        // `is_awake_in` for the current round — there is no popped
-        // stamp in this driver.
-    }
-
     fn next_round(&mut self, live: &mut Vec<u32>) -> Option<Round> {
         loop {
             if self.next_wake.iter().all(Option::is_none) {
@@ -868,19 +1000,20 @@ impl TimeDriver for NaiveDriver {
     }
 }
 
-/// The per-round working buffers the kernel borrows from an
+/// The per-run and per-round state the kernel borrows from an
 /// [`ExecutorScratch`] — split out so the scratch's `queue` can be
 /// borrowed separately by the calendar/sync drivers.
 struct KernelBuffers<'a, M> {
     awake_now: &'a mut Vec<u32>,
-    slot_of: &'a mut Vec<u32>,
+    receivers: &'a mut Vec<Receiver>,
     arena: &'a mut Vec<Envelope<M>>,
     slots: &'a mut Vec<u32>,
-    perm: &'a mut Vec<u32>,
-    inbox_ranges: &'a mut Vec<(u32, u32)>,
-    outbox: &'a mut Outbox<M>,
-    awake_stamp: &'a mut Vec<Round>,
+    order: &'a mut Vec<u32>,
+    cursor: &'a mut Vec<u32>,
+    ctxs: &'a mut Vec<NodeCtx>,
+    weights: &'a mut Arc<[u64]>,
     shard_lanes: &'a mut Vec<ShardScratch<M>>,
+    profile: &'a mut Option<StageClock>,
 }
 
 /// Runs a protocol under the driver selected by [`SimConfig::executor`].
@@ -899,32 +1032,37 @@ where
     F: FnMut(&NodeCtx) -> P,
     O: FnMut(Round, &[P]),
 {
+    if let Some(clock) = scratch.profile.as_mut() {
+        clock.mark();
+    }
     let n = graph.node_count();
     scratch.reset(n);
     let stats = scratch.take_stats(n, graph.edge_count());
     let ExecutorScratch {
         queue,
         awake_now,
-        slot_of,
+        receivers,
         arena,
         slots,
-        perm,
-        inbox_ranges,
-        outbox,
-        awake_stamp,
+        order,
+        cursor,
+        ctxs,
+        weights,
         shard_lanes,
+        profile,
         ..
     } = scratch;
     let bufs = KernelBuffers {
         awake_now,
-        slot_of,
+        receivers,
         arena,
         slots,
-        perm,
-        inbox_ranges,
-        outbox,
-        awake_stamp,
+        order,
+        cursor,
+        ctxs,
+        weights,
         shard_lanes,
+        profile,
     };
     match config.executor {
         Executor::Calendar => {
@@ -942,6 +1080,15 @@ where
     }
 }
 
+/// Charges the wall time since the profile's last lap to `stage`; a
+/// no-op (one untaken branch) while profiling is off.
+#[inline]
+fn lap(profile: &mut Option<StageClock>, stage: Stage) {
+    if let Some(clock) = profile.as_mut() {
+        clock.lap(stage);
+    }
+}
+
 /// The one generic execution kernel. Owns the whole per-active-round
 /// body — awake-set collection, the send half-step, routing, fault
 /// adjudication, arena grouping, the deliver half-step, and all
@@ -951,7 +1098,7 @@ where
 fn run_kernel<P, F, O, D>(
     graph: &WeightedGraph,
     config: &SimConfig,
-    factory: F,
+    mut factory: F,
     mut observer: O,
     mut stats: RunStats,
     mut driver: D,
@@ -965,14 +1112,15 @@ where
 {
     let KernelBuffers {
         awake_now,
-        slot_of,
+        receivers,
         arena,
         slots,
-        perm,
-        inbox_ranges,
-        outbox,
-        awake_stamp,
+        order,
+        cursor,
+        ctxs,
+        weights,
         shard_lanes,
+        profile,
     } = bufs;
     let mut trace = Trace::default();
     let faults = active_faults(config);
@@ -1002,29 +1150,68 @@ where
         None
     };
 
-    let (ctxs, mut protocols, first_wake) = init_nodes(graph, config, factory, &mut trace)?;
+    // --- Init: contexts, protocol values, first wakes ---
+    refill_contexts(graph, config, ctxs, weights);
+    let mut protocols = Vec::with_capacity(ctxs.len());
     let mut running = 0usize;
-    for (v, wake) in first_wake.into_iter().enumerate() {
-        if let Some(r) = wake {
-            let r = match faults {
-                Some(plan) => plan.jittered(v as u32, r),
-                None => r,
-            };
-            // The wake policy maps the (possibly jittered) request to the
-            // round the node actually wakes in — always at or after it.
-            let r = match policy {
-                Some(p) => p.applied(v as u32, r),
-                None => r,
-            };
-            driver.schedule(v as u32, r);
-            running += 1;
+    for ctx in ctxs.iter() {
+        let node = ctx.node;
+        let mut protocol = factory(ctx);
+        match protocol.init(ctx) {
+            NextWake::At(0) => {
+                return Err(SimError::WakeNotInFuture {
+                    node,
+                    round: 0,
+                    requested: 0,
+                });
+            }
+            NextWake::At(r) => {
+                let v = node.raw();
+                let r = match faults {
+                    Some(plan) => plan.jittered(v, r),
+                    None => r,
+                };
+                // The wake policy maps the (possibly jittered) request to
+                // the round the node actually wakes in — always at or
+                // after it.
+                let r = match policy {
+                    Some(p) => p.applied(v, r),
+                    None => r,
+                };
+                driver.schedule(v, r);
+                running += 1;
+            }
+            NextWake::Halt => {
+                if config.record_trace {
+                    trace.push(TraceEvent::Halted { round: 0, node });
+                }
+            }
         }
+        protocols.push(protocol);
     }
+    let ctxs: &[NodeCtx] = ctxs;
     // Round-local trace staging; stays empty (and allocation-free) unless
     // the run records a trace.
     let mut trace_buf: Vec<TraceEvent> = Vec::new();
+    // The previous round handed out by the driver (0 = none yet).
+    #[cfg(feature = "validate")]
+    let mut previous_round: Round = 0;
+    lap(profile, Stage::Init);
 
     while let Some(round) = driver.next_round(awake_now) {
+        // The calendar relies on time moving forward; under `validate`
+        // a driver breaking the `TimeDriver` contract fails the run
+        // with a typed error instead of corrupting it.
+        #[cfg(feature = "validate")]
+        {
+            if round <= previous_round {
+                return Err(SimError::RoundNotIncreasing {
+                    round,
+                    previous: previous_round,
+                });
+            }
+            previous_round = round;
+        }
         if round > config.max_rounds {
             // An earlier exhaustion explains the overrun (the forced
             // sleep is what strands the survivors); report it instead.
@@ -1038,12 +1225,12 @@ where
         }
         if let Some(plan) = faults {
             // Crash and spurious-sleep adjudication, before any send: a
-            // filtered node must look asleep to the whole round, so it
-            // is retracted and messages to it are lost per the model.
-            // `retain` preserves the ascending order contract.
+            // filtered node must look asleep to the whole round — halting
+            // or rescheduling it does that — so messages to it are lost
+            // per the model. `retain` preserves the ascending order
+            // contract.
             awake_now.retain(|&v| {
                 if plan.crashes_at(v, round) {
-                    driver.retract(v);
                     driver.halt(v);
                     running -= 1;
                     stats.crashed_nodes += 1;
@@ -1056,13 +1243,13 @@ where
                     return false;
                 }
                 if plan.suppresses(round, v) {
-                    driver.retract(v);
                     driver.schedule(v, round + 1);
                     return false;
                 }
                 true
             });
         }
+        lap(profile, Stage::NextRound);
         if awake_now.is_empty() {
             // A round whose wakes were all superseded or fault-filtered
             // is not run time: `stats.rounds` is the last round in which
@@ -1076,17 +1263,21 @@ where
             rec.start_round(round, awake_now);
         }
         // Awake accounting up front: the awake set is fixed before any
-        // send, so the round stamp (which shard workers read lock-free),
-        // the slot table, the per-node awake counts, and the `Awake`
-        // trace events — which precede the round's buffered
-        // delivery events in the recorded order anyway — are all
-        // independent of how the send half-step executes.
+        // send, so the receiver records (which shard workers read
+        // lock-free), the per-node awake counts, and the `Awake` trace
+        // events — which precede the round's buffered delivery events in
+        // the recorded order anyway — are all independent of how the
+        // send half-step executes.
         // Nano-joules charged this round (round + tx + rx + idle terms),
         // for the metrics timeline; stays 0 without an active model.
         let mut round_energy = 0u64;
         for (slot, &v) in awake_now.iter().enumerate() {
-            slot_of[v as usize] = slot as u32;
-            awake_stamp[v as usize] = round;
+            receivers[v as usize] = Receiver {
+                stamp: round,
+                slot: slot as u32,
+                count: 0,
+                bits: 0,
+            };
             stats.awake_by_node[v as usize] += 1;
             if let Some(em) = energy {
                 stats.energy_spent_by_node[v as usize] += em.round_cost;
@@ -1105,12 +1296,12 @@ where
         // is fixed before any send, so delivered-vs-lost is already known
         // here. Stats are order-independent sums and accrue inline; lost
         // messages are accounted and dropped without ever materializing.
-        // Delivered envelopes land in `arena` in send order, with the
-        // receiver slot recorded alongside in `slots`. Trace events buffer
+        // Delivered envelopes land in the send lanes' arenas in send
+        // order, with the receiver slot recorded alongside in `slots` and
+        // the receiver's count and bits in its record. Trace events buffer
         // so their order is driver-independent (see [`record_delivered`]).
-        arena.clear();
         slots.clear();
-        if let Some(chunk_len) =
+        let lanes_used = if let Some(chunk_len) =
             shard_chunk_len(awake_now.len(), config.shards, config.record_trace)
         {
             // --- Sharded send ---
@@ -1125,8 +1316,7 @@ where
                 shard_lanes.resize_with(lanes_used, ShardScratch::new);
             }
             let bit_limit = config.bit_limit;
-            let stamp: &[Round] = awake_stamp;
-            let ctxs_ref: &[NodeCtx] = &ctxs;
+            let records: &[Receiver] = receivers;
             std::thread::scope(|scope| {
                 let mut rest: &mut [P] = &mut protocols;
                 let mut base = 0usize;
@@ -1139,8 +1329,8 @@ where
                     base = hi as usize + 1;
                     scope.spawn(move || {
                         shard_send(
-                            graph, bit_limit, faults, round, stamp, ctxs_ref, part, part_base,
-                            chunk, lane,
+                            graph, bit_limit, faults, round, records, ctxs, part, part_base, chunk,
+                            lane,
                         );
                     });
                 }
@@ -1154,6 +1344,7 @@ where
                 }
             }
             for lane in lanes.iter_mut() {
+                lane.base = slots.len() as u32;
                 for rec in lane.records.iter() {
                     stats.bits_by_edge[rec.edge as usize] += rec.bits;
                     stats.max_message_bits = stats.max_message_bits.max(rec.bits);
@@ -1171,32 +1362,26 @@ where
                     match rec.kind {
                         SentKind::Delivered => {
                             stats.messages_delivered += 1;
-                            stats.bits_received_by_node[rec.to as usize] += rec.bits;
-                            if let Some(em) = energy {
-                                let rx = em.rx_bit_cost * rec.bits;
-                                stats.energy_spent_by_node[rec.to as usize] += rx;
-                                round_energy += rx;
-                            }
                             if let Some(m) = metrics.as_mut() {
                                 m.on_delivered();
                             }
-                            slots.push(slot_of[rec.to as usize]);
+                            let to = &mut receivers[rec.to as usize];
+                            to.count += 1;
+                            to.bits += rec.bits;
+                            slots.push(to.slot);
                         }
                         SentKind::DeliveredDup => {
                             stats.messages_delivered += 2;
                             stats.dup_deliveries += 1;
-                            stats.bits_received_by_node[rec.to as usize] += 2 * rec.bits;
-                            if let Some(em) = energy {
-                                let rx = 2 * em.rx_bit_cost * rec.bits;
-                                stats.energy_spent_by_node[rec.to as usize] += rx;
-                                round_energy += rx;
-                            }
                             if let Some(m) = metrics.as_mut() {
                                 m.on_delivered();
                                 m.on_dup_delivered();
                             }
-                            slots.push(slot_of[rec.to as usize]);
-                            slots.push(slot_of[rec.to as usize]);
+                            let to = &mut receivers[rec.to as usize];
+                            to.count += 2;
+                            to.bits += 2 * rec.bits;
+                            slots.push(to.slot);
+                            slots.push(to.slot);
                         }
                         SentKind::Lost => {
                             stats.messages_lost += 1;
@@ -1212,9 +1397,17 @@ where
                         }
                     }
                 }
-                arena.append(&mut lane.arena);
             }
+            lanes_used
         } else {
+            let ShardScratch {
+                outbox,
+                arena: sent,
+                base,
+                ..
+            } = &mut shard_lanes[0];
+            *base = 0;
+            sent.clear();
             for &v in awake_now.iter() {
                 let node = NodeId::new(v);
                 outbox.clear();
@@ -1249,23 +1442,20 @@ where
                             continue;
                         }
                     }
-                    let to_awake = awake_stamp[to as usize] == round;
+                    let receiver = &mut receivers[to as usize];
+                    let to_awake = receiver.stamp == round;
                     debug_assert_eq!(to_awake, driver.is_awake_in(to, round));
                     if to_awake {
                         stats.messages_delivered += 1;
-                        stats.bits_received_by_node[to as usize] += bits as u64;
-                        if let Some(em) = energy {
-                            let rx = em.rx_bit_cost * bits as u64;
-                            stats.energy_spent_by_node[to as usize] += rx;
-                            round_energy += rx;
-                        }
+                        receiver.count += 1;
+                        receiver.bits += bits as u64;
                         if let Some(rec) = metrics.as_mut() {
                             rec.on_delivered();
                         }
                         if config.record_trace {
                             record_delivered(&mut trace_buf, round, v, to, recv_port, bits, &msg);
                         }
-                        slots.push(slot_of[to as usize]);
+                        slots.push(receiver.slot);
                         // An injected duplication delivers a second identical
                         // copy; it counts as a delivery of its own so the
                         // conservation audit reconciles.
@@ -1276,12 +1466,8 @@ where
                         if dup {
                             stats.messages_delivered += 1;
                             stats.dup_deliveries += 1;
-                            stats.bits_received_by_node[to as usize] += bits as u64;
-                            if let Some(em) = energy {
-                                let rx = em.rx_bit_cost * bits as u64;
-                                stats.energy_spent_by_node[to as usize] += rx;
-                                round_energy += rx;
-                            }
+                            receiver.count += 1;
+                            receiver.bits += bits as u64;
                             if let Some(rec) = metrics.as_mut() {
                                 rec.on_dup_delivered();
                             }
@@ -1296,10 +1482,10 @@ where
                                     &msg,
                                 );
                             }
-                            slots.push(slot_of[to as usize]);
-                            arena.push(Envelope::new(Port::new(recv_port), msg.clone()));
+                            slots.push(receiver.slot);
+                            sent.push(Envelope::new(Port::new(recv_port), msg.clone()));
                         }
-                        arena.push(Envelope::new(Port::new(recv_port), msg));
+                        sent.push(Envelope::new(Port::new(recv_port), msg));
                     } else {
                         stats.messages_lost += 1;
                         if let Some(rec) = metrics.as_mut() {
@@ -1311,62 +1497,83 @@ where
                     }
                 }
             }
-        }
+            1
+        };
         if config.record_trace {
             for event in trace_buf.drain(..) {
                 trace.push(event);
             }
         }
-        stats.arena_peak_envelopes = stats.arena_peak_envelopes.max(arena.len() as u64);
+        stats.arena_peak_envelopes = stats.arena_peak_envelopes.max(slots.len() as u64);
+        lap(profile, Stage::SendRoute);
+
+        // --- Grouping ---
+        // Group the round's envelopes by receiver slot in O(M): every
+        // slot's inbox range starts where the previous one ends (the
+        // receiver records already hold the counts), and each envelope
+        // takes the next position of its slot's range in send order —
+        // so within a slot the grouped arena keeps send order. Sorting
+        // each range by port (in the deliver loop) then reproduces
+        // exactly a per-inbox `sort_by_key(|e| e.port)`: deliver order
+        // is bit-identical under every driver and shard count.
+        cursor.clear();
+        let mut start = 0u32;
+        for &v in awake_now.iter() {
+            cursor.push(start);
+            start += receivers[v as usize].count;
+        }
+        order.clear();
+        arena.clear();
+        let in_place = lanes_used == 1
+            && slots.len() * std::mem::size_of::<Envelope<P::Msg>>() <= IN_PLACE_GROUPING_BYTES;
+        let inboxes: &mut [Envelope<P::Msg>] = if in_place {
+            // A cache-resident round is permuted within lane 0 by
+            // walking the permutation's cycles: no second buffer.
+            order.extend(slots.iter().map(|&slot| {
+                let at = &mut cursor[slot as usize];
+                *at += 1;
+                *at - 1
+            }));
+            let sent = &mut shard_lanes[0].arena;
+            for i in 0..order.len() {
+                while order[i] != i as u32 {
+                    let j = order[i] as usize;
+                    sent.swap(i, j);
+                    order.swap(i, j);
+                }
+            }
+            sent
+        } else {
+            // Out of cache, each cycle-walk swap would wait on the last
+            // one's miss; an index scatter plus a sequential gather out of
+            // the lanes issues independent loads instead.
+            order.resize(slots.len(), 0);
+            for (i, &slot) in slots.iter().enumerate() {
+                let at = &mut cursor[slot as usize];
+                order[*at as usize] = i as u32;
+                *at += 1;
+            }
+            let lanes: &[ShardScratch<P::Msg>] = &shard_lanes[..lanes_used];
+            arena.extend(order.iter().map(|&i| {
+                // Lanes are contiguous runs of the send order: the lane
+                // holding send index `i` is the last one starting at or
+                // before it.
+                let lane = &lanes[lanes[1..].iter().filter(|lane| lane.base <= i).count()];
+                lane.arena[(i - lane.base) as usize].clone()
+            }));
+            for lane in shard_lanes[..lanes_used].iter_mut() {
+                lane.arena.clear();
+            }
+            arena
+        };
+        lap(profile, Stage::Grouping);
 
         // --- Deliver half-step ---
-        // Group the arena by receiver slot with an O(M) counting sort
-        // (count, prefix-sum, in-place cycle permutation) rather than a
-        // comparison sort of the whole round. The permutation targets are
-        // assigned in send order, so within one slot the grouped arena
-        // preserves send order; the stable per-range sort by port then
-        // reproduces exactly a per-inbox `sort_by_key(|e| e.port)` —
-        // deliver order is bit-identical under every driver.
-        inbox_ranges.clear();
-        inbox_ranges.resize(awake_now.len(), (0u32, 0u32));
-        for &s in slots.iter() {
-            inbox_ranges[s as usize].1 += 1;
-        }
-        let mut acc = 0u32;
-        for range in inbox_ranges.iter_mut() {
-            range.0 = acc;
-            acc += range.1;
-        }
-        if arena.len() > 1 {
-            // `range.0` doubles as the placement cursor; it ends at the
-            // range's end and is rewound by `len` afterwards.
-            perm.clear();
-            for &s in slots.iter() {
-                let range = &mut inbox_ranges[s as usize];
-                perm.push(range.0);
-                range.0 += 1;
-            }
-            for range in inbox_ranges.iter_mut() {
-                range.0 -= range.1;
-            }
-            for i in 0..perm.len() {
-                while perm[i] != i as u32 {
-                    let j = perm[i] as usize;
-                    arena.swap(i, j);
-                    perm.swap(i, j);
-                }
-            }
-            for &(start, len) in inbox_ranges.iter() {
-                if len > 1 {
-                    arena[start as usize..(start + len) as usize].sort_by_key(|e| e.port);
-                }
-            }
-        }
-
-        for (slot, &v) in awake_now.iter().enumerate() {
+        let mut start = 0usize;
+        for &v in awake_now.iter() {
             let node = NodeId::new(v);
-            let (start, len) = inbox_ranges[slot];
-            if len == 0 {
+            let Receiver { count, bits, .. } = receivers[v as usize];
+            if count == 0 {
                 // An awake round that delivered nothing is idle listening.
                 // Counted whether or not an energy model is active, so an
                 // inert model stays bit-identical to no model.
@@ -1375,8 +1582,21 @@ where
                     stats.energy_spent_by_node[v as usize] += em.idle_cost;
                     round_energy += em.idle_cost;
                 }
+            } else {
+                // Receive accounting, once per receiver: the sum over the
+                // round's envelopes, charged before the budget check.
+                stats.bits_received_by_node[v as usize] += bits;
+                if let Some(em) = energy {
+                    let rx = em.rx_bit_cost * bits;
+                    stats.energy_spent_by_node[v as usize] += rx;
+                    round_energy += rx;
+                }
             }
-            let inbox = &arena[start as usize..(start + len) as usize];
+            let inbox = &mut inboxes[start..start + count as usize];
+            start += count as usize;
+            if inbox.len() > 1 {
+                inbox.sort_by_key(|e| e.port);
+            }
             let next = protocols[v as usize].deliver(&ctxs[v as usize], round, inbox);
             // Budget adjudication: by deliver time every charge of the
             // node's round (round, tx, rx, idle) has accrued, so the
@@ -1436,6 +1656,7 @@ where
             rec.finish_round();
         }
         observer(round, &protocols);
+        lap(profile, Stage::Deliver);
     }
 
     // A budget violation outranks the residual symptoms it causes (the
@@ -1533,22 +1754,55 @@ mod tests {
         assert_eq!(live, vec![0]);
     }
 
-    /// A run whose final scheduled wake was superseded still pops that
-    /// round — with no live wakers. The kernel keeps adjudicating faults
-    /// for such rounds but does not count them toward `RunStats::rounds`
-    /// (the final round is the last one that actually executed).
+    /// A superseded or cancelled wake never surfaces its round: the stale
+    /// entry is dropped when its bucket comes up, whether the live wake
+    /// is earlier or later than it.
     #[test]
-    fn wake_queue_reports_trailing_stale_round() {
-        let mut q = WakeQueue::new(1);
+    fn wake_queue_drops_superseded_entries() {
+        let mut q = WakeQueue::new(2);
         q.schedule(0, 9);
         q.schedule(0, 2); // supersedes: the round-9 entry is now stale
+        q.schedule(1, 3);
+        q.schedule(1, 40); // supersedes: the round-3 entry is now stale
         let mut live = Vec::new();
         assert_eq!(q.pop_round(&mut live), Some(2));
         assert_eq!(live, vec![0]);
         q.halt(0);
-        // The stale trailing entry still surfaces its round, empty.
-        assert_eq!(q.pop_round(&mut live), Some(9));
-        assert!(live.is_empty());
+        assert_eq!(q.peek_round(), Some(40));
+        assert_eq!(q.pop_round(&mut live), Some(40));
+        assert_eq!(live, vec![1]);
+        assert_eq!(q.pop_round(&mut live), None);
+    }
+
+    /// Rounds spread over many buckets pop in order, each exactly once,
+    /// whether a bucket holds one round (popped in place) or several
+    /// (redistributed).
+    #[test]
+    fn wake_queue_pops_spread_rounds_in_order() {
+        let rounds: Vec<Round> = vec![5, 1 << 33, 6, 7, 1 << 20, 5, 1000, 999, (1 << 33) + 1];
+        let mut q = WakeQueue::new(rounds.len());
+        for (v, &r) in rounds.iter().enumerate() {
+            q.schedule(v as u32, r);
+        }
+        let mut expected: Vec<(Round, Vec<u32>)> = Vec::new();
+        let mut sorted = rounds.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        for r in sorted {
+            let nodes = (0..rounds.len() as u32)
+                .filter(|&v| rounds[v as usize] == r)
+                .collect();
+            expected.push((r, nodes));
+        }
+        let mut live = Vec::new();
+        for (r, nodes) in expected {
+            assert_eq!(q.peek_round(), Some(r));
+            assert_eq!(q.pop_round(&mut live), Some(r));
+            assert_eq!(live, nodes);
+            for &v in &live {
+                q.halt(v);
+            }
+        }
         assert_eq!(q.pop_round(&mut live), None);
     }
 
@@ -1564,7 +1818,7 @@ mod tests {
             q.schedule(v, 3);
         }
         q.schedule(4, 8); // supersedes node 4's round-3 entry
-        q.schedule(2, 3); // duplicate heap entry for the same (round, node)
+        q.schedule(2, 3); // duplicate entry for the same (round, node)
         let mut live = Vec::new();
         assert_eq!(q.pop_round(&mut live), Some(3));
         assert_eq!(live, vec![0, 1, 2, 3, 5]);
@@ -1576,10 +1830,11 @@ mod tests {
         assert_eq!(live, vec![4]);
     }
 
-    /// Resetting a queue must clear the popped stamps: rounds restart at 1
-    /// every run, and a stale stamp would swallow a genuine wake.
+    /// Resetting a queue must clear the pending wakes and the settled
+    /// round: rounds restart at 1 every run, and a stale settled round
+    /// would file a genuine wake under the wrong bucket.
     #[test]
-    fn wake_queue_reset_clears_stamps_and_state() {
+    fn wake_queue_reset_clears_pending_wakes_and_settled_round() {
         let mut q = WakeQueue::new(2);
         q.schedule(0, 7);
         let mut live = Vec::new();
@@ -1589,7 +1844,100 @@ mod tests {
         assert_eq!(q.peek_round(), None);
         q.schedule(0, 7); // same round number as the previous run
         assert_eq!(q.pop_round(&mut live), Some(7));
-        assert_eq!(live, vec![0], "stale stamp swallowed the wake");
+        assert_eq!(live, vec![0], "stale state swallowed the wake");
+    }
+
+    /// A driver that breaks the `TimeDriver` contract — it hands out
+    /// round 4 again after round 4 — fails the run with the typed error
+    /// under `validate`, before the repeated round executes.
+    #[cfg(feature = "validate")]
+    #[test]
+    fn validate_rejects_a_driver_whose_rounds_do_not_increase() {
+        struct Repeating {
+            rounds: Vec<Round>,
+        }
+        impl TimeDriver for Repeating {
+            fn schedule(&mut self, _: u32, _: Round) {}
+            fn halt(&mut self, _: u32) {}
+            fn next_round(&mut self, live: &mut Vec<u32>) -> Option<Round> {
+                live.clear();
+                live.push(0);
+                self.rounds.pop()
+            }
+            fn is_awake_in(&self, node: u32, _: Round) -> bool {
+                node == 0
+            }
+        }
+        struct Ticker;
+        impl Protocol for Ticker {
+            type Msg = u64;
+            fn init(&mut self, ctx: &NodeCtx) -> NextWake {
+                if ctx.node.raw() == 0 {
+                    NextWake::At(2)
+                } else {
+                    NextWake::Halt
+                }
+            }
+            fn send(&mut self, _: &NodeCtx, _: Round, _: &mut Outbox<u64>) {}
+            fn deliver(&mut self, _: &NodeCtx, round: Round, _: &[Envelope<u64>]) -> NextWake {
+                NextWake::At(round + 1)
+            }
+        }
+
+        let graph = graphlib::GraphBuilder::new(2)
+            .edge(0, 1, 1)
+            .build()
+            .expect("a one-edge graph");
+        let config = SimConfig::default();
+        let mut scratch: ExecutorScratch<u64> = ExecutorScratch::new();
+        scratch.reset(2);
+        let stats = scratch.take_stats(2, 1);
+        let ExecutorScratch {
+            awake_now,
+            receivers,
+            arena,
+            slots,
+            order,
+            cursor,
+            ctxs,
+            weights,
+            shard_lanes,
+            profile,
+            ..
+        } = &mut scratch;
+        let bufs = KernelBuffers {
+            awake_now,
+            receivers,
+            arena,
+            slots,
+            order,
+            cursor,
+            ctxs,
+            weights,
+            shard_lanes,
+            profile,
+        };
+        let driver = Repeating {
+            rounds: vec![4, 4, 2],
+        };
+        let mut executed = Vec::new();
+        let result = run_kernel(
+            &graph,
+            &config,
+            |_| Ticker,
+            |round, _: &[Ticker]| executed.push(round),
+            stats,
+            driver,
+            bufs,
+        );
+        assert_eq!(
+            result.err(),
+            Some(SimError::RoundNotIncreasing {
+                round: 4,
+                previous: 4
+            })
+        );
+        assert_eq!(executed, vec![2, 4]);
     }
 
     #[test]

@@ -64,6 +64,15 @@ pub enum SimError {
         /// The round its ledger went past the budget.
         round: Round,
     },
+    /// The time driver handed the kernel a round that is not after the
+    /// previous one, breaking the contract the wake calendar relies on.
+    /// Checked per round under the `validate` feature.
+    RoundNotIncreasing {
+        /// The offending round.
+        round: Round,
+        /// The round handed out before it.
+        previous: Round,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -91,6 +100,10 @@ impl fmt::Display for SimError {
                 f,
                 "node {node} exhausted its energy budget in round {round} and was forced asleep"
             ),
+            SimError::RoundNotIncreasing { round, previous } => write!(
+                f,
+                "time driver moved from round {previous} to round {round}; rounds must strictly increase"
+            ),
         }
     }
 }
@@ -108,6 +121,7 @@ pub const SIM_ERROR_CODES: &[&str] = &[
     "sim.max-rounds-exceeded",
     "sim.stalled",
     "sim.energy-exhausted",
+    "sim.round-not-increasing",
 ];
 
 /// Resolves a wire code back to its canonical `&'static str` (the exact
@@ -130,6 +144,7 @@ impl SimError {
             SimError::MaxRoundsExceeded { .. } => "sim.max-rounds-exceeded",
             SimError::Stalled { .. } => "sim.stalled",
             SimError::EnergyExhausted { .. } => "sim.energy-exhausted",
+            SimError::RoundNotIncreasing { .. } => "sim.round-not-increasing",
         }
     }
 }
@@ -168,6 +183,10 @@ mod tests {
             SimError::EnergyExhausted {
                 node: NodeId::new(4),
                 round: 12,
+            },
+            SimError::RoundNotIncreasing {
+                round: 3,
+                previous: 3,
             },
         ]
     }

@@ -14,7 +14,7 @@
 //!
 //! Execution is a single generic kernel parameterized by a time driver
 //! ([`Executor`]): the default calendar driver is event-driven — rounds in
-//! which every node sleeps are skipped in `O(log n)` time, so algorithms
+//! which every node sleeps are never visited, so algorithms
 //! with tiny awake complexity but huge round complexity (the whole point
 //! of the paper) simulate in time proportional to the total number of
 //! *node-awake* events, not rounds. A round-synchronous driver and a
@@ -57,6 +57,7 @@ pub mod engine;
 pub mod faults;
 pub mod flood;
 pub mod metrics;
+pub mod profile;
 pub mod radio;
 #[cfg(feature = "validate")]
 pub mod validate;
@@ -67,6 +68,7 @@ pub use error::{parse_sim_code, SimError, SIM_ERROR_CODES};
 pub use faults::FaultPlan;
 pub use metrics::{Metrics, PhaseSpan, PhaseTotals, RoundReport};
 pub use payload::{bits_for_range, bits_for_value, Payload};
+pub use profile::{Stage, StageClock};
 pub use protocol::{Envelope, NextWake, NodeCtx, Outbox, PortWeights, Protocol};
 pub use sim::{RunOutcome, SimConfig, Simulator};
 pub use stats::RunStats;

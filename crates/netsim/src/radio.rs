@@ -214,7 +214,7 @@ impl<'g> RadioSimulator<'g> {
         // copied once and every context views a window of it instead of
         // allocating a per-node `Vec`.
         let max_external_id = self.graph.max_external_id();
-        let weights: std::sync::Arc<[u64]> = self.graph.flat_port_weights().into();
+        let weights = self.graph.flat_port_weights();
         for node in self.graph.nodes() {
             let ctx = NodeCtx {
                 node,

@@ -151,11 +151,11 @@ pub struct RunOutcome<P> {
 ///
 /// Execution goes through one generic kernel parameterized by the time
 /// driver chosen in [`SimConfig::executor`]. The default
-/// [`Executor::Calendar`] driver is event-driven: it keeps a priority
-/// queue of scheduled wake rounds and jumps directly from one populated
-/// round to the next, so a run costs `O(W log n + M)` where `W` is total
-/// node-awake events and `M` total messages — *independent of the number
-/// of silent rounds*. This is what makes the paper's `O(n N log n)`-round
+/// [`Executor::Calendar`] driver is event-driven: it keeps a bucketed
+/// calendar of scheduled wake rounds and jumps directly from one
+/// populated round to the next, so a run costs `O(W log W + M)` where `W`
+/// is total node-awake events and `M` total messages — *independent of
+/// the number of silent rounds*. This is what makes the paper's `O(n N log n)`-round
 /// algorithm simulable. Message routing uses the back ports precomputed
 /// at graph build time, so the delivery path never scans an adjacency
 /// list.

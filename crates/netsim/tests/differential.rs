@@ -17,10 +17,10 @@
 
 use proptest::prelude::*;
 
-use graphlib::{generators, GraphBuilder};
+use graphlib::{generators, GraphBuilder, NodeId};
 use netsim::{
     engine, EnergyModel, Envelope, Executor, ExecutorScratch, FaultPlan, NextWake, NodeCtx, Outbox,
-    Protocol, Round, SimConfig, SimError, Simulator, WakePolicy,
+    Payload, PortWeights, Protocol, Round, RunOutcome, SimConfig, SimError, Simulator, WakePolicy,
 };
 
 /// SplitMix64 — the same tiny generator the protocols in `mst-core` use
@@ -936,6 +936,276 @@ proptest! {
                 prop_assert_eq!(a.digest, b.digest, "shards={}", shards);
                 prop_assert_eq!(a.wakes_left, b.wakes_left, "shards={}", shards);
             }
+        }
+    }
+}
+
+/// One note of the repeated-send workload: the round it was sent in, the
+/// weight of the edge it crossed (both endpoints see that weight behind
+/// their port), and its index among the sender's notes on that port
+/// this round.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Note {
+    round: Round,
+    weight: u64,
+    index: u8,
+}
+
+impl Payload for Note {
+    fn bit_size(&self) -> usize {
+        64
+    }
+}
+
+/// Sends 0–3 distinct notes on every port every round, in lockstep, and
+/// checks each inbox itself: ports ascending, every note sent this round
+/// over the edge behind its port, and notes of one port in the order
+/// they were sent (an injected duplicate repeats its note in place).
+/// `Chaotic` and `WideWave` send at most once per port, so they cannot
+/// see whether repeated sends on one port keep their order.
+#[derive(Debug)]
+struct Chatter {
+    rng: SplitMix64,
+    left: u32,
+    received: Vec<(Round, u32, u8)>,
+    digest: u64,
+    misdelivered: u32,
+}
+
+impl Chatter {
+    fn new(ctx: &NodeCtx, rounds: u32) -> Self {
+        Chatter {
+            rng: SplitMix64(ctx.rng_seed),
+            left: rounds,
+            received: Vec::new(),
+            digest: 0,
+            misdelivered: 0,
+        }
+    }
+}
+
+impl Protocol for Chatter {
+    type Msg = Note;
+
+    fn init(&mut self, _ctx: &NodeCtx) -> NextWake {
+        NextWake::At(1)
+    }
+
+    fn send(&mut self, ctx: &NodeCtx, round: Round, outbox: &mut Outbox<Note>) {
+        for p in ctx.ports() {
+            for index in 0..(self.rng.next() % 4) as u8 {
+                outbox.push(
+                    p,
+                    Note {
+                        round,
+                        weight: ctx.weight(p),
+                        index,
+                    },
+                );
+            }
+        }
+    }
+
+    fn deliver(&mut self, ctx: &NodeCtx, round: Round, inbox: &[Envelope<Note>]) -> NextWake {
+        for (i, e) in inbox.iter().enumerate() {
+            if e.msg.round != round || e.msg.weight != ctx.weight(e.port) {
+                self.misdelivered += 1;
+            }
+            if let Some(prev) = i.checked_sub(1).map(|j| &inbox[j]) {
+                if prev.port > e.port || (prev.port == e.port && prev.msg.index > e.msg.index) {
+                    self.misdelivered += 1;
+                }
+            }
+            self.received.push((round, e.port.raw(), e.msg.index));
+            self.digest = self
+                .digest
+                .rotate_left(11)
+                .wrapping_add(u64::from(e.port.raw()) << 8 | u64::from(e.msg.index));
+        }
+        self.left -= 1;
+        if self.left == 0 {
+            NextWake::Halt
+        } else {
+            NextWake::At(round + 1)
+        }
+    }
+}
+
+/// `out` equals the oracle run exactly, and its inboxes passed their own
+/// checks.
+fn assert_chatter_matches(
+    oracle: &RunOutcome<Chatter>,
+    out: &RunOutcome<Chatter>,
+    label: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&oracle.stats, &out.stats, "{} stats", label);
+    prop_assert_eq!(&oracle.metrics, &out.metrics, "{} metrics", label);
+    prop_assert_eq!(oracle.states.len(), out.states.len());
+    for (a, b) in oracle.states.iter().zip(&out.states) {
+        prop_assert_eq!(b.misdelivered, 0, "{} misdelivered", label);
+        prop_assert_eq!(&a.received, &b.received, "{} received", label);
+        prop_assert_eq!(a.digest, b.digest, "{} digest", label);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Repeated sends on one port, in rounds wide enough (every node of a
+    /// 150+-node graph awake) for the shard lanes to engage: every driver
+    /// at 1, 2 and 4 shards reproduces the naive oracle's stats, metrics
+    /// and inboxes — with and without injected duplicates, which put two
+    /// copies of a note next to each other.
+    #[test]
+    fn repeated_sends_on_one_port_agree_across_drivers_and_shards(
+        n in 150usize..260,
+        master_seed in 0u64..500,
+        rounds in 1u32..4,
+        dup in proptest::option::of((0u64..1000, 1u32..400_000)),
+    ) {
+        let g = generators::chorded_cycle(n, 2, 5).unwrap();
+        let mut config = SimConfig::default().with_seed(master_seed).with_metrics();
+        if let Some((fault_seed, dup_ppm)) = dup {
+            config = config.with_faults(FaultPlan::seeded(fault_seed).with_duplicate_ppm(dup_ppm));
+        }
+        let factory = |ctx: &NodeCtx| Chatter::new(ctx, rounds);
+        let oracle = engine::run_naive(&g, &config, factory).unwrap();
+        prop_assert!(oracle.stats.messages_delivered > 0);
+        assert_chatter_matches(&oracle, &oracle, "oracle")?;
+        for executor in Executor::ALL {
+            for shards in [1u32, 2, 4] {
+                let out = Simulator::new(&g, config.clone().with_executor(executor).with_shards(shards))
+                    .run(factory)
+                    .unwrap();
+                assert_chatter_matches(&oracle, &out, &format!("{executor} shards={shards}"))?;
+            }
+        }
+    }
+}
+
+/// A serial round too large to group in place (over a megabyte of
+/// envelopes) takes the gather path, like sharded rounds always do. Its
+/// inboxes pass the protocol's own order and routing checks and match
+/// the sharded runs and the naive oracle.
+#[test]
+fn rounds_too_large_to_group_in_place_keep_inbox_order() {
+    let g = generators::chorded_cycle(12_000, 2, 5).unwrap();
+    for faults in [None, Some(FaultPlan::seeded(4).with_duplicate_ppm(200_000))] {
+        let mut config = SimConfig::default().with_seed(3);
+        if let Some(plan) = faults {
+            config = config.with_faults(plan);
+        }
+        let factory = |ctx: &NodeCtx| Chatter::new(ctx, 2);
+        let oracle = engine::run_naive(&g, &config, factory).unwrap();
+        let arena_bytes =
+            oracle.stats.arena_peak_envelopes as usize * std::mem::size_of::<Envelope<Note>>();
+        assert!(
+            arena_bytes > 2 << 20,
+            "{arena_bytes} bytes may be grouped in place"
+        );
+        assert_chatter_matches(&oracle, &oracle, "oracle").unwrap();
+        for shards in [1u32, 2] {
+            let out = Simulator::new(&g, config.clone().with_shards(shards))
+                .run(factory)
+                .unwrap();
+            assert_chatter_matches(&oracle, &out, &format!("shards={shards}")).unwrap();
+        }
+    }
+}
+
+/// Keeps the weight view its context handed it, so its final state holds
+/// the run's weight table after the run.
+#[derive(Debug)]
+struct KeepsWeights {
+    weights: PortWeights,
+    left: u32,
+    digest: u64,
+}
+
+impl Protocol for KeepsWeights {
+    type Msg = u64;
+
+    fn init(&mut self, _ctx: &NodeCtx) -> NextWake {
+        NextWake::At(1)
+    }
+
+    fn send(&mut self, ctx: &NodeCtx, round: Round, outbox: &mut Outbox<u64>) {
+        for p in ctx.ports() {
+            outbox.push(p, round ^ self.weights[p.index()]);
+        }
+    }
+
+    fn deliver(&mut self, _ctx: &NodeCtx, _round: Round, inbox: &[Envelope<u64>]) -> NextWake {
+        for e in inbox {
+            self.digest = self.digest.rotate_left(5) ^ e.msg ^ self.weights[e.port.index()];
+        }
+        self.left -= 1;
+        if self.left == 0 {
+            NextWake::Halt
+        } else {
+            NextWake::At(2)
+        }
+    }
+}
+
+/// One scratch runs a graph, a graph with the same nodes and ports but
+/// other weights (the weight table is rewritten in place), and a smaller
+/// graph, under protocols that read `ctx.port_weights`: each outcome
+/// equals a run on a fresh scratch. When earlier states still hold their
+/// weight view, the scratch must not rewrite that table under them.
+#[test]
+fn reused_scratch_refills_contexts_and_weights_for_each_graph() {
+    let a = generators::chorded_cycle(300, 2, 7).unwrap();
+    let mut reweighted = GraphBuilder::new(300);
+    for e in a.edges() {
+        reweighted.edge(e.u.raw(), e.v.raw(), 1_000_000 - e.weight);
+    }
+    let b = reweighted.build().unwrap();
+    assert_eq!(a.total_ports(), b.total_ports());
+    assert_ne!(a.flat_port_weights(), b.flat_port_weights());
+    let c = generators::chorded_cycle(150, 2, 9).unwrap();
+    let config = SimConfig::default().with_seed(11);
+
+    let mut scratch = ExecutorScratch::new();
+    for g in [&a, &b, &c] {
+        let wave = |_: &NodeCtx| WideWave { left: 2, digest: 0 };
+        let reused = Simulator::new(g, config.clone())
+            .run_with_scratch(&mut scratch, wave)
+            .unwrap();
+        let fresh = Simulator::new(g, config.clone()).run(wave).unwrap();
+        assert_eq!(reused.stats, fresh.stats);
+        for (x, y) in reused.states.iter().zip(&fresh.states) {
+            assert_eq!(x.digest, y.digest);
+        }
+    }
+
+    let mut scratch = ExecutorScratch::new();
+    let mut kept = Vec::new();
+    for g in [&a, &b, &c] {
+        let keep = |ctx: &NodeCtx| KeepsWeights {
+            weights: ctx.port_weights.clone(),
+            left: 2,
+            digest: 0,
+        };
+        let reused = Simulator::new(g, config.clone())
+            .run_with_scratch(&mut scratch, keep)
+            .unwrap();
+        let fresh = Simulator::new(g, config.clone()).run(keep).unwrap();
+        assert_eq!(reused.stats, fresh.stats);
+        for (x, y) in reused.states.iter().zip(&fresh.states) {
+            assert_eq!(x.digest, y.digest);
+        }
+        kept.push((g, reused.states));
+    }
+    for (g, states) in kept {
+        for (v, state) in states.iter().enumerate() {
+            let expected: Vec<u64> = g
+                .ports(NodeId::new(v as u32))
+                .iter()
+                .map(|e| e.weight)
+                .collect();
+            assert_eq!(state.weights.as_slice(), expected.as_slice());
         }
     }
 }

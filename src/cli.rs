@@ -74,7 +74,8 @@ pub struct RunTuning {
 
 /// Runs `alg` on `graph` under a fault plan (inert plans take the plain
 /// path — see [`mst_core::registry::AlgorithmSpec::run_with_faults`])
-/// and the [`RunTuning`] knobs.
+/// and the [`RunTuning`] knobs, on `scratch` (whose stage profile, when
+/// enabled, accumulates the run's wall time per kernel stage).
 ///
 /// # Errors
 ///
@@ -89,6 +90,7 @@ pub fn run_with_faults(
     seed: u64,
     plan: &FaultPlan,
     tuning: RunTuning,
+    scratch: &mut MstScratch,
 ) -> Result<MstOutcome, String> {
     let mut opts = ExecOptions::seeded(seed)
         .with_faults(plan.clone())
@@ -102,7 +104,7 @@ pub fn run_with_faults(
     if let Some(model) = tuning.energy {
         opts = opts.with_energy(model);
     }
-    alg.run_with_options(graph, &opts, &mut MstScratch::new())
+    alg.run_with_options(graph, &opts, scratch)
         .map_err(|e| e.to_string())
 }
 
@@ -386,6 +388,9 @@ pub enum Command {
         /// When scheduled wakes actually land (`block` = today's exact
         /// timeline).
         wake_policy: WakePolicy,
+        /// Append the kernel's per-stage wall-clock profile
+        /// ([`netsim::StageClock`]) to the text report.
+        profile: bool,
     },
     /// `verify`: execute, check against the reference, exit non-zero on
     /// mismatch.
@@ -579,6 +584,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut sizes: Option<Vec<usize>> = None;
     let mut threads = 0usize;
     let mut json = false;
+    let mut profile = false;
     let mut bench_out: Option<String> = None;
     let mut trials = 2u64;
     let mut out: Option<String> = None;
@@ -629,6 +635,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     .map_err(|_| format!("'{v}' is not a thread count"))?;
             }
             "--json" => json = true,
+            "--profile" => profile = true,
             "--bench-out" => {
                 bench_out = Some(it.next().ok_or("--bench-out needs a file path")?.clone());
             }
@@ -820,6 +827,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             refill_per_sec,
         });
     }
+    if profile && (cmd != "run" || json) {
+        return Err(
+            "--profile appends a wall-clock table to the text report of 'run'; \
+             it takes no other command and no --json"
+                .into(),
+        );
+    }
     let graph = graph.ok_or("--graph is required")?;
     let single_alg = |algs: &[&'static AlgorithmSpec]| -> Result<&'static AlgorithmSpec, String> {
         match algs {
@@ -839,6 +853,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             shards: single_shards(&shards)?,
             energy,
             wake_policy,
+            profile,
         }),
         "verify" => Ok(Command::Verify {
             alg: single_alg(&algs)?,
@@ -891,6 +906,7 @@ USAGE:
     sleeping-mst run    --alg <ALG> --graph <SPEC> [--seed S] [--json]
                         [--executor sync|calendar|naive] [--shards K]
                         [--energy-model M] [--budget B] [--wake-policy P]
+                        [--profile]
                         [--fault-seed S] [--drop-ppm P] [--dup-ppm P]
                         [--sleep-ppm P] [--jitter J] [--crash NODE@ROUND]…
     sleeping-mst verify --alg <ALG> --graph <SPEC> [--seed S]
@@ -986,7 +1002,7 @@ ENERGY (run, sweep, report, chaos; serve takes it per request):
 
 EXECUTORS:
     Execution is one generic kernel parameterized by a time driver:
-    `calendar` (the default) jumps between scheduled wakes on a heap,
+    `calendar` (the default) jumps between scheduled wakes on a calendar,
     `sync` ticks every round, `naive` is an O(n)-scan oracle. All three
     are bit-identical on every run — fingerprints, stats, traces, and
     metrics — so --executor only changes wall-clock cost (that is what
@@ -1088,47 +1104,59 @@ pub fn execute(cmd: &Command) -> (i32, String) {
             shards,
             energy,
             wake_policy,
+            profile,
         } => match build_graph(graph, *seed) {
             Err(e) => (2, format!("error: {e}\n")),
-            Ok(g) => match run_with_faults(
-                alg,
-                &g,
-                *seed,
-                faults,
-                RunTuning {
-                    executor: *executor,
-                    shards: *shards,
-                    energy: *energy,
-                    wake_policy: *wake_policy,
-                },
-            ) {
-                Err(e) => (1, format!("error: {e}\n")),
-                Ok(out) => {
-                    let text = if *json {
-                        render_json(alg, &g, *seed, faults, energy.as_ref(), &out) + "\n"
-                    } else {
-                        let mut text = render_text(alg, &g, &out);
-                        if !faults.is_inert() {
-                            text.push_str(&format!(
-                                "faults           : {} dropped, {} duplicated, {} crashed\n",
-                                out.stats.injected_drops,
-                                out.stats.dup_deliveries,
-                                out.stats.crashed_nodes,
-                            ));
-                        }
-                        if let Some(model) = energy.filter(|m| !m.is_inert()) {
-                            text.push_str(&format!(
-                                "energy           : {} total, {} max/node ({})\n",
-                                out.stats.energy_total(),
-                                out.stats.energy_max(),
-                                model.spec_string(),
-                            ));
-                        }
-                        text
-                    };
-                    (0, text)
+            Ok(g) => {
+                let mut scratch = MstScratch::new();
+                if *profile {
+                    scratch.enable_profile();
                 }
-            },
+                let run = run_with_faults(
+                    alg,
+                    &g,
+                    *seed,
+                    faults,
+                    RunTuning {
+                        executor: *executor,
+                        shards: *shards,
+                        energy: *energy,
+                        wake_policy: *wake_policy,
+                    },
+                    &mut scratch,
+                );
+                match run {
+                    Err(e) => (1, format!("error: {e}\n")),
+                    Ok(out) => {
+                        let text = if *json {
+                            render_json(alg, &g, *seed, faults, energy.as_ref(), &out) + "\n"
+                        } else {
+                            let mut text = render_text(alg, &g, &out);
+                            if !faults.is_inert() {
+                                text.push_str(&format!(
+                                    "faults           : {} dropped, {} duplicated, {} crashed\n",
+                                    out.stats.injected_drops,
+                                    out.stats.dup_deliveries,
+                                    out.stats.crashed_nodes,
+                                ));
+                            }
+                            if let Some(model) = energy.filter(|m| !m.is_inert()) {
+                                text.push_str(&format!(
+                                    "energy           : {} total, {} max/node ({})\n",
+                                    out.stats.energy_total(),
+                                    out.stats.energy_max(),
+                                    model.spec_string(),
+                                ));
+                            }
+                            if let Some(clock) = scratch.profile() {
+                                text.push_str(&clock.to_string());
+                            }
+                            text
+                        };
+                        (0, text)
+                    }
+                }
+            }
         },
         Command::Report {
             sizes,
@@ -1397,6 +1425,7 @@ mod tests {
                 shards: None,
                 energy: None,
                 wake_policy: WakePolicy::Block,
+                profile: false,
             }
         );
     }
@@ -2010,6 +2039,64 @@ mod tests {
         });
         assert_eq!(code, 0, "{text}");
         assert!(text.starts_with("ok:"));
+    }
+
+    /// `run --profile` appends a labelled per-stage wall-clock table to
+    /// the unchanged text report; the flag is refused where it would be
+    /// dropped (other commands) or would corrupt JSON output.
+    #[test]
+    fn run_profile_appends_the_stage_table() {
+        let cmd = parse_args(&args(&[
+            "run",
+            "--alg",
+            "randomized",
+            "--graph",
+            "ring:16",
+            "--seed",
+            "3",
+            "--profile",
+        ]))
+        .unwrap();
+        let Command::Run { profile, .. } = &cmd else {
+            panic!("expected run, got {cmd:?}");
+        };
+        assert!(*profile);
+        let (code, profiled) = execute(&cmd);
+        assert_eq!(code, 0, "{profiled}");
+        let (code, plain) = execute(
+            &parse_args(&args(&[
+                "run",
+                "--alg",
+                "randomized",
+                "--graph",
+                "ring:16",
+                "--seed",
+                "3",
+            ]))
+            .unwrap(),
+        );
+        assert_eq!(code, 0, "{plain}");
+        let table = profiled
+            .strip_prefix(plain.as_str())
+            .expect("the report itself is unchanged");
+        assert!(table.starts_with("stage profile (wall-clock"), "{table}");
+        for stage in netsim::Stage::ALL {
+            assert!(table.contains(stage.as_str()), "{table}");
+        }
+        for bad in [
+            &[
+                "run",
+                "--alg",
+                "prim",
+                "--graph",
+                "ring:8",
+                "--profile",
+                "--json",
+            ][..],
+            &["verify", "--alg", "prim", "--graph", "ring:8", "--profile"][..],
+        ] {
+            assert!(parse_args(&args(bad)).unwrap_err().contains("--profile"));
+        }
     }
 
     #[test]
