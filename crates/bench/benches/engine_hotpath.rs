@@ -34,7 +34,8 @@ fn bench_pooled_vs_fresh(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("pooled", n), &g, |b, g| {
             let mut scratch = MstScratch::new();
-            b.iter(|| spec.run_with_scratch(g, 1, &mut scratch).unwrap())
+            let opts = ExecOptions::seeded(1);
+            b.iter(|| spec.run_with_options(g, &opts, &mut scratch).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("fresh", n), &g, |b, g| {
             b.iter(|| spec.run(g, 1).unwrap())
@@ -55,7 +56,8 @@ fn bench_trace_off_accounting(c: &mut Criterion) {
     group.throughput(Throughput::Elements(probe.stats.messages_delivered));
     group.bench_with_input(BenchmarkId::new("pooled", n), &g, |b, g| {
         let mut scratch = MstScratch::new();
-        b.iter(|| spec.run_with_scratch(g, 1, &mut scratch).unwrap())
+        let opts = ExecOptions::seeded(1);
+        b.iter(|| spec.run_with_options(g, &opts, &mut scratch).unwrap())
     });
     group.finish();
 }

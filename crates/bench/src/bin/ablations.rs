@@ -11,20 +11,31 @@
 //!   `P(heads)` and report phase counts.
 //!
 //! A2 and A3 run through the shared harness: each configuration override
-//! is registered as a labeled custom runner ([`Sweep::algorithm_fn`]), so
-//! the sweep grid and the multi-seed averaging come for free.
+//! is the registry row with its [`Family`] swapped, registered as a
+//! labeled custom runner ([`Sweep::algorithm_fn`]), so the sweep grid and
+//! the multi-seed averaging come for free.
 
 use bench::{aggregate, mean, Sweep};
 use graphlib::{generators, mst, EdgeId, UnionFind, WeightedGraph};
 use mst_core::deterministic::DeterministicConfig;
 use mst_core::randomized::RandomizedConfig;
-use mst_core::{run_deterministic_with, run_randomized_with, MstOutcome, RunError};
+use mst_core::{registry, AlgorithmSpec, Family, MstOutcome, RunError};
 
 /// A labeled configuration variant for [`Sweep::algorithm_fn`].
 type LabeledRunner = (
     String,
     Box<dyn Fn(&WeightedGraph, u64) -> Result<MstOutcome, RunError> + Sync>,
 );
+
+/// The registry row `name` run with its protocol family replaced by
+/// `family`, as a labeled runner for [`Sweep::algorithm_fn`].
+fn labeled(label: String, name: &str, family: Family) -> LabeledRunner {
+    let spec = AlgorithmSpec {
+        family,
+        ..*registry::find(name).expect("registered algorithm")
+    };
+    (label, Box::new(move |g, seed| spec.run(g, seed)))
+}
 
 /// Structural measurement for A1: simulate Borůvka phases and report the
 /// maximum depth of a merge component in the fragment supergraph (a) with
@@ -133,19 +144,14 @@ fn main() {
     let capped: Vec<LabeledRunner> = [1u64, 2, 3]
         .into_iter()
         .map(|cap| {
-            let run = move |g: &WeightedGraph, _seed: u64| {
-                run_deterministic_with(
-                    g,
-                    DeterministicConfig {
-                        token_cap: cap,
-                        ..Default::default()
-                    },
-                )
+            let config = DeterministicConfig {
+                token_cap: cap,
+                ..DeterministicConfig::PAPER
             };
-            (
+            labeled(
                 format!("cap={cap}"),
-                Box::new(run)
-                    as Box<dyn Fn(&WeightedGraph, u64) -> Result<MstOutcome, RunError> + Sync>,
+                "deterministic",
+                Family::Deterministic(config),
             )
         })
         .collect();
@@ -187,22 +193,11 @@ fn main() {
     let biased: Vec<LabeledRunner> = [0.1f64, 0.3, 0.5, 0.7, 0.9]
         .into_iter()
         .map(|bias| {
-            let run = move |g: &WeightedGraph, seed: u64| {
-                run_randomized_with(
-                    g,
-                    seed,
-                    RandomizedConfig {
-                        heads_probability: bias,
-                        prune_with_coins: true,
-                        ..Default::default()
-                    },
-                )
+            let config = RandomizedConfig {
+                heads_probability: bias,
+                ..RandomizedConfig::PAPER
             };
-            (
-                format!("{bias}"),
-                Box::new(run)
-                    as Box<dyn Fn(&WeightedGraph, u64) -> Result<MstOutcome, RunError> + Sync>,
-            )
+            labeled(format!("{bias}"), "randomized", Family::Randomized(config))
         })
         .collect();
     let mut sweep = Sweep::new(&a3_family).sizes([64]).seeds(0..5);

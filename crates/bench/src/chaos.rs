@@ -1,9 +1,9 @@
-//! Chaos/soak harness: every registry algorithm × graph family ×
+//! Chaos harness: every registry algorithm × graph family ×
 //! escalating fault level, each outcome classified.
 //!
 //! A trial runs one algorithm on one generated graph under one seeded
 //! [`FaultPlan`] via
-//! [`AlgorithmSpec::run_with_faults`](mst_core::registry::AlgorithmSpec::run_with_faults)
+//! [`AlgorithmSpec::run_with_options`](mst_core::registry::AlgorithmSpec::run_with_options)
 //! and lands in exactly one bucket:
 //!
 //! * [`Outcome::Correct`] — the run completed and the output is exactly
@@ -15,7 +15,8 @@
 //!   behavior — protocols are driven outside their design envelope;
 //! * [`Outcome::WrongOutput`] — the run claimed success but the output is
 //!   wrong. This is a bug, full stop: fault injection must never turn
-//!   into silent corruption. The soak bin exits nonzero on any of these.
+//!   into silent corruption. `sleeping-mst chaos` exits nonzero on any
+//!   of these.
 //!
 //! Everything derives from the spec seed through fixed per-trial mixing,
 //! so a report is byte-identical across runs and machines.
@@ -30,7 +31,7 @@ use netsim::{EnergyModel, Executor, FaultPlan};
 /// seed-chosen node crash on top of the `moderate` mix.
 pub const LEVELS: &[&str] = &["none", "light", "moderate", "heavy", "crash"];
 
-/// Graph families the soak sweeps (generator seed = trial seed).
+/// Graph families the chaos sweep covers (generator seed = trial seed).
 pub const FAMILIES: &[&str] = &["ring", "random", "complete"];
 
 /// What to sweep: the master seed, the family sizes, and how many trial
@@ -44,7 +45,7 @@ pub struct ChaosSpec {
     /// Trials per cell.
     pub trials: u64,
     /// Time driver every trial runs under. All drivers are bit-identical,
-    /// so the report bytes do not depend on this — running the soak under
+    /// so the report bytes do not depend on this — running the sweep under
     /// [`Executor::Sync`] or [`Executor::Naive`] *is* the differential
     /// check against the default calendar driver.
     pub executor: Executor,
@@ -121,7 +122,7 @@ pub struct ChaosTrial {
     pub energy_total: u64,
 }
 
-/// The full soak report: every trial in deterministic grid order.
+/// The full chaos report: every trial in deterministic grid order.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
     /// The spec the report was generated from.

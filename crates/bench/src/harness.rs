@@ -128,7 +128,7 @@ impl<'a> Sweep<'a> {
     }
 
     /// Adds a custom runner under `label` — for ablation variants that
-    /// wrap `run_*_with` configuration overrides.
+    /// run a registry row under another protocol configuration.
     pub fn algorithm_fn(
         mut self,
         label: impl Into<String>,
@@ -160,10 +160,9 @@ impl<'a> Sweep<'a> {
         self
     }
 
-    /// Pins the time driver for registry trials (default: each
-    /// algorithm's registry default — the calendar driver). Every driver
-    /// is bit-identical, so results do not depend on this value either;
-    /// it only changes wall-clock cost. Custom [`Sweep::algorithm_fn`]
+    /// Pins the time driver for registry trials (default: the calendar
+    /// driver). Every driver is bit-identical, so results do not depend
+    /// on this value either; it only changes wall-clock cost. Custom [`Sweep::algorithm_fn`]
     /// runners build their own options and ignore this knob.
     pub fn executor(mut self, executor: Executor) -> Self {
         self.executor = Some(executor);

@@ -394,6 +394,17 @@ pub fn parse_request(line: &str) -> Result<RequestEnvelope, RequestError> {
     let id = doc.get("id").and_then(Json::as_u64).unwrap_or(0);
     let fail = |code: &'static str, message: String| RequestError { id, code, message };
     let parse_fail = |message: String| fail(codes::PARSE, message);
+    // An absent numeric field takes its default; a present one must be an
+    // unsigned integer, never silently defaulted.
+    let opt_u64 = |name: &str| -> Result<Option<u64>, RequestError> {
+        doc.get(name)
+            .map(|v| {
+                v.as_u64().ok_or_else(|| {
+                    parse_fail(format!("field '{name}': expected an unsigned integer"))
+                })
+            })
+            .transpose()
+    };
 
     let cmd = doc
         .get("cmd")
@@ -427,19 +438,16 @@ pub fn parse_request(line: &str) -> Result<RequestEnvelope, RequestError> {
                 })?),
             };
             // A bare budget prices the run under the reference model.
-            let energy = match doc.get("budget").and_then(Json::as_u64) {
+            let energy = match opt_u64("budget")? {
                 Some(b) => Some(energy.unwrap_or_else(EnergyModel::reference).with_budget(b)),
                 None => energy,
             };
             let req = RunRequest {
                 alg: field("alg")?,
                 graph: field("graph")?,
-                seed: doc.get("seed").and_then(Json::as_u64).unwrap_or(0),
+                seed: opt_u64("seed")?.unwrap_or(0),
                 executor,
-                shards: doc
-                    .get("shards")
-                    .and_then(Json::as_u64)
-                    .map(|n| n.max(1) as u32),
+                shards: opt_u64("shards")?.map(|n| n.max(1) as u32),
                 faults: parse_fault_plan(doc.get("faults")).map_err(&parse_fail)?,
                 energy,
             };
@@ -486,9 +494,9 @@ pub fn parse_request(line: &str) -> Result<RequestEnvelope, RequestError> {
             seeds: u64_list(doc.get("seeds"), &[0, 1]).map_err(&parse_fail)?,
         },
         "chaos" => Request::Chaos {
-            seed: doc.get("seed").and_then(Json::as_u64).unwrap_or(0),
+            seed: opt_u64("seed")?.unwrap_or(0),
             sizes: usize_list(doc.get("sizes"), &[8, 12]).map_err(&parse_fail)?,
-            trials: doc.get("trials").and_then(Json::as_u64).unwrap_or(2).max(1),
+            trials: opt_u64("trials")?.unwrap_or(2).max(1),
         },
         "stats" => Request::Stats,
         "shutdown" => Request::Shutdown,
@@ -784,6 +792,37 @@ mod tests {
                 .request,
             Request::Shutdown
         ));
+    }
+
+    #[test]
+    fn mistyped_numeric_fields_are_refused_not_defaulted() {
+        for (field, cmd, value) in [
+            ("seed", "run", r#""7""#),
+            ("seed", "run", "-1"),
+            ("seed", "run", "1.5"),
+            ("budget", "run", r#""lots""#),
+            ("shards", "run", "null"),
+            ("seed", "chaos", "[1]"),
+            ("trials", "chaos", r#""2""#),
+        ] {
+            let line = format!(
+                r#"{{"id":9,"cmd":"{cmd}","alg":"prim","graph":"ring:8","{field}":{value}}}"#
+            );
+            let err = parse_request(&line).unwrap_err();
+            assert_eq!((err.id, err.code), (9, codes::PARSE), "{line}");
+            let named = format!("'{field}'");
+            assert!(err.message.contains(&named), "{line}: {}", err.message);
+        }
+        // Absent fields keep their defaults.
+        let run = parse_request(r#"{"cmd":"run","alg":"prim","graph":"ring:8"}"#).unwrap();
+        let explicit =
+            parse_request(r#"{"cmd":"run","alg":"prim","graph":"ring:8","seed":0}"#).unwrap();
+        assert_eq!(run.request.cache_key(), explicit.request.cache_key());
+        let chaos = parse_request(r#"{"cmd":"chaos"}"#).unwrap();
+        assert_eq!(
+            chaos.request.cache_key().unwrap(),
+            "chaos|seed=0|sizes=8,12|trials=2"
+        );
     }
 
     #[test]

@@ -78,9 +78,10 @@ pub enum ColoringMode {
     ColeVishkin,
 }
 
-/// Tunables for ablations and variants. [`DeterministicConfig::default`]
-/// reproduces the paper (token cap 3, `Fast-Awake-Coloring`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Tunables for ablations and variants. [`DeterministicConfig::PAPER`]
+/// (also the [`Default`]) reproduces the paper (token cap 3,
+/// `Fast-Awake-Coloring`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeterministicConfig {
     /// Maximum number of incoming MOEs a fragment declares valid
     /// (paper: 3, giving `G'` maximum degree 4). Values above 3 violate
@@ -92,12 +93,17 @@ pub struct DeterministicConfig {
     pub coloring: ColoringMode,
 }
 
+impl DeterministicConfig {
+    /// The paper's parameters: token cap 3, `Fast-Awake-Coloring`.
+    pub const PAPER: DeterministicConfig = DeterministicConfig {
+        token_cap: 3,
+        coloring: ColoringMode::FastAwake,
+    };
+}
+
 impl Default for DeterministicConfig {
     fn default() -> Self {
-        DeterministicConfig {
-            token_cap: 3,
-            coloring: ColoringMode::FastAwake,
-        }
+        Self::PAPER
     }
 }
 

@@ -40,11 +40,9 @@ pub struct ExecOptions {
     /// Record per-round [`netsim::Metrics`] (round reports, awake
     /// timelines). Off by default; execution is bit-identical either way.
     pub record_metrics: bool,
-    /// Time-driver override ([`Executor`]). `None` defers to the
-    /// algorithm's [`AlgorithmSpec::default_executor`](crate::registry::AlgorithmSpec::default_executor)
-    /// (which is the simulator default, the calendar driver, for every
-    /// registry entry). All drivers are bit-identical; this knob only
-    /// changes wall-clock cost.
+    /// Time-driver override ([`Executor`]). `None` keeps the simulator
+    /// default, the calendar driver. All drivers are bit-identical; this
+    /// knob only changes wall-clock cost.
     pub executor: Option<Executor>,
     /// Send-half-step shard count ([`SimConfig::shards`]). `None` keeps
     /// the serial default. Like the executor choice, shard counts are

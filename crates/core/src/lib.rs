@@ -20,10 +20,11 @@
 //!
 //! ```
 //! use graphlib::{generators, mst};
-//! use mst_core::runner::run_randomized;
+//! use mst_core::registry;
 //!
 //! let graph = generators::random_connected(32, 0.2, 1)?;
-//! let outcome = run_randomized(&graph, 7)?;
+//! let spec = registry::find("randomized").expect("registered");
+//! let outcome = spec.run(&graph, 7)?;
 //! assert_eq!(outcome.edges, mst::kruskal(&graph).edges);
 //! println!(
 //!     "awake {} rounds, run time {} rounds",
@@ -54,11 +55,8 @@ pub mod toolbox;
 pub mod wire;
 
 pub use exec::{round_budget, ExecOptions};
-pub use registry::{AlgorithmSpec, ALGORITHMS};
+pub use registry::{AlgorithmSpec, Family, ALGORITHMS};
 pub use runner::{
-    collect_mst_edges, parse_run_code, run_always_awake, run_always_awake_scratch,
-    run_deterministic, run_deterministic_scratch, run_deterministic_with, run_logstar,
-    run_logstar_scratch, run_prim, run_prim_scratch, run_randomized, run_randomized_scratch,
-    run_randomized_with, run_spanning_tree, run_spanning_tree_scratch, MstCollectError, MstOutcome,
-    MstScratch, RunError, RUN_ERROR_CODES,
+    collect_mst_edges, parse_run_code, MstCollectError, MstOutcome, MstScratch, RunError,
+    RUN_ERROR_CODES,
 };

@@ -92,9 +92,9 @@ pub enum EdgeSelection {
     MinPort,
 }
 
-/// Tunables for the ablation experiments. [`RandomizedConfig::default`]
-/// reproduces the paper exactly.
-#[derive(Debug, Clone, PartialEq)]
+/// Tunables for the ablation experiments. [`RandomizedConfig::PAPER`]
+/// (also the [`Default`]) reproduces the paper exactly.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomizedConfig {
     /// Probability a fragment root flips heads (paper: fair coin, `0.5`).
     // lint:allow(determinism) -- config knob handed to the seeded RNG's gen_bool; never arithmetic on state
@@ -109,13 +109,19 @@ pub struct RandomizedConfig {
     pub selection: EdgeSelection,
 }
 
+impl RandomizedConfig {
+    /// The paper's parameters: fair coins, pruning on, minimum-weight
+    /// outgoing edges.
+    pub const PAPER: RandomizedConfig = RandomizedConfig {
+        heads_probability: 0.5, // lint:allow(determinism) -- the paper's fair coin, fed to the seeded RNG
+        prune_with_coins: true,
+        selection: EdgeSelection::MinWeight,
+    };
+}
+
 impl Default for RandomizedConfig {
     fn default() -> Self {
-        RandomizedConfig {
-            heads_probability: 0.5, // lint:allow(determinism) -- the paper's fair coin, fed to the seeded RNG
-            prune_with_coins: true,
-            selection: EdgeSelection::MinWeight,
-        }
+        Self::PAPER
     }
 }
 

@@ -1,8 +1,11 @@
 //! The algorithm registry: every runnable MST algorithm in one table.
 //!
 //! [`AlgorithmSpec`] is the single source of truth for algorithm names,
-//! descriptions, and input requirements. The CLI, the benchmark bins, and
-//! the sweep harness all resolve algorithms through [`find`] / [`ALGORITHMS`]
+//! descriptions, input requirements, and the protocol [`Family`] each row
+//! runs, and the one public way to run an algorithm: [`AlgorithmSpec::run`],
+//! [`AlgorithmSpec::run_with_options`], and the conformance-checked
+//! [`AlgorithmSpec::check`]. The CLI, the benchmark bins, and the sweep
+//! harness all resolve algorithms through [`find`] / [`ALGORITHMS`]
 //! instead of keeping their own name→function match arms.
 //!
 //! ```
@@ -17,22 +20,42 @@
 //! ```
 
 use graphlib::WeightedGraph;
-use netsim::{Executor, FaultPlan, Metrics, PhaseSpan, PhaseTotals, Round};
+use netsim::{Metrics, NodeCtx, PhaseSpan, PhaseTotals, Round};
 
-use crate::deterministic::{ColoringMode, DeterministicConfig};
+use crate::baseline::{ghs_always_awake, GhsAlwaysAwake};
+use crate::deterministic::{ColoringMode, DeterministicConfig, DeterministicMst};
 use crate::exec::{round_budget, run_caught, ExecOptions};
-use crate::randomized::RandomizedConfig;
-use crate::runner::{
-    check_always_awake, check_deterministic, check_logstar, check_prim, check_randomized,
-    check_spanning_tree, run_always_awake_exec, run_deterministic_exec, run_logstar_exec,
-    run_prim_exec, run_randomized_exec, run_spanning_tree_exec, MstOutcome, MstScratch, RunError,
-};
+use crate::prim::PrimMst;
+use crate::randomized::{EdgeSelection, RandomizedConfig, RandomizedMst};
+use crate::runner::{execute, Hooks, Mode, MstOutcome, MstScratch, RunError};
 use crate::{deterministic, prim, randomized};
+
+/// The protocol family a registry row runs, with its configuration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Family {
+    /// `Randomized-MST` (Section 2.2); [`EdgeSelection::MinPort`] gives
+    /// the spanning-tree variant.
+    Randomized(RandomizedConfig),
+    /// `Deterministic-MST` (Section 2.3); [`ColoringMode::ColeVishkin`]
+    /// gives the Corollary 1 log* variant.
+    Deterministic(DeterministicConfig),
+    /// The Prim-style sequential baseline grown from the node with
+    /// external id `leader`.
+    Prim {
+        /// External id of the node whose fragment absorbs the others.
+        leader: u64,
+    },
+    /// The always-awake GHS baseline (traditional-model cost profile).
+    AlwaysAwake,
+}
 
 /// One registered algorithm: metadata plus a uniform entry point.
 ///
-/// `runner` takes `(graph, options, scratch)`; algorithms that are
-/// deterministic simply ignore the seed (see [`AlgorithmSpec::needs_seed`]).
+/// Every field is public, so a caller can run a row's protocol family
+/// under another configuration with struct-update syntax
+/// (`AlgorithmSpec { family, ..*spec }`), as the ablation bins do.
+/// Deterministic algorithms simply ignore the seed (see
+/// [`AlgorithmSpec::needs_seed`]).
 #[derive(Clone, Copy)]
 pub struct AlgorithmSpec {
     /// Stable name used by the CLI (`--alg`), sweeps, and reports.
@@ -62,14 +85,8 @@ pub struct AlgorithmSpec {
     /// [`AlgorithmSpec::phase_spans`] / [`AlgorithmSpec::phase_totals`]
     /// helpers, which feed it the right graph parameters.
     pub label_round: fn(usize, u64, Round) -> &'static str,
-    /// Time driver used when [`ExecOptions::executor`] is `None`. Every
-    /// registry entry defaults to the calendar driver; the field exists so
-    /// callers (and future entries) can pin a different driver without
-    /// touching every call site. All drivers are bit-identical — this only
-    /// changes wall-clock cost.
-    pub default_executor: Executor,
-    runner: fn(&WeightedGraph, &ExecOptions, &mut MstScratch) -> Result<MstOutcome, RunError>,
-    checker: fn(&WeightedGraph, u64, u64) -> Result<MstOutcome, RunError>,
+    /// The protocol family this row runs, and its configuration.
+    pub family: Family,
 }
 
 /// Specs are equal iff they are the same registry entry (names are
@@ -93,41 +110,34 @@ impl std::fmt::Debug for AlgorithmSpec {
     }
 }
 
+fn always_awake_ports(s: &GhsAlwaysAwake) -> &[bool] {
+    s.inner().mst_ports()
+}
+
+fn always_awake_phases(s: &GhsAlwaysAwake) -> u64 {
+    s.inner().phases()
+}
+
 impl AlgorithmSpec {
     /// Runs the algorithm on `graph` with `seed`.
     ///
     /// Allocates a fresh [`MstScratch`] for the run; batch callers should
-    /// use [`AlgorithmSpec::run_with_scratch`] to amortize that.
+    /// use [`AlgorithmSpec::run_with_options`] with one scratch per worker
+    /// thread to amortize that.
     ///
     /// # Errors
     ///
-    /// Propagates the runner's [`RunError`].
+    /// As [`AlgorithmSpec::run_with_options`].
     pub fn run(&self, graph: &WeightedGraph, seed: u64) -> Result<MstOutcome, RunError> {
-        self.run_with_scratch(graph, seed, &mut MstScratch::new())
+        self.run_with_options(graph, &ExecOptions::seeded(seed), &mut MstScratch::new())
     }
 
-    /// Runs the algorithm reusing a caller-provided executor scratch.
+    /// Runs the algorithm under explicit [`ExecOptions`], reusing a
+    /// caller-provided executor scratch.
     ///
     /// The scratch is reset internally, so any [`MstScratch`] can be
     /// threaded through consecutive runs of *different* algorithms and
-    /// graphs; keep one per worker thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the runner's [`RunError`].
-    pub fn run_with_scratch(
-        &self,
-        graph: &WeightedGraph,
-        seed: u64,
-        scratch: &mut MstScratch,
-    ) -> Result<MstOutcome, RunError> {
-        self.run_with_options(graph, &ExecOptions::seeded(seed), scratch)
-    }
-
-    /// Runs the algorithm under explicit [`ExecOptions`].
-    ///
-    /// Fault-free, budget-free options take the exact
-    /// [`AlgorithmSpec::run_with_scratch`] path. When the run is lossy
+    /// graphs; keep one per worker thread. When the run is lossy
     /// ([`ExecOptions::lossy`]: an active fault plan, an energy budget
     /// under an active model, or a non-identity wake policy), two
     /// safeguards engage:
@@ -143,49 +153,84 @@ impl AlgorithmSpec {
     ///
     /// # Errors
     ///
-    /// Propagates the runner's [`RunError`]; on lossy runs also
-    /// [`RunError::Panicked`] and watchdog-capped simulator errors.
+    /// [`RunError::Disconnected`] on a disconnected input when
+    /// [`AlgorithmSpec::needs_connected`]; simulator failures and
+    /// output-consistency violations; on lossy runs also
+    /// [`RunError::Panicked`], [`RunError::Degraded`] and watchdog-capped
+    /// simulator errors.
     pub fn run_with_options(
         &self,
         graph: &WeightedGraph,
         opts: &ExecOptions,
         scratch: &mut MstScratch,
     ) -> Result<MstOutcome, RunError> {
-        let mut opts = opts.clone();
-        if opts.executor.is_none() {
-            opts.executor = Some(self.default_executor);
-        }
         if !opts.lossy() {
-            return (self.runner)(graph, &opts, scratch);
+            return self.execute(graph, opts, Mode::Plain(scratch));
         }
+        let mut opts = opts.clone();
         if opts.max_rounds.is_none() {
             // Budget-only runs (no fault plan) size the watchdog off the
             // calm plan — no jitter or sleep stretch applies.
             let plan = opts.active_faults().cloned().unwrap_or_default();
             opts.max_rounds = Some(round_budget(graph.node_count(), &plan));
         }
-        run_caught(|| (self.runner)(graph, &opts, scratch))
+        run_caught(|| self.execute(graph, &opts, Mode::Plain(scratch)))
     }
 
-    /// Runs the algorithm under an injected [`FaultPlan`]: the uniform
-    /// chaos-harness entry point, equal to [`AlgorithmSpec::run_with_options`]
-    /// with `ExecOptions::seeded(seed).with_faults(plan)`.
-    ///
-    /// # Errors
-    ///
-    /// As [`AlgorithmSpec::run_with_options`].
-    pub fn run_with_faults(
+    /// Hands this row's protocol family to the one execution path.
+    fn execute(
         &self,
         graph: &WeightedGraph,
-        seed: u64,
-        plan: &FaultPlan,
-        scratch: &mut MstScratch,
+        opts: &ExecOptions,
+        mode: Mode<'_>,
     ) -> Result<MstOutcome, RunError> {
-        self.run_with_options(
-            graph,
-            &ExecOptions::seeded(seed).with_faults(plan.clone()),
-            scratch,
-        )
+        let refuse = self.needs_connected.then_some(self.name);
+        match self.family {
+            Family::Randomized(config) => execute(
+                graph,
+                opts,
+                mode,
+                refuse,
+                Hooks {
+                    factory: |ctx: &NodeCtx| RandomizedMst::with_config(ctx, config),
+                    ports: RandomizedMst::mst_ports,
+                    phases: RandomizedMst::phases,
+                },
+            ),
+            Family::Deterministic(config) => execute(
+                graph,
+                opts,
+                mode,
+                refuse,
+                Hooks {
+                    factory: |ctx: &NodeCtx| DeterministicMst::with_config(ctx, config),
+                    ports: DeterministicMst::mst_ports,
+                    phases: DeterministicMst::phases,
+                },
+            ),
+            Family::Prim { leader } => execute(
+                graph,
+                opts,
+                mode,
+                refuse,
+                Hooks {
+                    factory: |ctx: &NodeCtx| PrimMst::new(ctx, leader),
+                    ports: PrimMst::mst_ports,
+                    phases: PrimMst::phases,
+                },
+            ),
+            Family::AlwaysAwake => execute(
+                graph,
+                opts,
+                mode,
+                refuse,
+                Hooks {
+                    factory: ghs_always_awake,
+                    ports: always_awake_ports,
+                    phases: always_awake_phases,
+                },
+            ),
+        }
     }
 
     /// Folds a recorded [`Metrics`] stream into chronological
@@ -224,7 +269,10 @@ impl AlgorithmSpec {
     /// [`RunError::Model`] listing the violated rules, or any error the
     /// plain run path can produce.
     pub fn check(&self, graph: &WeightedGraph, seed: u64) -> Result<ModelCheck, RunError> {
-        let outcome = (self.checker)(graph, seed, self.congest_constant)?;
+        let mode = Mode::Checked {
+            congest_constant: self.congest_constant,
+        };
+        let outcome = self.execute(graph, &ExecOptions::seeded(seed), mode)?;
         let n = graph.node_count();
         Ok(ModelCheck {
             algorithm: self.name,
@@ -265,11 +313,7 @@ pub const ALGORITHMS: &[AlgorithmSpec] = &[
         produces_mst: true,
         congest_constant: 14,
         label_round: |n, _id, r| randomized::phase_label(n, r),
-        default_executor: Executor::Calendar,
-        runner: |g, opts, scratch| {
-            run_randomized_exec(g, opts, RandomizedConfig::default(), scratch)
-        },
-        checker: check_randomized,
+        family: Family::Randomized(RandomizedConfig::PAPER),
     },
     AlgorithmSpec {
         name: "deterministic",
@@ -281,11 +325,7 @@ pub const ALGORITHMS: &[AlgorithmSpec] = &[
         label_round: |n, id_bound, r| {
             deterministic::phase_label(n, id_bound, ColoringMode::FastAwake, r)
         },
-        default_executor: Executor::Calendar,
-        runner: |g, opts, scratch| {
-            run_deterministic_exec(g, opts, DeterministicConfig::default(), scratch)
-        },
-        checker: |g, _seed, c| check_deterministic(g, c),
+        family: Family::Deterministic(DeterministicConfig::PAPER),
     },
     AlgorithmSpec {
         name: "logstar",
@@ -297,9 +337,10 @@ pub const ALGORITHMS: &[AlgorithmSpec] = &[
         label_round: |n, id_bound, r| {
             deterministic::phase_label(n, id_bound, ColoringMode::ColeVishkin, r)
         },
-        default_executor: Executor::Calendar,
-        runner: |g, opts, scratch| run_logstar_exec(g, opts, scratch),
-        checker: |g, _seed, c| check_logstar(g, c),
+        family: Family::Deterministic(DeterministicConfig {
+            coloring: ColoringMode::ColeVishkin,
+            ..DeterministicConfig::PAPER
+        }),
     },
     AlgorithmSpec {
         name: "prim",
@@ -309,9 +350,7 @@ pub const ALGORITHMS: &[AlgorithmSpec] = &[
         produces_mst: true,
         congest_constant: 14,
         label_round: |n, _id, r| prim::phase_label(n, r),
-        default_executor: Executor::Calendar,
-        runner: |g, opts, scratch| run_prim_exec(g, opts, 1, scratch),
-        checker: |g, _seed, c| check_prim(g, 1, c),
+        family: Family::Prim { leader: 1 },
     },
     AlgorithmSpec {
         name: "spanning-tree",
@@ -321,9 +360,10 @@ pub const ALGORITHMS: &[AlgorithmSpec] = &[
         produces_mst: false,
         congest_constant: 14,
         label_round: |n, _id, r| randomized::phase_label(n, r),
-        default_executor: Executor::Calendar,
-        runner: run_spanning_tree_exec,
-        checker: check_spanning_tree,
+        family: Family::Randomized(RandomizedConfig {
+            selection: EdgeSelection::MinPort,
+            ..RandomizedConfig::PAPER
+        }),
     },
     AlgorithmSpec {
         name: "always-awake",
@@ -333,9 +373,7 @@ pub const ALGORITHMS: &[AlgorithmSpec] = &[
         produces_mst: true,
         congest_constant: 14,
         label_round: |n, _id, r| randomized::phase_label(n, r),
-        default_executor: Executor::Calendar,
-        runner: run_always_awake_exec,
-        checker: check_always_awake,
+        family: Family::AlwaysAwake,
     },
 ];
 
@@ -397,7 +435,9 @@ mod tests {
         let g = generators::random_connected(14, 0.25, 6).unwrap();
         let mut scratch = MstScratch::new();
         for spec in ALGORITHMS {
-            let pooled = spec.run_with_scratch(&g, 3, &mut scratch).unwrap();
+            let pooled = spec
+                .run_with_options(&g, &ExecOptions::seeded(3), &mut scratch)
+                .unwrap();
             let fresh = spec.run(&g, 3).unwrap();
             assert_eq!(pooled.edges, fresh.edges, "{}", spec.name);
             assert_eq!(pooled.stats, fresh.stats, "{}", spec.name);
@@ -437,12 +477,44 @@ mod tests {
 
     #[test]
     fn seedless_algorithms_ignore_the_seed() {
+        // The checked path hands every family the seed, so it must not
+        // move a seedless algorithm's result either.
         let g = generators::random_connected(12, 0.3, 2).unwrap();
         for spec in ALGORITHMS.iter().filter(|a| !a.needs_seed) {
             let a = spec.run(&g, 1).unwrap();
             let b = spec.run(&g, 99).unwrap();
             assert_eq!(a.edges, b.edges, "{}", spec.name);
             assert_eq!(a.stats, b.stats, "{}", spec.name);
+            let a = spec.check(&g, 1).unwrap().outcome;
+            let b = spec.check(&g, 99).unwrap().outcome;
+            assert_eq!(a.edges, b.edges, "{}", spec.name);
+            assert_eq!(a.stats, b.stats, "{}", spec.name);
+        }
+    }
+
+    #[test]
+    fn only_connected_algorithms_refuse_disconnected_graphs() {
+        let g = graphlib::GraphBuilder::new(4)
+            .edge(0, 1, 1)
+            .edge(2, 3, 2)
+            .build()
+            .unwrap();
+        let refused = |spec: &AlgorithmSpec, result: Result<MstOutcome, RunError>| match result {
+            Err(err @ RunError::Disconnected { algorithm }) => {
+                assert_eq!(algorithm, spec.name);
+                assert!(err.to_string().contains("connected"), "{err}");
+                true
+            }
+            Err(other) => panic!("{}: {other}", spec.name),
+            Ok(_) => false,
+        };
+        let mut scratch = MstScratch::new();
+        for spec in ALGORITHMS {
+            let plain = spec.run_with_options(&g, &ExecOptions::seeded(5), &mut scratch);
+            let checked = spec.check(&g, 5).map(|c| c.outcome);
+            for result in [plain, checked] {
+                assert_eq!(refused(spec, result), spec.needs_connected, "{}", spec.name);
+            }
         }
     }
 }

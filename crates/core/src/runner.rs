@@ -1,35 +1,31 @@
-//! High-level entry points: run an algorithm on a graph, collect the MST
-//! edge set and the complexity metrics.
+//! What one distributed MST execution produces and how it can fail, plus
+//! the one execution path behind the [`registry`](crate::registry).
 //!
-//! Every algorithm family is described once by a `FamilySpec`
-//! (construction, output ports, phase counter, connectivity requirement);
-//! the `run_*` and `check_*` functions are thin, API-stable wrappers that
-//! hand a spec to the one plain execution path (`execute`) or its
-//! validated twin (`execute_checked`). The [`registry`](crate::registry)
-//! module exposes the same six algorithms as a data-driven
-//! [`AlgorithmSpec`](crate::registry::AlgorithmSpec) table for callers
-//! (CLI, benches, sweeps) that select algorithms by name.
+//! Callers run algorithms through
+//! [`AlgorithmSpec`](crate::registry::AlgorithmSpec) (`run`,
+//! `run_with_options`, `check`); every one of those lands in the
+//! crate-private `execute`, which checks connectivity, simulates (plainly
+//! or under the [`ValidatingExecutor`]), gates lossy runs, and collects
+//! the [`MstOutcome`]. This module keeps the types those calls share:
+//! [`MstOutcome`], [`MstScratch`], [`RunError`] with its wire codes, and
+//! [`collect_mst_edges`] with its [`MstCollectError`].
 
 use std::fmt;
 
 use graphlib::{EdgeId, NodeId, Port, WeightedGraph};
 use netsim::{
-    ExecutorScratch, NodeCtx, Protocol, Round, RunStats, SimConfig, SimError, Simulator,
-    ValidateError, ValidatingExecutor, Violation,
+    ExecutorScratch, NodeCtx, Protocol, Round, RunStats, SimError, Simulator, ValidateError,
+    ValidatingExecutor, Violation,
 };
 
-use crate::baseline::{ghs_always_awake, GhsAlwaysAwake};
-use crate::deterministic::{DeterministicConfig, DeterministicMst};
 use crate::exec::ExecOptions;
 use crate::msg::MstMsg;
-use crate::randomized::{RandomizedConfig, RandomizedMst};
 
 /// Reusable executor scratch for every registry algorithm.
 ///
 /// All six algorithms exchange [`MstMsg`] payloads, so one pool serves
-/// them all: allocate once per worker thread, pass it to the
-/// `run_*_scratch` entry points (or
-/// [`AlgorithmSpec::run_with_scratch`](crate::registry::AlgorithmSpec::run_with_scratch)),
+/// them all: allocate once per worker thread, pass it to
+/// [`AlgorithmSpec::run_with_options`](crate::registry::AlgorithmSpec::run_with_options),
 /// and consecutive runs reuse the executor's wake queue, delivery arena,
 /// and stats buffers instead of reallocating them per run.
 pub type MstScratch = ExecutorScratch<MstMsg>;
@@ -72,7 +68,7 @@ impl fmt::Display for MstCollectError {
 
 impl std::error::Error for MstCollectError {}
 
-/// Everything that can go wrong in a high-level `run_*` call.
+/// Everything that can go wrong in a registry run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RunError {
@@ -86,7 +82,7 @@ pub enum RunError {
         algorithm: &'static str,
     },
     /// The run broke one or more sleeping-model rules (Section 1.1) —
-    /// reported by the validating executor on the `check_*` paths.
+    /// reported by the validating executor on the checked path.
     Model(Vec<Violation>),
     /// The protocol panicked mid-run — driven outside its design
     /// envelope by injected faults (see [`crate::exec::run_caught`]) and
@@ -290,115 +286,70 @@ pub fn collect_mst_edges<P>(
         .collect())
 }
 
-/// One algorithm family, described once: how to construct a node's
-/// protocol, where its MST port marks and phase counter live, and whether
-/// the input must be connected. The six `run_*`/`check_*` wrapper
-/// families are all thin delegations to [`execute`] / [`execute_checked`]
-/// over one of these — the spec is the *only* per-algorithm code on
-/// either path.
-struct FamilySpec<P, F>
-where
-    P: Protocol<Msg = MstMsg>,
-    F: FnMut(&NodeCtx) -> P,
-{
-    /// `Some(name)`: refuse disconnected inputs with
-    /// [`RunError::Disconnected`] before simulating (the algorithm would
-    /// spin forever on non-leader components).
-    require_connected: Option<&'static str>,
-    factory: F,
-    ports: fn(&P) -> &[bool],
-    phases: fn(&P) -> u64,
+/// How [`execute`] simulates a run.
+pub(crate) enum Mode<'a> {
+    /// The plain [`Simulator`], reusing the caller's executor scratch.
+    Plain(&'a mut MstScratch),
+    /// The [`ValidatingExecutor`]: tracing forced on, every message held
+    /// to `congest_constant·⌈log₂ n⌉` bits, the trace audited against the
+    /// Section 1.1 rules, and the run repeated to prove determinism.
+    /// Slower than the plain path, so it backs `AlgorithmSpec::check`, not
+    /// the benchmarks.
+    Checked {
+        /// The algorithm's CONGEST constant `C`.
+        congest_constant: u64,
+    },
 }
 
-/// `Randomized-MST` (and, via [`EdgeSelection::MinPort`], the
-/// spanning-tree variant).
-///
-/// [`EdgeSelection::MinPort`]: crate::randomized::EdgeSelection::MinPort
-fn randomized_spec(
-    config: RandomizedConfig,
-) -> FamilySpec<RandomizedMst, impl FnMut(&NodeCtx) -> RandomizedMst> {
-    FamilySpec {
-        require_connected: None,
-        factory: move |ctx: &NodeCtx| RandomizedMst::with_config(ctx, config.clone()),
-        ports: RandomizedMst::mst_ports,
-        phases: RandomizedMst::phases,
-    }
+/// One protocol family's per-node hooks: how to construct a node's
+/// protocol, and where a finished node keeps its MST port marks and its
+/// merge-phase counter.
+pub(crate) struct Hooks<P, F> {
+    /// Builds a node's protocol instance from its context.
+    pub(crate) factory: F,
+    /// The node's per-port MST marks.
+    pub(crate) ports: fn(&P) -> &[bool],
+    /// The node's completed merge phases.
+    pub(crate) phases: fn(&P) -> u64,
 }
 
-/// `Deterministic-MST` (and, via [`ColoringMode::ColeVishkin`], the
-/// Corollary 1 log* variant).
-///
-/// [`ColoringMode::ColeVishkin`]: crate::deterministic::ColoringMode::ColeVishkin
-fn deterministic_spec(
-    config: DeterministicConfig,
-) -> FamilySpec<DeterministicMst, impl FnMut(&NodeCtx) -> DeterministicMst> {
-    FamilySpec {
-        require_connected: None,
-        factory: move |ctx: &NodeCtx| DeterministicMst::with_config(ctx, config.clone()),
-        ports: DeterministicMst::mst_ports,
-        phases: DeterministicMst::phases,
-    }
-}
-
-/// The Prim-style sequential baseline (requires a connected input).
-fn prim_spec(
-    leader: u64,
-) -> FamilySpec<crate::prim::PrimMst, impl FnMut(&NodeCtx) -> crate::prim::PrimMst> {
-    FamilySpec {
-        require_connected: Some("prim"),
-        factory: move |ctx: &NodeCtx| crate::prim::PrimMst::new(ctx, leader),
-        ports: crate::prim::PrimMst::mst_ports,
-        phases: crate::prim::PrimMst::phases,
-    }
-}
-
-fn always_awake_ports(s: &GhsAlwaysAwake) -> &[bool] {
-    s.inner().mst_ports()
-}
-
-fn always_awake_phases(s: &GhsAlwaysAwake) -> u64 {
-    s.inner().phases()
-}
-
-/// The always-awake GHS baseline (traditional-model cost profile).
-fn always_awake_spec() -> FamilySpec<GhsAlwaysAwake, impl FnMut(&NodeCtx) -> GhsAlwaysAwake> {
-    FamilySpec {
-        require_connected: None,
-        factory: ghs_always_awake,
-        ports: always_awake_ports,
-        phases: always_awake_phases,
-    }
-}
-
-/// The one generic execution path all `run_*` wrappers share: enforce the
-/// spec's connectivity requirement, simulate under the options' config
-/// (reusing the caller's executor scratch), collect the marked ports into
-/// an edge set, take the phase maximum.
-fn execute<P, F>(
+/// The one execution path every registry run takes: refuse a
+/// disconnected input when `refuse_disconnected` names the algorithm,
+/// simulate under the options' config in `mode`, collect the marked ports
+/// into an edge set, apply the spanning-forest gate to lossy runs, and
+/// take the phase maximum.
+pub(crate) fn execute<P, F>(
     graph: &WeightedGraph,
     opts: &ExecOptions,
-    spec: FamilySpec<P, F>,
-    scratch: &mut MstScratch,
+    mode: Mode<'_>,
+    refuse_disconnected: Option<&'static str>,
+    hooks: Hooks<P, F>,
 ) -> Result<MstOutcome, RunError>
 where
     P: Protocol<Msg = MstMsg>,
     F: FnMut(&NodeCtx) -> P,
 {
-    if let Some(algorithm) = spec.require_connected {
+    if let Some(algorithm) = refuse_disconnected {
         if !graphlib::traversal::is_connected(graph) {
             return Err(RunError::Disconnected { algorithm });
         }
     }
     let config = opts.sim_config();
+    let out = match mode {
+        Mode::Plain(scratch) => {
+            Simulator::new(graph, config).run_with_scratch(scratch, hooks.factory)?
+        }
+        Mode::Checked { congest_constant } => ValidatingExecutor::new(graph, config)
+            .with_congest_constant(congest_constant)
+            .run(hooks.factory)?,
+    };
+    let edges = collect_mst_edges(graph, &out.states, hooks.ports)?;
     // Lossy runs (active faults, or an energy budget that can force nodes
     // asleep) must not pass off partial forests as answers.
-    let lossy = opts.lossy();
-    let out = Simulator::new(graph, config).run_with_scratch(scratch, spec.factory)?;
-    let edges = collect_mst_edges(graph, &out.states, spec.ports)?;
-    if lossy {
+    if opts.lossy() {
         check_spanning_forest(graph, &edges)?;
     }
-    let phases = out.states.iter().map(spec.phases).max().unwrap_or(0);
+    let phases = out.states.iter().map(hooks.phases).max().unwrap_or(0);
     Ok(MstOutcome {
         edges,
         stats: out.stats,
@@ -435,487 +386,19 @@ fn check_spanning_forest(graph: &WeightedGraph, edges: &[EdgeId]) -> Result<(), 
     Ok(())
 }
 
-/// The validated twin of [`execute`]: executes the same [`FamilySpec`]
-/// under the [`ValidatingExecutor`] (tracing forced, per-message budget
-/// `congest_constant·⌈log₂ n⌉`, double-run determinism check) and collects
-/// the same [`MstOutcome`]. Slower than the plain path — it runs the
-/// protocol twice with tracing on — so it backs `AlgorithmSpec::check` and
-/// the `sleeping-mst check` subcommand, not the benchmarks.
-fn execute_checked<P, F>(
-    graph: &WeightedGraph,
-    config: SimConfig,
-    congest_constant: u64,
-    spec: FamilySpec<P, F>,
-) -> Result<MstOutcome, RunError>
-where
-    P: Protocol<Msg = MstMsg>,
-    F: FnMut(&NodeCtx) -> P,
-{
-    if let Some(algorithm) = spec.require_connected {
-        if !graphlib::traversal::is_connected(graph) {
-            return Err(RunError::Disconnected { algorithm });
-        }
-    }
-    let out = ValidatingExecutor::new(graph, config)
-        .with_congest_constant(congest_constant)
-        .run(spec.factory)?;
-    let edges = collect_mst_edges(graph, &out.states, spec.ports)?;
-    let phases = out.states.iter().map(spec.phases).max().unwrap_or(0);
-    Ok(MstOutcome {
-        edges,
-        stats: out.stats,
-        phases,
-        metrics: out.metrics,
-    })
-}
-
-/// Conformance-checked run of `Randomized-MST` under the
-/// [`ValidatingExecutor`].
-///
-/// # Errors
-///
-/// [`RunError::Model`] on any sleeping-model violation; otherwise as
-/// [`run_randomized`].
-pub fn check_randomized(
-    graph: &WeightedGraph,
-    seed: u64,
-    congest_constant: u64,
-) -> Result<MstOutcome, RunError> {
-    check_randomized_with(graph, seed, RandomizedConfig::default(), congest_constant)
-}
-
-/// Conformance-checked run of `Randomized-MST` with ablation overrides.
-///
-/// # Errors
-///
-/// [`RunError::Model`] on any sleeping-model violation; otherwise as
-/// [`run_randomized_with`].
-pub fn check_randomized_with(
-    graph: &WeightedGraph,
-    seed: u64,
-    config: RandomizedConfig,
-    congest_constant: u64,
-) -> Result<MstOutcome, RunError> {
-    execute_checked(
-        graph,
-        SimConfig::default().with_seed(seed),
-        congest_constant,
-        randomized_spec(config),
-    )
-}
-
-/// Conformance-checked run of `Deterministic-MST`.
-///
-/// # Errors
-///
-/// [`RunError::Model`] on any sleeping-model violation; otherwise as
-/// [`run_deterministic`].
-pub fn check_deterministic(
-    graph: &WeightedGraph,
-    congest_constant: u64,
-) -> Result<MstOutcome, RunError> {
-    check_deterministic_with(graph, DeterministicConfig::default(), congest_constant)
-}
-
-/// Conformance-checked run of `Deterministic-MST` with ablation overrides.
-///
-/// # Errors
-///
-/// [`RunError::Model`] on any sleeping-model violation; otherwise as
-/// [`run_deterministic_with`].
-pub fn check_deterministic_with(
-    graph: &WeightedGraph,
-    config: DeterministicConfig,
-    congest_constant: u64,
-) -> Result<MstOutcome, RunError> {
-    execute_checked(
-        graph,
-        SimConfig::default(),
-        congest_constant,
-        deterministic_spec(config),
-    )
-}
-
-/// Conformance-checked run of the Corollary 1 log* variant.
-///
-/// # Errors
-///
-/// [`RunError::Model`] on any sleeping-model violation; otherwise as
-/// [`run_logstar`].
-pub fn check_logstar(graph: &WeightedGraph, congest_constant: u64) -> Result<MstOutcome, RunError> {
-    check_deterministic_with(
-        graph,
-        DeterministicConfig {
-            coloring: crate::deterministic::ColoringMode::ColeVishkin,
-            ..DeterministicConfig::default()
-        },
-        congest_constant,
-    )
-}
-
-/// Conformance-checked run of the spanning-tree variant.
-///
-/// # Errors
-///
-/// [`RunError::Model`] on any sleeping-model violation; otherwise as
-/// [`run_spanning_tree`].
-pub fn check_spanning_tree(
-    graph: &WeightedGraph,
-    seed: u64,
-    congest_constant: u64,
-) -> Result<MstOutcome, RunError> {
-    check_randomized_with(
-        graph,
-        seed,
-        RandomizedConfig {
-            selection: crate::randomized::EdgeSelection::MinPort,
-            ..RandomizedConfig::default()
-        },
-        congest_constant,
-    )
-}
-
-/// Conformance-checked run of the Prim-style baseline.
-///
-/// # Errors
-///
-/// [`RunError::Disconnected`] on disconnected inputs, [`RunError::Model`]
-/// on any sleeping-model violation; otherwise as [`run_prim`].
-pub fn check_prim(
-    graph: &WeightedGraph,
-    leader: u64,
-    congest_constant: u64,
-) -> Result<MstOutcome, RunError> {
-    execute_checked(
-        graph,
-        SimConfig::default(),
-        congest_constant,
-        prim_spec(leader),
-    )
-}
-
-/// Conformance-checked run of the always-awake GHS baseline.
-///
-/// # Errors
-///
-/// [`RunError::Model`] on any sleeping-model violation; otherwise as
-/// [`run_always_awake`].
-pub fn check_always_awake(
-    graph: &WeightedGraph,
-    seed: u64,
-    congest_constant: u64,
-) -> Result<MstOutcome, RunError> {
-    execute_checked(
-        graph,
-        SimConfig::default().with_seed(seed),
-        congest_constant,
-        always_awake_spec(),
-    )
-}
-
-/// Runs `Randomized-MST` with the paper's parameters.
-///
-/// # Errors
-///
-/// Propagates simulator failures and output-consistency violations
-/// ([`RunError`]); a correct run on a valid graph does not produce any.
-pub fn run_randomized(graph: &WeightedGraph, seed: u64) -> Result<MstOutcome, RunError> {
-    run_randomized_with(graph, seed, RandomizedConfig::default())
-}
-
-/// Runs `Randomized-MST` with ablation overrides.
-///
-/// # Errors
-///
-/// Propagates simulator failures and output-consistency violations
-/// ([`RunError`]).
-pub fn run_randomized_with(
-    graph: &WeightedGraph,
-    seed: u64,
-    config: RandomizedConfig,
-) -> Result<MstOutcome, RunError> {
-    run_randomized_scratch(graph, seed, config, &mut MstScratch::new())
-}
-
-/// Runs `Randomized-MST` reusing a caller-provided executor scratch.
-///
-/// Equivalent to [`run_randomized_with`] but without the per-run executor
-/// allocations: batch callers (sweeps, benches) keep one [`MstScratch`]
-/// per worker thread and thread it through every run.
-///
-/// # Errors
-///
-/// Propagates simulator failures and output-consistency violations
-/// ([`RunError`]).
-pub fn run_randomized_scratch(
-    graph: &WeightedGraph,
-    seed: u64,
-    config: RandomizedConfig,
-    scratch: &mut MstScratch,
-) -> Result<MstOutcome, RunError> {
-    run_randomized_exec(graph, &ExecOptions::seeded(seed), config, scratch)
-}
-
-/// Runs `Randomized-MST` under explicit [`ExecOptions`] (seed, fault
-/// plan, round budget).
-///
-/// # Errors
-///
-/// Propagates simulator failures and output-consistency violations
-/// ([`RunError`]).
-pub fn run_randomized_exec(
-    graph: &WeightedGraph,
-    opts: &ExecOptions,
-    config: RandomizedConfig,
-    scratch: &mut MstScratch,
-) -> Result<MstOutcome, RunError> {
-    execute(graph, opts, randomized_spec(config), scratch)
-}
-
-/// Runs `Deterministic-MST` with the paper's parameters.
-///
-/// # Errors
-///
-/// Propagates simulator failures and output-consistency violations
-/// ([`RunError`]).
-pub fn run_deterministic(graph: &WeightedGraph) -> Result<MstOutcome, RunError> {
-    run_deterministic_with(graph, DeterministicConfig::default())
-}
-
-/// Runs `Deterministic-MST` with ablation overrides.
-///
-/// # Errors
-///
-/// Propagates simulator failures and output-consistency violations
-/// ([`RunError`]).
-pub fn run_deterministic_with(
-    graph: &WeightedGraph,
-    config: DeterministicConfig,
-) -> Result<MstOutcome, RunError> {
-    run_deterministic_scratch(graph, config, &mut MstScratch::new())
-}
-
-/// Runs `Deterministic-MST` reusing a caller-provided executor scratch.
-///
-/// # Errors
-///
-/// Propagates simulator failures and output-consistency violations
-/// ([`RunError`]).
-pub fn run_deterministic_scratch(
-    graph: &WeightedGraph,
-    config: DeterministicConfig,
-    scratch: &mut MstScratch,
-) -> Result<MstOutcome, RunError> {
-    run_deterministic_exec(graph, &ExecOptions::default(), config, scratch)
-}
-
-/// Runs `Deterministic-MST` under explicit [`ExecOptions`]. The seed is
-/// ignored by the protocol; the fault plan and round budget apply.
-///
-/// # Errors
-///
-/// Propagates simulator failures and output-consistency violations
-/// ([`RunError`]).
-pub fn run_deterministic_exec(
-    graph: &WeightedGraph,
-    opts: &ExecOptions,
-    config: DeterministicConfig,
-    scratch: &mut MstScratch,
-) -> Result<MstOutcome, RunError> {
-    execute(graph, opts, deterministic_spec(config), scratch)
-}
-
-/// Runs the arbitrary-spanning-tree variant: the same LDT merging with
-/// lowest-port (instead of minimum-weight) outgoing edges. Same `O(log n)`
-/// awake complexity, but the output is only *some* spanning tree — the
-/// executable version of the paper's contrast with Barenboim–Maimon's
-/// spanning-tree construction.
-///
-/// # Errors
-///
-/// Propagates simulator failures and output-consistency violations
-/// ([`RunError`]).
-pub fn run_spanning_tree(graph: &WeightedGraph, seed: u64) -> Result<MstOutcome, RunError> {
-    run_spanning_tree_scratch(graph, seed, &mut MstScratch::new())
-}
-
-/// Runs the spanning-tree variant reusing a caller-provided executor
-/// scratch.
-///
-/// # Errors
-///
-/// Propagates simulator failures and output-consistency violations
-/// ([`RunError`]).
-pub fn run_spanning_tree_scratch(
-    graph: &WeightedGraph,
-    seed: u64,
-    scratch: &mut MstScratch,
-) -> Result<MstOutcome, RunError> {
-    run_spanning_tree_exec(graph, &ExecOptions::seeded(seed), scratch)
-}
-
-/// Runs the spanning-tree variant under explicit [`ExecOptions`].
-///
-/// # Errors
-///
-/// Propagates simulator failures and output-consistency violations
-/// ([`RunError`]).
-pub fn run_spanning_tree_exec(
-    graph: &WeightedGraph,
-    opts: &ExecOptions,
-    scratch: &mut MstScratch,
-) -> Result<MstOutcome, RunError> {
-    run_randomized_exec(
-        graph,
-        opts,
-        RandomizedConfig {
-            selection: crate::randomized::EdgeSelection::MinPort,
-            ..RandomizedConfig::default()
-        },
-        scratch,
-    )
-}
-
-/// Runs the Corollary 1 variant: `Deterministic-MST` with Cole–Vishkin
-/// coloring — `O(log n log* n)` awake, `O(n log n log* n)` rounds.
-///
-/// # Errors
-///
-/// Propagates simulator failures and output-consistency violations
-/// ([`RunError`]).
-pub fn run_logstar(graph: &WeightedGraph) -> Result<MstOutcome, RunError> {
-    run_logstar_scratch(graph, &mut MstScratch::new())
-}
-
-/// Runs the Corollary 1 variant reusing a caller-provided executor
-/// scratch.
-///
-/// # Errors
-///
-/// Propagates simulator failures and output-consistency violations
-/// ([`RunError`]).
-pub fn run_logstar_scratch(
-    graph: &WeightedGraph,
-    scratch: &mut MstScratch,
-) -> Result<MstOutcome, RunError> {
-    run_logstar_exec(graph, &ExecOptions::default(), scratch)
-}
-
-/// Runs the Corollary 1 variant under explicit [`ExecOptions`].
-///
-/// # Errors
-///
-/// Propagates simulator failures and output-consistency violations
-/// ([`RunError`]).
-pub fn run_logstar_exec(
-    graph: &WeightedGraph,
-    opts: &ExecOptions,
-    scratch: &mut MstScratch,
-) -> Result<MstOutcome, RunError> {
-    run_deterministic_exec(
-        graph,
-        opts,
-        DeterministicConfig {
-            coloring: crate::deterministic::ColoringMode::ColeVishkin,
-            ..DeterministicConfig::default()
-        },
-        scratch,
-    )
-}
-
-/// Runs the Prim-style sequential baseline: the fragment of external id
-/// `leader` absorbs one node per phase. Produces the MST with `Θ(n)` awake
-/// complexity — the counterexample showing sleep states alone are not
-/// enough; the paper's parallel merging is what achieves `O(log n)`.
-///
-/// # Errors
-///
-/// Returns [`RunError::Disconnected`] if `graph` is disconnected: unlike
-/// the paper's algorithms (which finish per fragment), Prim's non-leader
-/// components never find the DONE signal and the run would spin forever.
-/// Also propagates simulator failures and output-consistency violations.
-pub fn run_prim(graph: &WeightedGraph, leader: u64) -> Result<MstOutcome, RunError> {
-    run_prim_scratch(graph, leader, &mut MstScratch::new())
-}
-
-/// Runs the Prim-style baseline reusing a caller-provided executor
-/// scratch.
-///
-/// # Errors
-///
-/// Returns [`RunError::Disconnected`] on disconnected inputs; also
-/// propagates simulator failures and output-consistency violations.
-pub fn run_prim_scratch(
-    graph: &WeightedGraph,
-    leader: u64,
-    scratch: &mut MstScratch,
-) -> Result<MstOutcome, RunError> {
-    run_prim_exec(graph, &ExecOptions::default(), leader, scratch)
-}
-
-/// Runs the Prim-style baseline under explicit [`ExecOptions`].
-///
-/// # Errors
-///
-/// Returns [`RunError::Disconnected`] on disconnected inputs; also
-/// propagates simulator failures and output-consistency violations.
-pub fn run_prim_exec(
-    graph: &WeightedGraph,
-    opts: &ExecOptions,
-    leader: u64,
-    scratch: &mut MstScratch,
-) -> Result<MstOutcome, RunError> {
-    execute(graph, opts, prim_spec(leader), scratch)
-}
-
-/// Runs the always-awake GHS baseline (traditional-model cost profile).
-///
-/// # Errors
-///
-/// Propagates simulator failures and output-consistency violations
-/// ([`RunError`]).
-pub fn run_always_awake(graph: &WeightedGraph, seed: u64) -> Result<MstOutcome, RunError> {
-    run_always_awake_scratch(graph, seed, &mut MstScratch::new())
-}
-
-/// Runs the always-awake baseline reusing a caller-provided executor
-/// scratch.
-///
-/// # Errors
-///
-/// Propagates simulator failures and output-consistency violations
-/// ([`RunError`]).
-pub fn run_always_awake_scratch(
-    graph: &WeightedGraph,
-    seed: u64,
-    scratch: &mut MstScratch,
-) -> Result<MstOutcome, RunError> {
-    run_always_awake_exec(graph, &ExecOptions::seeded(seed), scratch)
-}
-
-/// Runs the always-awake baseline under explicit [`ExecOptions`].
-///
-/// # Errors
-///
-/// Propagates simulator failures and output-consistency violations
-/// ([`RunError`]).
-pub fn run_always_awake_exec(
-    graph: &WeightedGraph,
-    opts: &ExecOptions,
-    scratch: &mut MstScratch,
-) -> Result<MstOutcome, RunError> {
-    execute(graph, opts, always_awake_spec(), scratch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use graphlib::{generators, mst};
 
+    fn run(name: &str, graph: &WeightedGraph, seed: u64) -> Result<MstOutcome, RunError> {
+        crate::registry::find(name).unwrap().run(graph, seed)
+    }
+
     #[test]
-    fn run_randomized_matches_kruskal() {
+    fn randomized_run_matches_kruskal() {
         let g = generators::random_connected(26, 0.15, 4).unwrap();
-        let out = run_randomized(&g, 9).unwrap();
+        let out = run("randomized", &g, 9).unwrap();
         assert_eq!(out.edges, mst::kruskal(&g).edges);
         assert!(out.phases >= 1);
         assert!(out.stats.rounds > 0);
@@ -924,7 +407,7 @@ mod tests {
     #[test]
     fn outcome_total_weight_matches_reference() {
         let g = generators::complete(12, 8).unwrap();
-        let out = run_randomized(&g, 2).unwrap();
+        let out = run("randomized", &g, 2).unwrap();
         assert_eq!(
             g.total_weight(out.edges.iter().copied()),
             mst::kruskal(&g).total_weight
@@ -934,7 +417,7 @@ mod tests {
     #[test]
     fn spanning_tree_variant_spans_but_is_not_minimum() {
         let g = generators::complete(14, 3).unwrap();
-        let st = run_spanning_tree(&g, 5).unwrap();
+        let st = run("spanning-tree", &g, 5).unwrap();
         // It is a spanning tree…
         assert_eq!(st.edges.len(), 13);
         let mut uf = graphlib::UnionFind::new(14);
@@ -955,7 +438,7 @@ mod tests {
     #[test]
     fn spanning_tree_variant_keeps_awake_logarithmic() {
         let g = generators::random_connected(64, 0.1, 4).unwrap();
-        let st = run_spanning_tree(&g, 1).unwrap();
+        let st = run("spanning-tree", &g, 1).unwrap();
         assert_eq!(st.edges.len(), 63);
         assert!((st.stats.awake_max() as f64) < 60.0 * (64f64).log2());
     }
@@ -973,18 +456,6 @@ mod tests {
         assert_eq!(err.edge, EdgeId::new(0));
         assert_eq!(err.endpoint, graphlib::NodeId::new(1));
         assert!(err.to_string().contains("does not mark"));
-    }
-
-    #[test]
-    fn prim_refuses_disconnected_graphs() {
-        let g = graphlib::GraphBuilder::new(4)
-            .edge(0, 1, 1)
-            .edge(2, 3, 2)
-            .build()
-            .unwrap();
-        let err = run_prim(&g, 1).unwrap_err();
-        assert!(matches!(err, RunError::Disconnected { algorithm: "prim" }));
-        assert!(err.to_string().contains("connected"));
     }
 
     /// Satellite (wire encoding): one instance of every [`RunError`]

@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 
 use mst_core::deterministic::cv_iterations;
+use mst_core::registry;
 use mst_core::schedule::{block_len, ts_offsets};
 use mst_core::timeline::{Position, Timeline};
 
@@ -80,8 +81,9 @@ proptest! {
             b.edge(e.u.raw(), e.v.raw(), e.weight * 2 + 1);
         }
         let scaled = b.build().unwrap();
-        let out_a = mst_core::run_randomized(&base, 42).unwrap();
-        let out_b = mst_core::run_randomized(&scaled, 42).unwrap();
+        let randomized = registry::find("randomized").unwrap();
+        let out_a = randomized.run(&base, 42).unwrap();
+        let out_b = randomized.run(&scaled, 42).unwrap();
         prop_assert_eq!(out_a.edges, out_b.edges);
         prop_assert_eq!(out_a.stats.rounds, out_b.stats.rounds);
         prop_assert_eq!(out_a.stats.awake_by_node, out_b.stats.awake_by_node);
@@ -99,9 +101,9 @@ proptest! {
         let base = generators::random_connected(n, 0.25, seed).unwrap();
         let reference = graphlib::mst::kruskal(&base).edges;
         let sparse = generators::with_id_space(base, span_mult * n as u64, seed).unwrap();
-        let out = mst_core::run_deterministic(&sparse).unwrap();
+        let out = registry::find("deterministic").unwrap().run(&sparse, 0).unwrap();
         prop_assert_eq!(&out.edges, &reference);
-        let cv = mst_core::run_logstar(&sparse).unwrap();
+        let cv = registry::find("logstar").unwrap().run(&sparse, 0).unwrap();
         prop_assert_eq!(&cv.edges, &reference);
         // CV's run time must not scale with the id span the way the
         // stage-based coloring does. (For tiny N the CV prep/recolor

@@ -20,7 +20,7 @@
 //! ```
 
 use sleeping_mst::graphlib::{generators, NodeId};
-use sleeping_mst::mst_core::run_randomized;
+use sleeping_mst::mst_core::registry;
 use sleeping_mst::mst_core::toolbox::{Broadcast, TreeSpec};
 use sleeping_mst::netsim::{flood, SimConfig, Simulator};
 
@@ -38,7 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  messages   : {}", flood_out.stats.messages_sent());
 
     // 2. Build the MST once (sleeping model), then broadcast over it.
-    let mst = run_randomized(&graph, 3)?;
+    let randomized = registry::find("randomized").expect("registered algorithm");
+    let mst = randomized.run(&graph, 3)?;
     let specs = TreeSpec::from_tree_edges(&graph, &mst.edges, NodeId::new(0));
     let tree_out = Simulator::new(&graph, SimConfig::default()).run(|ctx| {
         let payload = (ctx.node.raw() == 0).then_some(0xC0FFEE);

@@ -18,7 +18,7 @@ use sleeping_mst::lowerbound::congestion::internal_traffic;
 use sleeping_mst::lowerbound::grc::Grc;
 use sleeping_mst::lowerbound::reduction::{css_to_mst, mark_edges, mst_uses_unmarked};
 use sleeping_mst::lowerbound::sd::SdInstance;
-use sleeping_mst::mst_core::{run_always_awake, run_randomized};
+use sleeping_mst::mst_core::registry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let grc = Grc::build(8, 32, 3)?;
@@ -32,13 +32,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         traversal::diameter(&grc.graph).unwrap()
     );
 
+    let randomized = registry::find("randomized").expect("registered algorithm");
+    let always_awake = registry::find("always-awake").expect("registered algorithm");
+
     // --- the reduction chain, end to end, solved distributively ---
     println!("\nSD instances decided by running distributed MST on G_rc:");
     for seed in 0..4 {
         let sd = SdInstance::random(grc.sd_bits(), seed);
         let marked = mark_edges(&grc, &sd);
         let weighted = css_to_mst(&grc.graph, &marked);
-        let out = run_randomized(&weighted, seed)?;
+        let out = randomized.run(&weighted, seed)?;
         let answer = !mst_uses_unmarked(&marked, &out.edges);
         println!(
             "  seed {seed}: ground truth disjoint = {:<5} | decoded from MST = {:<5} | {}",
@@ -58,8 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("| algorithm        | awake max | rounds  | product    | product / n |");
     println!("|------------------|-----------|---------|------------|-------------|");
     let n = grc.n() as f64;
-    let sleeping = run_randomized(&grc.graph, 11)?;
-    let awake = run_always_awake(&grc.graph, 11)?;
+    let sleeping = randomized.run(&grc.graph, 11)?;
+    let awake = always_awake.run(&grc.graph, 11)?;
     for (name, out) in [("Randomized-MST", &sleeping), ("GHS always-awake", &awake)] {
         let product = out.stats.awake_round_product();
         println!(
@@ -82,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &grc.graph,
         &mark_edges(&grc, &SdInstance::random(grc.sd_bits(), 0)),
     );
-    let out = run_randomized(&weighted, 5)?;
+    let out = randomized.run(&weighted, 5)?;
     let sim_stats = out.stats;
     let traffic = internal_traffic(&grc, &sim_stats);
     println!(

@@ -15,7 +15,7 @@
 //! ```
 
 use sleeping_mst::lowerbound::ring;
-use sleeping_mst::mst_core::run_randomized;
+use sleeping_mst::mst_core::registry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("premise: separation of the two heaviest ring edges (20 seeds each)");
@@ -33,12 +33,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
+    let randomized = registry::find("randomized").expect("registered algorithm");
     println!("\nconclusion: awake complexity of Randomized-MST on rings");
     println!("| n    | awake max | rounds   | awake/log2(n) |");
     println!("|------|-----------|----------|---------------|");
     for &n in &[32usize, 64, 128, 256] {
         let graph = ring::instance(n, 1)?;
-        let out = run_randomized(&graph, 9)?;
+        let out = randomized.run(&graph, 9)?;
         println!(
             "| {n:<4} | {:>9} | {:>8} | {:>13.1} |",
             out.stats.awake_max(),

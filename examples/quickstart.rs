@@ -7,7 +7,7 @@
 //! ```
 
 use sleeping_mst::graphlib::{generators, mst};
-use sleeping_mst::mst_core::run_randomized;
+use sleeping_mst::mst_core::registry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 128;
@@ -18,7 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         graph.edge_count()
     );
 
-    let outcome = run_randomized(&graph, 7)?;
+    let randomized = registry::find("randomized").expect("registered algorithm");
+    let outcome = randomized.run(&graph, 7)?;
     let reference = mst::kruskal(&graph);
 
     println!("\nRandomized-MST (sleeping model):");

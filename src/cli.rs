@@ -61,9 +61,9 @@ pub fn run(alg: &AlgorithmSpec, graph: &WeightedGraph, seed: u64) -> Result<MstO
 }
 
 /// The optional execution knobs of the `run` subcommand, bundled so the
-/// entry point stays one call: time-driver override (`None` defers to
-/// the registry default, the calendar driver; every driver is
-/// bit-identical), shard count, energy model, and wake policy.
+/// entry point stays one call: time-driver override (`None` keeps the
+/// calendar driver; every driver is bit-identical), shard count, energy
+/// model, and wake policy.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunTuning {
     pub executor: Option<Executor>,
@@ -73,7 +73,7 @@ pub struct RunTuning {
 }
 
 /// Runs `alg` on `graph` under a fault plan (inert plans take the plain
-/// path — see [`mst_core::registry::AlgorithmSpec::run_with_faults`])
+/// path — see [`mst_core::registry::AlgorithmSpec::run_with_options`])
 /// and the [`RunTuning`] knobs, on `scratch` (whose stage profile, when
 /// enabled, accumulates the run's wall time per kernel stage).
 ///
@@ -373,9 +373,9 @@ pub enum Command {
         json: bool,
         /// Fault plan (inert unless fault flags were given).
         faults: FaultPlan,
-        /// Time driver (`None` = the algorithm's registry default, the
-        /// calendar driver). Every driver is bit-identical; the flag
-        /// exists for differential checking and throughput comparison.
+        /// Time driver (`None` = the calendar driver). Every driver is
+        /// bit-identical; the flag exists for differential checking and
+        /// throughput comparison.
         executor: Option<Executor>,
         /// Send-half-step shard count (`None` = serial). Bit-identical
         /// for every value — `--shards 1` is the byte-equivalence
@@ -439,7 +439,7 @@ pub enum Command {
         /// Write executor-throughput metrics (runs/sec, messages/sec,
         /// rounds/sec over the whole grid) to this file as JSON.
         bench_out: Option<String>,
-        /// Time driver for every trial (`None` = registry default).
+        /// Time driver for every trial (`None` = the calendar driver).
         executor: Option<Executor>,
         /// Send-half-step shard count per trial (`None` = serial;
         /// bit-identical for every value).
@@ -459,9 +459,8 @@ pub enum Command {
         sizes: Vec<usize>,
         /// Trial seeds per cell.
         seeds: Vec<u64>,
-        /// Time driver backing the runs (`--naive` is shorthand for the
-        /// naive oracle driver; the artifact bytes must not change
-        /// whichever driver runs it).
+        /// Time driver backing the runs (the artifact bytes must not
+        /// change whichever driver runs it).
         executor: Executor,
         /// Print JSON instead of markdown.
         json: bool,
@@ -589,7 +588,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut trials = 2u64;
     let mut out: Option<String> = None;
     let mut md_out: Option<String> = None;
-    let mut naive = false;
     let mut executor: Option<Executor> = None;
     let mut executors: Option<Vec<Executor>> = None;
     let mut shards: Option<Vec<u32>> = None;
@@ -647,7 +645,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             "--out" => out = Some(it.next().ok_or("--out needs a file path")?.clone()),
             "--md-out" => md_out = Some(it.next().ok_or("--md-out needs a file path")?.clone()),
-            "--naive" => naive = true,
             "--executor" => {
                 let v = it
                     .next()
@@ -783,11 +780,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         return Ok(Command::Report {
             sizes: sizes.unwrap_or_else(|| vec![8, 12, 16, 24]),
             seeds: seeds.unwrap_or_else(|| vec![0, 1]),
-            executor: executor.unwrap_or(if naive {
-                Executor::Naive
-            } else {
-                Executor::Calendar
-            }),
+            executor: executor.unwrap_or_default(),
             json,
             out,
             md_out,
@@ -916,7 +909,7 @@ USAGE:
                         --sizes <N,N,…> [--seeds A..B|A,B,…] [--threads T] [--json]
                         [--bench-out FILE] [--executor sync|calendar|naive]
                         [--shards K] [--energy-model M] [--budget B]
-    sleeping-mst report [--sizes N,N,…] [--seeds A..B|A,B,…] [--naive]
+    sleeping-mst report [--sizes N,N,…] [--seeds A..B|A,B,…]
                         [--executor sync|calendar|naive]
                         [--energy-model M] [--budget B]
                         [--json] [--out FILE] [--md-out FILE]
@@ -972,8 +965,8 @@ REPORT:
     across the panel, and break each run's awake node-rounds down by
     logical phase. Prints markdown (or JSON with --json) and writes the
     artifacts with --out (JSON) / --md-out (markdown). Byte-deterministic:
-    the same panel always produces identical bytes, with --naive backing
-    the runs by the reference executor instead — output unchanged.
+    the same panel always produces identical bytes, whichever --executor
+    backs the runs (`naive` is the reference oracle) — output unchanged.
 
 CHAOS:
     Sweeps every registry algorithm × graph family (ring, random,
@@ -1235,8 +1228,12 @@ pub fn execute(cmd: &Command) -> (i32, String) {
                 (0, text)
             } else {
                 for t in wrong {
+                    let detail = match &t.outcome {
+                        chaos::Outcome::WrongOutput(d) => d.as_str(),
+                        _ => "",
+                    };
                     text.push_str(&format!(
-                        "WRONG OUTPUT: {} family={} level={} n={} seed={}\n",
+                        "WRONG OUTPUT: {} family={} level={} n={} seed={}: {detail}\n",
                         t.algorithm, t.family, t.level, t.n, t.seed
                     ));
                 }
@@ -1634,18 +1631,6 @@ mod tests {
         .unwrap_err()
         .contains("unknown executor"));
 
-        // `report --naive` stays the back-compat spelling of the oracle;
-        // an explicit --executor wins over it.
-        let naive = parse_args(&args(&["report", "--naive"])).unwrap();
-        let explicit = parse_args(&args(&["report", "--naive", "--executor", "sync"])).unwrap();
-        let (Command::Report { executor: a, .. }, Command::Report { executor: b, .. }) =
-            (naive, explicit)
-        else {
-            unreachable!("expected report commands");
-        };
-        assert_eq!(a, Executor::Naive);
-        assert_eq!(b, Executor::Sync);
-
         let cmd = parse_args(&args(&["bench-engine"])).unwrap();
         assert_eq!(
             cmd,
@@ -1741,6 +1726,17 @@ mod tests {
             .unwrap_err()
             .contains("unknown command"));
         assert!(matches!(parse_args(&args(&[])), Ok(Command::Help)));
+        // No subcommand takes `--naive`; the oracle is `--executor naive`.
+        for cmd in [
+            "run --alg randomized --graph ring:8 --naive --json",
+            "report --naive",
+            "chaos --naive",
+            "sweep --alg randomized --graph ring:{n} --naive",
+        ] {
+            let argv: Vec<&str> = cmd.split(' ').collect();
+            let err = parse_args(&args(&argv)).unwrap_err();
+            assert!(err.contains("'--naive'"), "{cmd}: {err}");
+        }
     }
 
     #[test]
@@ -1953,7 +1949,14 @@ mod tests {
             }
         );
         let cmd = parse_args(&args(&[
-            "report", "--sizes", "6,8", "--seeds", "0..2", "--naive", "--json",
+            "report",
+            "--sizes",
+            "6,8",
+            "--seeds",
+            "0..2",
+            "--executor",
+            "naive",
+            "--json",
         ]))
         .unwrap();
         assert_eq!(

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use bench::chaos::{run_chaos, ChaosSpec};
 use sleeping_mst::graphlib::{generators, mst, UnionFind, WeightedGraph};
 use sleeping_mst::mst_core::registry::ALGORITHMS;
-use sleeping_mst::mst_core::{MstScratch, RunError};
+use sleeping_mst::mst_core::{ExecOptions, MstScratch, RunError};
 use sleeping_mst::netsim::faults::{FaultPlan, PPM_SCALE};
 
 /// `true` if `edges` is a spanning forest of `graph` (acyclic, one tree
@@ -47,7 +47,7 @@ proptest! {
     // Satellite contract 1: zero-intensity plans are bit-identical to no
     // plan. `FaultPlan::seeded(s)` has every intensity at zero no matter
     // the seed, so the fingerprint (edges, stats, phases) must match the
-    // plain `run_with_scratch` path exactly.
+    // plain seeded path exactly.
     #[test]
     fn inert_plan_is_fingerprint_identical_for_every_algorithm(
         n in 3usize..14,
@@ -61,8 +61,9 @@ proptest! {
         prop_assert!(plan.is_inert());
         let mut scratch = MstScratch::new();
         for spec in ALGORITHMS {
-            let bare = spec.run_with_scratch(&g, run_seed, &mut scratch);
-            let faulted = spec.run_with_faults(&g, run_seed, &plan, &mut scratch);
+            let bare = spec.run_with_options(&g, &ExecOptions::seeded(run_seed), &mut scratch);
+            let opts = ExecOptions::seeded(run_seed).with_faults(plan.clone());
+            let faulted = spec.run_with_options(&g, &opts, &mut scratch);
             match (bare, faulted) {
                 (Ok(a), Ok(b)) => {
                     prop_assert_eq!(&a.edges, &b.edges, "{}: edges diverge", spec.name);
@@ -98,7 +99,8 @@ proptest! {
         let reference = mst::kruskal(&g).edges;
         let mut scratch = MstScratch::new();
         for spec in ALGORITHMS {
-            match spec.run_with_faults(&g, run_seed, &plan, &mut scratch) {
+            let opts = ExecOptions::seeded(run_seed).with_faults(plan.clone());
+            match spec.run_with_options(&g, &opts, &mut scratch) {
                 Ok(out) if spec.produces_mst => prop_assert_eq!(
                     &out.edges,
                     &reference,
@@ -131,7 +133,8 @@ fn crashing_the_fragment_leader_never_hangs() {
     for round in [1, 3, 9] {
         let plan = FaultPlan::seeded(0xc0ffee).with_crash(0, round);
         for spec in ALGORITHMS {
-            match spec.run_with_faults(&g, 11, &plan, &mut scratch) {
+            let opts = ExecOptions::seeded(11).with_faults(plan.clone());
+            match spec.run_with_options(&g, &opts, &mut scratch) {
                 Ok(out) if spec.produces_mst => assert_eq!(
                     out.edges, reference,
                     "{} at crash round {round}: wrong tree",

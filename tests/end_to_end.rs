@@ -3,10 +3,15 @@
 //! zoo of graph families.
 
 use sleeping_mst::graphlib::{generators, mst, GraphBuilder, UnionFind, WeightedGraph};
-use sleeping_mst::mst_core::{
-    run_always_awake, run_deterministic, run_logstar, run_prim, run_randomized, run_spanning_tree,
-};
+use sleeping_mst::mst_core::{registry, MstOutcome, RunError};
 use sleeping_mst::netsim::{SimConfig, Simulator};
+
+/// Runs the registry algorithm `name` on `graph` with `seed`.
+fn run(name: &str, graph: &WeightedGraph, seed: u64) -> Result<MstOutcome, RunError> {
+    registry::find(name)
+        .expect("registered algorithm")
+        .run(graph, seed)
+}
 
 fn zoo() -> Vec<(&'static str, WeightedGraph)> {
     vec![
@@ -35,7 +40,7 @@ fn zoo() -> Vec<(&'static str, WeightedGraph)> {
 #[test]
 fn randomized_matches_kruskal_on_the_zoo() {
     for (name, g) in zoo() {
-        let out = run_randomized(&g, 0xfeed).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let out = run("randomized", &g, 0xfeed).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(out.edges, mst::kruskal(&g).edges, "{name}");
     }
 }
@@ -43,7 +48,7 @@ fn randomized_matches_kruskal_on_the_zoo() {
 #[test]
 fn deterministic_matches_kruskal_on_the_zoo() {
     for (name, g) in zoo() {
-        let out = run_deterministic(&g).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let out = run("deterministic", &g, 0).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(out.edges, mst::kruskal(&g).edges, "{name}");
     }
 }
@@ -51,7 +56,7 @@ fn deterministic_matches_kruskal_on_the_zoo() {
 #[test]
 fn always_awake_baseline_matches_kruskal_on_the_zoo() {
     for (name, g) in zoo() {
-        let out = run_always_awake(&g, 0xbeef).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let out = run("always-awake", &g, 0xbeef).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(out.edges, mst::kruskal(&g).edges, "{name}");
     }
 }
@@ -59,7 +64,7 @@ fn always_awake_baseline_matches_kruskal_on_the_zoo() {
 #[test]
 fn logstar_variant_matches_kruskal_on_the_zoo() {
     for (name, g) in zoo() {
-        let out = run_logstar(&g).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let out = run("logstar", &g, 0).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(out.edges, mst::kruskal(&g).edges, "{name}");
     }
 }
@@ -67,7 +72,7 @@ fn logstar_variant_matches_kruskal_on_the_zoo() {
 #[test]
 fn prim_baseline_matches_kruskal_on_the_zoo() {
     for (name, g) in zoo() {
-        let out = run_prim(&g, 1).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let out = run("prim", &g, 0).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(out.edges, mst::kruskal(&g).edges, "{name}");
     }
 }
@@ -75,7 +80,7 @@ fn prim_baseline_matches_kruskal_on_the_zoo() {
 #[test]
 fn spanning_tree_variant_spans_the_zoo() {
     for (name, g) in zoo() {
-        let out = run_spanning_tree(&g, 0xcafe).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let out = run("spanning-tree", &g, 0xcafe).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(out.edges.len(), g.node_count() - 1, "{name}");
         let mut uf = UnionFind::new(g.node_count());
         for &e in &out.edges {
@@ -91,9 +96,9 @@ fn sleeping_runs_never_lose_messages() {
     // The transmission schedule's whole point: every message is sent in a
     // round where its receiver is awake.
     for (name, g) in zoo() {
-        let out = run_randomized(&g, 5).unwrap();
+        let out = run("randomized", &g, 5).unwrap();
         assert_eq!(out.stats.messages_lost, 0, "{name} (randomized)");
-        let out = run_deterministic(&g).unwrap();
+        let out = run("deterministic", &g, 0).unwrap();
         assert_eq!(out.stats.messages_lost, 0, "{name} (deterministic)");
     }
 }
@@ -116,7 +121,7 @@ fn awake_complexity_shrinks_while_rounds_grow() {
     // The core trade-off: on a 64-node ring the randomized algorithm is
     // awake o(rounds) — verify a crude 5% ceiling.
     let g = generators::ring(64, 13).unwrap();
-    let out = run_randomized(&g, 2).unwrap();
+    let out = run("randomized", &g, 2).unwrap();
     assert!(
         out.stats.rounds > 1000,
         "rounds {} suspiciously small",
@@ -136,8 +141,8 @@ fn deterministic_round_complexity_scales_with_id_bound() {
     // N-stage coloring must stretch the run time roughly with N.
     let compact = generators::ring(12, 3).unwrap();
     let sparse = generators::with_id_space(generators::ring(12, 3).unwrap(), 256, 1).unwrap();
-    let out_compact = run_deterministic(&compact).unwrap();
-    let out_sparse = run_deterministic(&sparse).unwrap();
+    let out_compact = run("deterministic", &compact, 0).unwrap();
+    let out_sparse = run("deterministic", &sparse, 0).unwrap();
     assert!(
         out_sparse.stats.rounds > 4 * out_compact.stats.rounds,
         "sparse ids {} rounds vs compact {} rounds",
@@ -160,7 +165,7 @@ fn randomized_seeds_change_schedules_not_results() {
     let reference = mst::kruskal(&g).edges;
     let mut distinct_rounds = std::collections::HashSet::new();
     for seed in 0..5 {
-        let out = run_randomized(&g, seed).unwrap();
+        let out = run("randomized", &g, seed).unwrap();
         assert_eq!(out.edges, reference, "seed {seed}");
         distinct_rounds.insert(out.stats.rounds);
     }

@@ -2,7 +2,7 @@
 //! executed by the *distributed* algorithms, and the congestion quantities
 //! of Lemma 8 measured on real runs.
 
-use sleeping_mst::graphlib::traversal;
+use sleeping_mst::graphlib::{traversal, WeightedGraph};
 use sleeping_mst::lowerbound::congestion::{awake_floor_from_bits, internal_traffic};
 use sleeping_mst::lowerbound::grc::Grc;
 use sleeping_mst::lowerbound::reduction::{
@@ -10,7 +10,14 @@ use sleeping_mst::lowerbound::reduction::{
 };
 use sleeping_mst::lowerbound::ring;
 use sleeping_mst::lowerbound::sd::SdInstance;
-use sleeping_mst::mst_core::{run_deterministic, run_randomized};
+use sleeping_mst::mst_core::{registry, MstOutcome, RunError};
+
+/// Runs the registry algorithm `name` on `graph` with `seed`.
+fn run(name: &str, graph: &WeightedGraph, seed: u64) -> Result<MstOutcome, RunError> {
+    registry::find(name)
+        .expect("registered algorithm")
+        .run(graph, seed)
+}
 
 #[test]
 fn distributed_mst_decides_set_disjointness_on_grc() {
@@ -19,7 +26,7 @@ fn distributed_mst_decides_set_disjointness_on_grc() {
         let sd = SdInstance::random(grc.sd_bits(), seed);
         let marked = mark_edges(&grc, &sd);
         let weighted = css_to_mst(&grc.graph, &marked);
-        let out = run_randomized(&weighted, seed + 100).unwrap();
+        let out = run("randomized", &weighted, seed + 100).unwrap();
         assert_eq!(
             !mst_uses_unmarked(&marked, &out.edges),
             sd.disjoint(),
@@ -33,7 +40,7 @@ fn distributed_mst_decides_set_disjointness_on_grc() {
     ] {
         let marked = mark_edges(&grc, &sd);
         let weighted = css_to_mst(&grc.graph, &marked);
-        let out = run_deterministic(&weighted).unwrap();
+        let out = run("deterministic", &weighted, 0).unwrap();
         assert_eq!(!mst_uses_unmarked(&marked, &out.edges), sd.disjoint());
     }
 }
@@ -71,7 +78,7 @@ fn grc_diameter_is_small_but_awake_floor_is_not() {
         "diameter {d} not sublinear in c"
     );
 
-    let out = run_randomized(&grc.graph, 9).unwrap();
+    let out = run("randomized", &grc.graph, 9).unwrap();
     let traffic = internal_traffic(&grc, &out.stats);
     // Lemma 8's accounting identity on measured data: the busiest I node
     // was awake at least its received-bits / (degree · max-message-size).
@@ -95,7 +102,7 @@ fn ring_awake_ratio_is_flat_across_doublings() {
     let mut ratios = Vec::new();
     for &n in &[32usize, 64, 128, 256] {
         let g = ring::instance(n, 5).unwrap();
-        let out = run_randomized(&g, 1).unwrap();
+        let out = run("randomized", &g, 1).unwrap();
         ratios.push(out.stats.awake_max() as f64 / (n as f64).log2());
     }
     let (min, max) = ratios
@@ -109,8 +116,8 @@ fn tradeoff_product_exceeds_n_for_all_algorithms() {
     // Theorem 4: awake × rounds ∈ Ω̃(n). Check the raw product ≥ n on G_rc.
     let grc = Grc::build(6, 32, 4).unwrap();
     let n = grc.n() as u128;
-    let rand = run_randomized(&grc.graph, 3).unwrap();
+    let rand = run("randomized", &grc.graph, 3).unwrap();
     assert!(rand.stats.awake_round_product() >= n);
-    let det = run_deterministic(&grc.graph).unwrap();
+    let det = run("deterministic", &grc.graph, 0).unwrap();
     assert!(det.stats.awake_round_product() >= n);
 }

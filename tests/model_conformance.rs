@@ -271,7 +271,8 @@ fn fault_fingerprints_are_pinned() {
         plan: &FaultPlan,
         scratch: &mut MstScratch,
     ) -> String {
-        match spec.run_with_faults(g, 7, plan, scratch) {
+        let opts = ExecOptions::seeded(7).with_faults(plan.clone());
+        match spec.run_with_options(g, &opts, scratch) {
             Ok(out) => format!(
                 "ok edges={} rounds={} drops={} dups={}",
                 out.edges.len(),

@@ -3,8 +3,15 @@
 
 use proptest::prelude::*;
 
-use sleeping_mst::graphlib::{generators, mst};
-use sleeping_mst::mst_core::{run_deterministic, run_randomized};
+use sleeping_mst::graphlib::{generators, mst, WeightedGraph};
+use sleeping_mst::mst_core::{registry, MstOutcome, RunError};
+
+/// Runs the registry algorithm `name` on `graph` with `seed`.
+fn run(name: &str, graph: &WeightedGraph, seed: u64) -> Result<MstOutcome, RunError> {
+    registry::find(name)
+        .expect("registered algorithm")
+        .run(graph, seed)
+}
 
 proptest! {
     // Each case simulates a full distributed run; keep the counts modest.
@@ -13,21 +20,21 @@ proptest! {
     #[test]
     fn randomized_equals_kruskal(n in 2usize..28, p in 0.0f64..0.4, seed in 0u64..500, run_seed in 0u64..1000) {
         let g = generators::random_connected(n, p, seed).unwrap();
-        let out = run_randomized(&g, run_seed).unwrap();
+        let out = run("randomized", &g, run_seed).unwrap();
         prop_assert_eq!(out.edges, mst::kruskal(&g).edges);
     }
 
     #[test]
     fn deterministic_equals_kruskal(n in 2usize..18, p in 0.0f64..0.4, seed in 0u64..500) {
         let g = generators::random_connected(n, p, seed).unwrap();
-        let out = run_deterministic(&g).unwrap();
+        let out = run("deterministic", &g, 0).unwrap();
         prop_assert_eq!(out.edges, mst::kruskal(&g).edges);
     }
 
     #[test]
     fn awake_complexity_never_explodes(n in 4usize..40, seed in 0u64..200) {
         let g = generators::random_connected(n, 0.15, seed).unwrap();
-        let out = run_randomized(&g, seed).unwrap();
+        let out = run("randomized", &g, seed).unwrap();
         // Extremely generous: c·log2(n) with c = 100. Catching runaway
         // awake time, not proving the constant.
         let bound = 100.0 * (n as f64).log2();

@@ -415,6 +415,41 @@ fn malformed_requests_are_rejected_with_typed_errors() {
     server.join().unwrap();
 }
 
+/// A numeric field of the wrong type is refused with `request.parse`
+/// naming the field — never answered as (or from the cache entry of) the
+/// defaulted seed-0 request.
+#[test]
+fn mistyped_seed_is_refused_not_served_from_the_seed_zero_entry() {
+    let server = Server::start(ServeConfig::new(test_socket("mistyped"))).unwrap();
+    let mut client = Client::connect(&server);
+
+    let seed_zero =
+        "{\"id\":1,\"cmd\":\"run\",\"alg\":\"randomized\",\"graph\":\"ring:8\",\"seed\":0}";
+    let first = client.request(seed_zero);
+    assert!(first.ok && first.source == "exec", "{first:?}");
+
+    for seed in ["\"7\"", "-1"] {
+        let line = format!(
+            "{{\"id\":2,\"cmd\":\"run\",\"alg\":\"randomized\",\"graph\":\"ring:8\",\"seed\":{seed}}}"
+        );
+        let resp = client.request(&line);
+        assert!(!resp.ok, "{resp:?}");
+        assert_eq!(&resp.source, "reject", "{resp:?}");
+        assert!(
+            resp.fragment
+                .contains(&format!("\"code\":\"{}\"", codes::PARSE))
+                && resp.fragment.contains("'seed'"),
+            "{resp:?}"
+        );
+    }
+
+    let s = stats(&mut client);
+    assert_eq!((s.received, s.hits, s.rejected), (1, 0, 2), "{s:?}");
+
+    server.begin_shutdown();
+    server.join().unwrap();
+}
+
 /// Batch request kinds (sweep/report/chaos) execute and cache like runs.
 #[test]
 fn batch_requests_are_served_and_cached() {
