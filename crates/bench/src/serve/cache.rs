@@ -1,7 +1,7 @@
 //! Deterministic bounded LRU for canonical run results.
 //!
 //! Keys are the FNV-1a 64 fingerprints of canonical request keys
-//! ([`mst_core::wire::CanonicalRun::fingerprint`]); values are rendered
+//! ([`mst_core::wire::RunRequest::fingerprint`]); values are rendered
 //! response bodies — the exact bytes a cold execution produced, stored
 //! behind `Arc<str>` so a hit fans out without copying. Recency is an
 //! explicit monotone stamp in a `BTreeMap`, not pointer identity or a

@@ -8,7 +8,7 @@
 //!
 //! * **Bit-determinism is cacheability.** Every simulation artifact is
 //!   a pure function of its canonical request
-//!   ([`mst_core::wire::CanonicalRun`]), so responses are cached in a
+//!   ([`mst_core::wire::RunRequest`]), so responses are cached in a
 //!   bounded deterministic LRU ([`cache::ResultCache`]) and identical
 //!   in-flight requests coalesce onto a single execution — the repeat
 //!   requester gets the *same bytes* the cold run produced, marked
@@ -47,7 +47,7 @@ use mst_core::MstScratch;
 
 use self::admission::TokenBucket;
 use self::protocol::{render_error_body, render_response, Request, Source};
-use self::worker::{Dispatch, Job, JobKind};
+use self::worker::{Dispatch, Job};
 
 pub use self::worker::Counters;
 
@@ -305,34 +305,12 @@ fn respond(inner: &ServerInner, line: &str, tx: &Sender<String>) {
         }
         request => {
             let fingerprint = request.fingerprint().expect("cacheable request");
-            let kind = match request {
-                Request::Run(run) => JobKind::Run(run),
-                Request::Sweep {
-                    algs,
-                    template,
-                    sizes,
-                    seeds,
-                } => JobKind::Sweep {
-                    algs,
-                    template,
-                    sizes,
-                    seeds,
-                },
-                Request::Report { sizes, seeds } => JobKind::Report { sizes, seeds },
-                Request::Chaos {
-                    seed,
-                    sizes,
-                    trials,
-                } => JobKind::Chaos {
-                    seed,
-                    sizes,
-                    trials,
-                },
-                Request::Stats | Request::Shutdown => unreachable!("handled above"),
-            };
             let now_nanos = inner.epoch.elapsed().as_nanos() as u64;
             let immediate = inner.dispatch.submit(
-                Job { fingerprint, kind },
+                Job {
+                    fingerprint,
+                    request,
+                },
                 envelope.id,
                 tx.clone(),
                 now_nanos,

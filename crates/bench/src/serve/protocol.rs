@@ -12,7 +12,8 @@
 //! ```json
 //! {"id":1,"cmd":"run","alg":"randomized","graph":"ring:64","seed":7}
 //! {"id":2,"cmd":"run","alg":"logstar","graph":"grid:4x8","seed":1,
-//!  "executor":"calendar","shards":4,
+//!  "executor":"calendar","shards":4,"energy":"reference","budget":900000,
+//!  "wake_policy":"duty:2",
 //!  "faults":{"fault_seed":9,"drop_ppm":200,"crashes":[[3,40]]}}
 //! {"id":3,"cmd":"sweep","algs":"randomized,aa",
 //!  "template":"ring:{n}","sizes":[16,32],"seeds":[0,1]}
@@ -21,6 +22,14 @@
 //! {"id":6,"cmd":"stats"}
 //! {"id":7,"cmd":"shutdown"}
 //! ```
+//!
+//! Only `cmd` (and `alg`/`graph` for `run`) is required. A field that is
+//! present must have its type and range, and a field its command does
+//! not read is refused: both answer `request.parse`, naming the field.
+//! `energy`, `budget`, `wake_policy` and the `faults` keys take the
+//! grammar of the CLI's `--energy-model`, `--budget`, `--wake-policy`
+//! and fault flags; a run line parses to the same
+//! [`RunRequest`] as the equivalent `sleeping-mst run` argv.
 //!
 //! ## Response envelope
 //!
@@ -39,18 +48,17 @@
 //! contract and the thing `tests/serve.rs` hammers on.
 
 use graphlib::WeightedGraph;
-use mst_core::wire::{fnv64, RunRequest};
+use mst_core::wire::{self, fnv64, RunRequest};
 use mst_core::{AlgorithmSpec, MstOutcome};
-use netsim::{EnergyModel, Executor, FaultPlan};
-
-use mst_core::wire::CanonicalRun;
+use netsim::{EnergyModel, FaultPlan};
 
 /// Typed serve-plane error codes (the `run.*` / `sim.*` families come
 /// from [`mst_core::runner::RUN_ERROR_CODES`] and
 /// [`netsim::SIM_ERROR_CODES`]). Frozen spellings: responses embed
 /// these, and clients match on them.
 pub mod codes {
-    /// The request line was not valid JSON or missed required fields.
+    /// The request line was not valid JSON, missed a required field, or
+    /// carried an unknown, mistyped or out-of-range field.
     pub const PARSE: &str = "request.parse";
     /// `alg`/`algs` named an algorithm the registry does not know.
     pub const BAD_ALGORITHM: &str = "request.bad-algorithm";
@@ -305,8 +313,8 @@ pub fn json_escape(s: &str) -> String {
 /// A parsed, validated request.
 #[derive(Debug, Clone)]
 pub enum Request {
-    /// Execute (or serve from cache) one canonical run.
-    Run(CanonicalRun),
+    /// Execute (or serve from cache) one run.
+    Run(RunRequest),
     /// A full benchmark sweep over a size × seed grid.
     Sweep {
         /// Resolved algorithms, in request order.
@@ -361,123 +369,143 @@ pub struct RequestError {
     pub message: String,
 }
 
-fn u64_list(value: Option<&Json>, default: &[u64]) -> Result<Vec<u64>, String> {
-    match value {
-        None => Ok(default.to_vec()),
-        Some(v) => v
-            .as_arr()
-            .ok_or("expected an array of integers")?
-            .iter()
-            .map(|item| {
-                item.as_u64()
-                    .ok_or_else(|| "expected an integer".to_string())
+/// Strict typed reads from one request object. A field that is present
+/// must have the asked-for type and range — never silently defaulted —
+/// and every error names the field by its dotted path.
+struct Fields<'a> {
+    obj: &'a Json,
+    /// `""` for the top level, `"faults."` for the fault plan.
+    path: &'static str,
+}
+
+impl<'a> Fields<'a> {
+    /// Refuses the object itself if it is not an object, and any field
+    /// not in `known`.
+    fn new(obj: &'a Json, path: &'static str, known: &[&str]) -> Result<Fields<'a>, String> {
+        let Json::Obj(fields) = obj else {
+            let name = path.trim_end_matches('.');
+            return Err(format!("field '{name}': expected an object"));
+        };
+        if let Some((key, _)) = fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+            return Err(format!(
+                "unknown field '{path}{key}' (expected {})",
+                known.join(", ")
+            ));
+        }
+        Ok(Fields { obj, path })
+    }
+
+    fn get<T>(
+        &self,
+        name: &str,
+        expected: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        self.obj
+            .get(name)
+            .map(|v| {
+                read(v).ok_or_else(|| format!("field '{}{name}': expected {expected}", self.path))
             })
-            .collect(),
+            .transpose()
+    }
+
+    fn str(&self, name: &str) -> Result<Option<&'a str>, String> {
+        self.get(name, "a string", Json::as_str)
+    }
+
+    fn u64(&self, name: &str) -> Result<Option<u64>, String> {
+        self.get(name, "an unsigned integer", Json::as_u64)
+    }
+
+    fn u32(&self, name: &str) -> Result<Option<u32>, String> {
+        self.get(name, "an unsigned 32-bit integer", |v| {
+            v.as_u64().and_then(|n| u32::try_from(n).ok())
+        })
+    }
+
+    fn u64_list(&self, name: &str) -> Result<Option<Vec<u64>>, String> {
+        self.get(name, "an array of unsigned integers", |v| {
+            v.as_arr()?.iter().map(Json::as_u64).collect()
+        })
+    }
+
+    /// A size list: present means non-empty.
+    fn sizes(&self) -> Result<Option<Vec<usize>>, String> {
+        self.get("sizes", "a non-empty array of sizes", |v| {
+            let items = v.as_arr().filter(|items| !items.is_empty())?;
+            items
+                .iter()
+                .map(|n| n.as_u64().and_then(|n| usize::try_from(n).ok()))
+                .collect()
+        })
     }
 }
 
-fn usize_list(value: Option<&Json>, default: &[usize]) -> Result<Vec<usize>, String> {
-    let list = u64_list(value, &[])?;
-    if list.is_empty() {
-        return Ok(default.to_vec());
+/// A refusal before the request id is attached. A bare message (every
+/// `?` on a `String` error) is a `request.parse` refusal.
+struct Refusal(&'static str, String);
+
+impl From<String> for Refusal {
+    fn from(message: String) -> Refusal {
+        Refusal(codes::PARSE, message)
     }
-    Ok(list.into_iter().map(|n| n as usize).collect())
 }
 
 /// Parses one NDJSON request line into a validated envelope.
 pub fn parse_request(line: &str) -> Result<RequestEnvelope, RequestError> {
-    let doc = Json::parse(line).map_err(|e| RequestError {
+    let unparsed = |message: String| RequestError {
         id: 0,
         code: codes::PARSE,
-        message: format!("bad JSON: {e}"),
-    })?;
-    let id = doc.get("id").and_then(Json::as_u64).unwrap_or(0);
-    let fail = |code: &'static str, message: String| RequestError { id, code, message };
-    let parse_fail = |message: String| fail(codes::PARSE, message);
-    // An absent numeric field takes its default; a present one must be an
-    // unsigned integer, never silently defaulted.
-    let opt_u64 = |name: &str| -> Result<Option<u64>, RequestError> {
-        doc.get(name)
-            .map(|v| {
-                v.as_u64().ok_or_else(|| {
-                    parse_fail(format!("field '{name}': expected an unsigned integer"))
-                })
-            })
-            .transpose()
+        message,
     };
+    let doc = Json::parse(line).map_err(|e| unparsed(format!("bad JSON: {e}")))?;
+    let top = Fields {
+        obj: &doc,
+        path: "",
+    };
+    let id = top.u64("id").map_err(unparsed)?.unwrap_or(0);
+    let request =
+        parse_command(&top).map_err(|Refusal(code, message)| RequestError { id, code, message })?;
+    Ok(RequestEnvelope { id, request })
+}
 
-    let cmd = doc
-        .get("cmd")
-        .and_then(Json::as_str)
-        .ok_or_else(|| fail(codes::PARSE, "missing string field 'cmd'".into()))?;
-
-    let request = match cmd {
-        "run" => {
-            let field = |name: &str| {
-                doc.get(name)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| parse_fail(format!("run: missing string field '{name}'")))
-            };
-            let executor = match doc.get("executor").and_then(Json::as_str) {
-                None => None,
-                Some(name) => Some(Executor::parse(name).ok_or_else(|| {
-                    fail(
-                        codes::BAD_EXECUTOR,
-                        format!("unknown executor '{name}' (expected sync, calendar, or naive)"),
-                    )
-                })?),
-            };
-            let energy = match doc.get("energy").and_then(Json::as_str) {
-                None => None,
-                Some(spec) => Some(EnergyModel::parse(spec).ok_or_else(|| {
-                    parse_fail(format!(
-                        "unknown energy model '{spec}' (expected 'reference', 'radio', \
-                         or a comma list of round:/tx:/rx:/idle:/budget: costs)"
-                    ))
-                })?),
-            };
-            // A bare budget prices the run under the reference model.
-            let energy = match opt_u64("budget")? {
-                Some(b) => Some(energy.unwrap_or_else(EnergyModel::reference).with_budget(b)),
-                None => energy,
-            };
-            let req = RunRequest {
-                alg: field("alg")?,
-                graph: field("graph")?,
-                seed: opt_u64("seed")?.unwrap_or(0),
-                executor,
-                shards: opt_u64("shards")?.map(|n| n.max(1) as u32),
-                faults: parse_fault_plan(doc.get("faults")).map_err(&parse_fail)?,
-                energy,
-            };
-            let canonical = req
-                .canonicalize()
-                .map_err(|e| fail(codes::BAD_ALGORITHM, e))?;
-            Request::Run(canonical)
-        }
+fn parse_command(top: &Fields<'_>) -> Result<Request, Refusal> {
+    let cmd = top
+        .str("cmd")?
+        .ok_or("missing string field 'cmd'".to_string())?;
+    // Each command names every field it reads; any other field is refused.
+    let fields = |known: &[&str]| Fields::new(top.obj, "", known);
+    Ok(match cmd {
+        "run" => Request::Run(parse_run(&fields(&[
+            "id",
+            "cmd",
+            "alg",
+            "graph",
+            "seed",
+            "executor",
+            "shards",
+            "faults",
+            "energy",
+            "budget",
+            "wake_policy",
+        ])?)?),
         "sweep" => {
-            let raw_algs = doc
-                .get("algs")
-                .and_then(Json::as_str)
-                .unwrap_or("randomized");
-            let mut algs = Vec::new();
-            for name in raw_algs.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                let spec = mst_core::registry::find(name).ok_or_else(|| {
-                    fail(codes::BAD_ALGORITHM, format!("unknown algorithm '{name}'"))
-                })?;
-                algs.push(spec);
-            }
+            let doc = fields(&["id", "cmd", "algs", "template", "sizes", "seeds"])?;
+            let algs = doc
+                .str("algs")?
+                .unwrap_or("randomized")
+                .split(',')
+                .map(str::trim)
+                .filter(|s| !s.is_empty())
+                .map(wire::parse_algorithm)
+                .collect::<Result<Vec<_>, String>>()
+                .map_err(|e| Refusal(codes::BAD_ALGORITHM, e))?;
             if algs.is_empty() {
-                return Err(fail(codes::BAD_ALGORITHM, "empty algorithm list".into()));
+                return Err(Refusal(codes::BAD_ALGORITHM, "empty algorithm list".into()));
             }
-            let template = doc
-                .get("template")
-                .and_then(Json::as_str)
-                .unwrap_or("ring:{n}")
-                .to_string();
+            let template = doc.str("template")?.unwrap_or("ring:{n}").to_string();
             if !template.contains("{n}") {
-                return Err(fail(
+                return Err(Refusal(
                     codes::BAD_TEMPLATE,
                     format!("template '{template}' has no {{n}} placeholder"),
                 ));
@@ -485,75 +513,117 @@ pub fn parse_request(line: &str) -> Result<RequestEnvelope, RequestError> {
             Request::Sweep {
                 algs,
                 template,
-                sizes: usize_list(doc.get("sizes"), &[16, 32]).map_err(&parse_fail)?,
-                seeds: u64_list(doc.get("seeds"), &[0]).map_err(&parse_fail)?,
+                sizes: doc.sizes()?.unwrap_or(vec![16, 32]),
+                seeds: doc.u64_list("seeds")?.unwrap_or(vec![0]),
             }
         }
-        "report" => Request::Report {
-            sizes: usize_list(doc.get("sizes"), &[8, 12, 16, 24]).map_err(&parse_fail)?,
-            seeds: u64_list(doc.get("seeds"), &[0, 1]).map_err(&parse_fail)?,
-        },
-        "chaos" => Request::Chaos {
-            seed: opt_u64("seed")?.unwrap_or(0),
-            sizes: usize_list(doc.get("sizes"), &[8, 12]).map_err(&parse_fail)?,
-            trials: opt_u64("trials")?.unwrap_or(2).max(1),
-        },
-        "stats" => Request::Stats,
-        "shutdown" => Request::Shutdown,
-        other => {
-            return Err(fail(
-                codes::PARSE,
-                format!(
-                    "unknown cmd '{other}' (expected run, sweep, report, chaos, stats, shutdown)"
-                ),
-            ))
+        "report" => {
+            let doc = fields(&["id", "cmd", "sizes", "seeds"])?;
+            Request::Report {
+                sizes: doc.sizes()?.unwrap_or(vec![8, 12, 16, 24]),
+                seeds: doc.u64_list("seeds")?.unwrap_or(vec![0, 1]),
+            }
         }
-    };
-    Ok(RequestEnvelope { id, request })
+        "chaos" => {
+            let doc = fields(&["id", "cmd", "seed", "sizes", "trials"])?;
+            Request::Chaos {
+                seed: doc.u64("seed")?.unwrap_or(0),
+                sizes: doc.sizes()?.unwrap_or(vec![8, 12]),
+                trials: doc
+                    .get("trials", "a trial count (>= 1)", |v| {
+                        v.as_u64().filter(|&t| t >= 1)
+                    })?
+                    .unwrap_or(2),
+            }
+        }
+        "stats" => {
+            fields(&["id", "cmd"])?;
+            Request::Stats
+        }
+        "shutdown" => {
+            fields(&["id", "cmd"])?;
+            Request::Shutdown
+        }
+        other => {
+            return Err(format!(
+                "unknown cmd '{other}' (expected run, sweep, report, chaos, stats, shutdown)"
+            )
+            .into())
+        }
+    })
 }
 
-fn parse_fault_plan(value: Option<&Json>) -> Result<FaultPlan, String> {
-    let Some(obj) = value else {
-        return Ok(FaultPlan::default());
+/// The `"cmd":"run"` fields as a normalized [`RunRequest`].
+fn parse_run(doc: &Fields<'_>) -> Result<RunRequest, Refusal> {
+    let required = |name: &str| {
+        doc.str(name)?
+            .ok_or_else(|| format!("run: missing string field '{name}'"))
     };
-    let num = |name: &str| -> Result<u64, String> {
-        match obj.get(name) {
-            None => Ok(0),
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| format!("faults.{name}: expected an unsigned integer")),
-        }
-    };
-    let mut plan = FaultPlan::seeded(num("fault_seed")?)
-        .with_drop_ppm(num("drop_ppm")? as u32)
-        .with_duplicate_ppm(num("duplicate_ppm")? as u32)
-        .with_spurious_sleep_ppm(num("spurious_sleep_ppm")? as u32)
-        .with_wake_jitter(num("wake_jitter")?);
-    if let Some(crashes) = obj.get("crashes") {
-        let items = crashes
-            .as_arr()
-            .ok_or("faults.crashes: expected an array of [node, round] pairs")?;
-        for pair in items {
-            let pair = pair
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or("faults.crashes: expected [node, round] pairs")?;
-            let node = pair[0]
-                .as_u64()
-                .ok_or("faults.crashes: node must be an unsigned integer")?;
-            let round = pair[1]
-                .as_u64()
-                .ok_or("faults.crashes: round must be an unsigned integer")?;
-            plan = plan.with_crash(node as u32, round);
-        }
+    let alg =
+        wire::parse_algorithm(required("alg")?).map_err(|e| Refusal(codes::BAD_ALGORITHM, e))?;
+    let mut req = RunRequest::new(alg, required("graph")?, doc.u64("seed")?.unwrap_or(0));
+    if let Some(name) = doc.str("executor")? {
+        req.executor =
+            Some(wire::parse_executor(name).map_err(|e| Refusal(codes::BAD_EXECUTOR, e))?);
     }
-    Ok(plan)
+    req.shards = doc.get("shards", "a shard count in 1..=4294967295", |v| {
+        v.as_u64()
+            .and_then(|n| u32::try_from(n).ok())
+            .filter(|&s| s >= 1)
+    })?;
+    req.faults = doc.obj.get("faults").map(parse_fault_plan).transpose()?;
+    let energy = doc
+        .str("energy")?
+        .map(wire::parse_energy_model)
+        .transpose()?;
+    req.energy = wire::budgeted(energy, doc.u64("budget")?);
+    if let Some(spec) = doc.str("wake_policy")? {
+        req.wake_policy = wire::parse_wake_policy(spec)?;
+    }
+    Ok(req.normalized())
+}
+
+fn parse_fault_plan(value: &Json) -> Result<FaultPlan, String> {
+    let plan = Fields::new(
+        value,
+        "faults.",
+        &[
+            "fault_seed",
+            "drop_ppm",
+            "duplicate_ppm",
+            "spurious_sleep_ppm",
+            "wake_jitter",
+            "crashes",
+        ],
+    )?;
+    let mut faults = FaultPlan::seeded(plan.u64("fault_seed")?.unwrap_or(0))
+        .with_drop_ppm(plan.u32("drop_ppm")?.unwrap_or(0))
+        .with_duplicate_ppm(plan.u32("duplicate_ppm")?.unwrap_or(0))
+        .with_spurious_sleep_ppm(plan.u32("spurious_sleep_ppm")?.unwrap_or(0))
+        .with_wake_jitter(plan.u64("wake_jitter")?.unwrap_or(0));
+    let crashes = plan.get(
+        "crashes",
+        "an array of [node, round] pairs with a 32-bit node",
+        |v| {
+            v.as_arr()?
+                .iter()
+                .map(|pair| match pair.as_arr()? {
+                    [node, round] => Some((u32::try_from(node.as_u64()?).ok()?, round.as_u64()?)),
+                    _ => None,
+                })
+                .collect::<Option<Vec<(u32, u64)>>>()
+        },
+    )?;
+    for (node, round) in crashes.unwrap_or_default() {
+        faults = faults.with_crash(node, round);
+    }
+    Ok(faults)
 }
 
 impl Request {
     /// The canonical cache-key string for cacheable requests (`None` for
     /// the control plane). Run keys come from
-    /// [`CanonicalRun::cache_key`]; batch keys spell out every grid
+    /// [`RunRequest::cache_key`]; batch keys spell out every grid
     /// parameter. Executor knobs never appear — results are
     /// driver-independent by the bit-identity proofs.
     pub fn cache_key(&self) -> Option<String> {
@@ -653,29 +723,32 @@ pub fn render_response(id: u64, source: Source, ok: bool, body: &str) -> String 
     )
 }
 
-/// Renders the deterministic run-result fragment — the CLI's
-/// `--json` output minus its one machine-dependent field
-/// (`peak_rss_bytes`), so the fragment is cacheable and byte-comparable
-/// across processes. Field order and formatting otherwise mirror
-/// [`render_json`](../../cli) exactly.
-pub fn render_run_result(
-    alg: &AlgorithmSpec,
+/// Renders a run's result object — the one renderer behind `sleeping-mst
+/// run --json`, the daemon's `result` fragment, and the serve tests'
+/// cold path. The request supplies the replay recipe (algorithm, seed,
+/// and the normalized energy model, wake policy and fault plan), so the
+/// object names every cache-key component except the graph spec.
+///
+/// `peak_rss_bytes` is the one machine-dependent field: the CLI passes
+/// it and it lands in the `memory` block; the daemon passes `None`, so
+/// its fragment is cacheable and byte-comparable across processes. The
+/// `energy` object and the `wake_policy` field appear only for an
+/// active model and a non-identity policy, so plain runs render the
+/// same bytes they always have (pinned goldens, cross-process `cmp`s).
+pub fn render_run(
+    req: &RunRequest,
     graph: &WeightedGraph,
-    seed: u64,
-    faults: Option<&FaultPlan>,
-    energy: Option<&EnergyModel>,
     out: &MstOutcome,
+    peak_rss_bytes: Option<u64>,
 ) -> String {
-    let plan = faults.cloned().unwrap_or_default();
+    let plan = req.faults.clone().unwrap_or_default();
     let crashes: Vec<String> = plan
         .crashes
         .iter()
         .map(|(node, round)| format!("[{node},{round}]"))
         .collect();
-    // The energy object appears only for runs under an active model, so
-    // plain-run fragments stay byte-identical to the pre-energy wire
-    // format (pinned goldens, cross-process cmp artifacts).
-    let energy = match energy {
+    let rss = peak_rss_bytes.map_or(String::new(), |b| format!(",\"peak_rss_bytes\":{b}"));
+    let energy = match &req.energy {
         Some(model) => format!(
             ",\"energy\":{{\"model\":\"{}\",\"total\":{},\"max\":{},\
              \"idle_listen_rounds\":{},\"exhausted_nodes\":{}}}",
@@ -687,17 +760,22 @@ pub fn render_run_result(
         ),
         None => String::new(),
     };
+    let wake = if req.wake_policy.is_identity() {
+        String::new()
+    } else {
+        format!(",\"wake_policy\":\"{}\"", req.wake_policy.spec_string())
+    };
     format!(
         "{{\"algorithm\":\"{}\",\"seed\":{},\"nodes\":{},\"edges\":{},\"tree_edges\":{},\
          \"total_weight\":{},\"phases\":{},\"awake_max\":{},\"awake_avg\":{:.3},\
          \"rounds\":{},\"awake_round_product\":{},\"messages_delivered\":{},\
          \"messages_lost\":{},\"max_message_bits\":{},\"log_constant\":{},\
          \"injected_drops\":{},\"dup_deliveries\":{},\"crashed_nodes\":{},\
-         \"memory\":{{\"graph_bytes\":{},\"arena_peak_envelopes\":{}}}{}\
+         \"memory\":{{\"graph_bytes\":{},\"arena_peak_envelopes\":{}{rss}}}{energy}{wake}\
          ,\"fault_plan\":{{\"fault_seed\":{},\"drop_ppm\":{},\"duplicate_ppm\":{},\
          \"spurious_sleep_ppm\":{},\"wake_jitter\":{},\"crashes\":[{}]}}}}",
-        alg.name,
-        seed,
+        req.alg.name,
+        req.seed,
         graph.node_count(),
         graph.edge_count(),
         out.edges.len(),
@@ -716,7 +794,6 @@ pub fn render_run_result(
         out.stats.crashed_nodes,
         out.stats.graph_bytes,
         out.stats.arena_peak_envelopes,
-        energy,
         plan.fault_seed,
         plan.drop_ppm,
         plan.duplicate_ppm,
@@ -724,6 +801,25 @@ pub fn render_run_result(
         plan.wake_jitter,
         crashes.join(","),
     )
+}
+
+/// [`render_run`] for a block-policy daemon request given field by
+/// field (`alg` must be a registry entry).
+pub fn render_run_result(
+    alg: &AlgorithmSpec,
+    graph: &WeightedGraph,
+    seed: u64,
+    faults: Option<&FaultPlan>,
+    energy: Option<&EnergyModel>,
+    out: &MstOutcome,
+) -> String {
+    let alg = wire::parse_algorithm(alg.name).expect("rendered algorithms are registry entries");
+    let req = RunRequest {
+        faults: faults.cloned(),
+        energy: energy.copied(),
+        ..RunRequest::new(alg, "", seed)
+    };
+    render_run(&req.normalized(), graph, out, None)
 }
 
 #[cfg(test)]
@@ -795,24 +891,79 @@ mod tests {
     }
 
     #[test]
-    fn mistyped_numeric_fields_are_refused_not_defaulted() {
-        for (field, cmd, value) in [
-            ("seed", "run", r#""7""#),
-            ("seed", "run", "-1"),
-            ("seed", "run", "1.5"),
-            ("budget", "run", r#""lots""#),
-            ("shards", "run", "null"),
-            ("seed", "chaos", "[1]"),
-            ("trials", "chaos", r#""2""#),
+    fn bad_fields_are_refused_not_defaulted() {
+        let run = r#""cmd":"run","alg":"prim","graph":"ring:8""#;
+        let sweep = r#""cmd":"sweep","algs":"prim""#;
+        let chaos = r#""cmd":"chaos""#;
+        for (base, bad, field) in [
+            // Mistyped: present but not the field's type.
+            (run, r#""seed":"7""#, "seed"),
+            (run, r#""seed":-1"#, "seed"),
+            (run, r#""seed":1.5"#, "seed"),
+            (run, r#""budget":"lots""#, "budget"),
+            (run, r#""shards":null"#, "shards"),
+            (run, r#""executor":3"#, "executor"),
+            (run, r#""energy":5"#, "energy"),
+            (run, r#""wake_policy":2"#, "wake_policy"),
+            (run, r#""faults":"drop_ppm:5000""#, "faults"),
+            (
+                run,
+                r#""faults":{"duplicate_ppm":-1}"#,
+                "faults.duplicate_ppm",
+            ),
+            (r#""cmd":"run","graph":"ring:8""#, r#""alg":5"#, "alg"),
+            (r#""cmd":"sweep""#, r#""algs":5"#, "algs"),
+            (sweep, r#""template":5"#, "template"),
+            (sweep, r#""sizes":"8""#, "sizes"),
+            (chaos, r#""seed":[1]"#, "seed"),
+            (chaos, r#""trials":"2""#, "trials"),
+            (r#""x":0"#, r#""cmd":5"#, "cmd"),
+            // Out of range: never clamped or truncated.
+            (run, r#""shards":0"#, "shards"),
+            (run, r#""shards":4294967296"#, "shards"),
+            (
+                run,
+                r#""faults":{"drop_ppm":4294967296}"#,
+                "faults.drop_ppm",
+            ),
+            (
+                run,
+                r#""faults":{"spurious_sleep_ppm":4294967296}"#,
+                "faults.spurious_sleep_ppm",
+            ),
+            (
+                run,
+                r#""faults":{"crashes":[[4294967296,9]]}"#,
+                "faults.crashes",
+            ),
+            (chaos, r#""trials":0"#, "trials"),
+            (chaos, r#""sizes":[]"#, "sizes"),
+            (sweep, r#""sizes":[]"#, "sizes"),
+            (r#""cmd":"report""#, r#""sizes":[]"#, "sizes"),
+            // Unknown: a field the command does not read.
+            (run, r#""wake_polcy":"duty:2""#, "wake_polcy"),
+            (run, r#""faults":{"drop":5}"#, "faults.drop"),
+            (sweep, r#""graph":"ring:8""#, "graph"),
+            (r#""cmd":"stats""#, r#""verbose":true"#, "verbose"),
         ] {
-            let line = format!(
-                r#"{{"id":9,"cmd":"{cmd}","alg":"prim","graph":"ring:8","{field}":{value}}}"#
-            );
+            let line = format!(r#"{{"id":9,{base},{bad}}}"#);
             let err = parse_request(&line).unwrap_err();
             assert_eq!((err.id, err.code), (9, codes::PARSE), "{line}");
             let named = format!("'{field}'");
             assert!(err.message.contains(&named), "{line}: {}", err.message);
         }
+        // A mistyped id is refused too, under the unparseable-line id.
+        let err = parse_request(r#"{"id":"9","cmd":"stats"}"#).unwrap_err();
+        assert_eq!((err.id, err.code), (0, codes::PARSE));
+        assert!(err.message.contains("'id'"), "{}", err.message);
+        // A value outside a spec grammar keeps its typed code.
+        let err = parse_request(&format!(r#"{{"id":9,{run},"wake_policy":"lazy"}}"#)).unwrap_err();
+        assert_eq!(err.code, codes::PARSE);
+        assert!(
+            err.message.contains("unknown wake policy"),
+            "{}",
+            err.message
+        );
         // Absent fields keep their defaults.
         let run = parse_request(r#"{"cmd":"run","alg":"prim","graph":"ring:8"}"#).unwrap();
         let explicit =

@@ -17,45 +17,25 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 
 use graphlib::generators;
-use mst_core::wire::CanonicalRun;
-use mst_core::{AlgorithmSpec, MstScratch};
+use mst_core::MstScratch;
 
 use crate::harness::{self, Sweep};
 use crate::serve::admission::TokenBucket;
 use crate::serve::cache::ResultCache;
 use crate::serve::protocol::{
-    codes, render_error_body, render_response, render_run_result, Source,
+    codes, render_error_body, render_response, render_run, Request, Source,
 };
 use crate::{chaos, report};
 
-/// The work a job executes; rendering is part of the job so cached
-/// bytes are exactly what a cold response would have carried.
-#[derive(Debug, Clone)]
-pub(crate) enum JobKind {
-    /// One canonical algorithm run.
-    Run(CanonicalRun),
-    /// A harness sweep over a size × seed grid.
-    Sweep {
-        algs: Vec<&'static AlgorithmSpec>,
-        template: String,
-        sizes: Vec<usize>,
-        seeds: Vec<u64>,
-    },
-    /// The scaling report.
-    Report { sizes: Vec<usize>, seeds: Vec<u64> },
-    /// A chaos campaign.
-    Chaos {
-        seed: u64,
-        sizes: Vec<usize>,
-        trials: u64,
-    },
-}
-
-/// A queued unit of work, keyed by its canonical fingerprint.
+/// A queued unit of work, keyed by its canonical fingerprint. Rendering
+/// is part of the job so cached bytes are exactly what a cold response
+/// would have carried.
 #[derive(Debug)]
 pub(crate) struct Job {
     pub fingerprint: u64,
-    pub kind: JobKind,
+    /// A cacheable request; the control plane is answered before
+    /// submission.
+    pub request: Request,
 }
 
 /// A requester waiting on an in-flight execution.
@@ -232,7 +212,7 @@ impl Dispatch {
                     st = self.work.wait(st).expect("dispatch lock");
                 }
             };
-            let outcome = execute_job(&job.kind, scratch);
+            let outcome = execute_job(&job.request, scratch);
             let (ok, body): (bool, Arc<str>) = match outcome {
                 Ok(body) => (true, Arc::from(body)),
                 Err((code, message)) => (false, Arc::from(render_error_body(code, &message))),
@@ -265,27 +245,20 @@ impl Dispatch {
 /// deterministic function of the request, so callers cache them like
 /// successes.
 pub(crate) fn execute_job(
-    kind: &JobKind,
+    request: &Request,
     scratch: &mut MstScratch,
 ) -> Result<String, (&'static str, String)> {
-    match kind {
-        JobKind::Run(run) => {
+    match request {
+        Request::Run(run) => {
             let graph =
                 generators::from_spec(&run.graph, run.seed).map_err(|e| (codes::BAD_GRAPH, e))?;
             let out = run
                 .alg
                 .run_with_options(&graph, &run.exec_options(), scratch)
                 .map_err(|e| (e.to_json_code(), e.to_string()))?;
-            Ok(render_run_result(
-                run.alg,
-                &graph,
-                run.seed,
-                run.faults.as_ref(),
-                run.energy.as_ref(),
-                &out,
-            ))
+            Ok(render_run(run, &graph, &out, None))
         }
-        JobKind::Sweep {
+        Request::Sweep {
             algs,
             template,
             sizes,
@@ -305,7 +278,7 @@ pub(crate) fn execute_job(
             let results = sweep.run().map_err(|e| (codes::BAD_GRAPH, e))?;
             Ok(harness::render_json(&results))
         }
-        JobKind::Report { sizes, seeds } => {
+        Request::Report { sizes, seeds } => {
             let spec = report::ReportSpec {
                 sizes: sizes.clone(),
                 seeds: seeds.clone(),
@@ -314,7 +287,7 @@ pub(crate) fn execute_job(
             let report = report::generate(&spec).map_err(|e| (codes::INTERNAL, e))?;
             Ok(report.to_json())
         }
-        JobKind::Chaos {
+        Request::Chaos {
             seed,
             sizes,
             trials,
@@ -327,5 +300,9 @@ pub(crate) fn execute_job(
             };
             Ok(chaos::run_chaos(&spec).to_json())
         }
+        Request::Stats | Request::Shutdown => Err((
+            codes::INTERNAL,
+            "control requests are answered before submission".to_string(),
+        )),
     }
 }

@@ -19,21 +19,13 @@
 //!     --sizes 16,32,64 --seeds 0..3
 //! ```
 
+use bench::serve::protocol::render_run;
 use bench::{chaos, engine_panel, harness, report, serve};
 use graphlib::{generators, mst, traversal, WeightedGraph};
 use mst_core::registry::{self, AlgorithmSpec};
-use mst_core::{ExecOptions, MstOutcome, MstScratch};
+use mst_core::wire::{self, RunRequest};
+use mst_core::{MstOutcome, MstScratch};
 use netsim::{EnergyModel, Executor, FaultPlan, WakePolicy};
-
-/// Parses an algorithm name against the registry.
-///
-/// # Errors
-///
-/// Returns a message listing the valid names.
-pub fn parse_algorithm(s: &str) -> Result<&'static AlgorithmSpec, String> {
-    registry::find(s)
-        .ok_or_else(|| format!("unknown algorithm '{s}' (expected {})", registry::names()))
-}
 
 /// Builds a graph from a spec string like `ring:64`, `random:48:0.1`,
 /// `grid:4x8`, `barbell:6:3`, `caterpillar:5:2`, `bintree:31`,
@@ -58,54 +50,6 @@ pub fn build_graph(spec: &str, seed: u64) -> Result<WeightedGraph, String> {
 /// non-zero exit).
 pub fn run(alg: &AlgorithmSpec, graph: &WeightedGraph, seed: u64) -> Result<MstOutcome, String> {
     alg.run(graph, seed).map_err(|e| e.to_string())
-}
-
-/// The optional execution knobs of the `run` subcommand, bundled so the
-/// entry point stays one call: time-driver override (`None` keeps the
-/// calendar driver; every driver is bit-identical), shard count, energy
-/// model, and wake policy.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunTuning {
-    pub executor: Option<Executor>,
-    pub shards: Option<u32>,
-    pub energy: Option<EnergyModel>,
-    pub wake_policy: WakePolicy,
-}
-
-/// Runs `alg` on `graph` under a fault plan (inert plans take the plain
-/// path — see [`mst_core::registry::AlgorithmSpec::run_with_options`])
-/// and the [`RunTuning`] knobs, on `scratch` (whose stage profile, when
-/// enabled, accumulates the run's wall time per kernel stage).
-///
-/// # Errors
-///
-/// As [`run`], plus the fault-mode failures: the round-budget watchdog
-/// ([`netsim::SimError::MaxRoundsExceeded`]), captured protocol panics,
-/// and degraded-output detection — all as readable strings. An energy
-/// model with a budget adds the typed
-/// [`mst_core::RunError::EnergyExhausted`] failure.
-pub fn run_with_faults(
-    alg: &AlgorithmSpec,
-    graph: &WeightedGraph,
-    seed: u64,
-    plan: &FaultPlan,
-    tuning: RunTuning,
-    scratch: &mut MstScratch,
-) -> Result<MstOutcome, String> {
-    let mut opts = ExecOptions::seeded(seed)
-        .with_faults(plan.clone())
-        .with_wake_policy(tuning.wake_policy);
-    if let Some(executor) = tuning.executor {
-        opts = opts.with_executor(executor);
-    }
-    if let Some(shards) = tuning.shards {
-        opts = opts.with_shards(shards);
-    }
-    if let Some(model) = tuning.energy {
-        opts = opts.with_energy(model);
-    }
-    alg.run_with_options(graph, &opts, scratch)
-        .map_err(|e| e.to_string())
 }
 
 /// This process's peak resident set size in bytes (Linux `VmHWM`), or 0
@@ -149,26 +93,6 @@ fn parse_crash(s: &str) -> Result<(u32, u64), String> {
     Ok((node, round))
 }
 
-/// Renders a fault plan as the JSON object embedded in `run --json`
-/// output — together with the seed, everything needed to replay the run.
-fn render_fault_plan(plan: &FaultPlan) -> String {
-    let crashes: Vec<String> = plan
-        .crashes
-        .iter()
-        .map(|(node, round)| format!("[{node},{round}]"))
-        .collect();
-    format!(
-        "{{\"fault_seed\":{},\"drop_ppm\":{},\"duplicate_ppm\":{},\
-         \"spurious_sleep_ppm\":{},\"wake_jitter\":{},\"crashes\":[{}]}}",
-        plan.fault_seed,
-        plan.drop_ppm,
-        plan.duplicate_ppm,
-        plan.spurious_sleep_ppm,
-        plan.wake_jitter,
-        crashes.join(","),
-    )
-}
-
 /// Renders an outcome as a human-readable report.
 pub fn render_text(alg: &AlgorithmSpec, graph: &WeightedGraph, out: &MstOutcome) -> String {
     let n = graph.node_count() as f64;
@@ -201,70 +125,6 @@ pub fn render_text(alg: &AlgorithmSpec, graph: &WeightedGraph, out: &MstOutcome)
         out.stats.max_message_bits,
         out.stats.log_constant(graph.node_count()),
         alg.congest_constant,
-    )
-}
-
-/// Renders an outcome as a single JSON object (hand-rolled; all fields are
-/// numbers or registry names, so no escaping is needed). The seed and the
-/// fault plan are embedded, so the object is a complete replay recipe:
-/// `run --alg A --graph G --seed S` plus the printed fault fields
-/// reproduce the run bit for bit.
-///
-/// With an active energy model, an `"energy"` object (model spec, ledger
-/// total/max, idle-listen rounds, exhausted-node count) is inserted
-/// between the memory block and the fault plan; plain runs emit exactly
-/// the pre-energy bytes, so existing consumers diff unchanged output.
-pub fn render_json(
-    alg: &AlgorithmSpec,
-    graph: &WeightedGraph,
-    seed: u64,
-    plan: &FaultPlan,
-    energy: Option<&EnergyModel>,
-    out: &MstOutcome,
-) -> String {
-    let energy_obj = match energy.filter(|m| !m.is_inert()) {
-        None => String::new(),
-        Some(model) => format!(
-            "\"energy\":{{\"model\":\"{}\",\"total\":{},\"max\":{},\
-             \"idle_listen_rounds\":{},\"exhausted_nodes\":{}}},",
-            model.spec_string(),
-            out.stats.energy_total(),
-            out.stats.energy_max(),
-            out.stats.idle_listen_rounds,
-            out.stats.exhausted_nodes,
-        ),
-    };
-    format!(
-        "{{\"algorithm\":\"{}\",\"seed\":{},\"nodes\":{},\"edges\":{},\"tree_edges\":{},\
-         \"total_weight\":{},\"phases\":{},\"awake_max\":{},\"awake_avg\":{:.3},\
-         \"rounds\":{},\"awake_round_product\":{},\"messages_delivered\":{},\
-         \"messages_lost\":{},\"max_message_bits\":{},\"log_constant\":{},\
-         \"injected_drops\":{},\"dup_deliveries\":{},\"crashed_nodes\":{},\
-         \"memory\":{{\"graph_bytes\":{},\"arena_peak_envelopes\":{},\
-         \"peak_rss_bytes\":{}}},\
-         {energy_obj}\"fault_plan\":{}}}",
-        alg.name,
-        seed,
-        graph.node_count(),
-        graph.edge_count(),
-        out.edges.len(),
-        graph.total_weight(out.edges.iter().copied()),
-        out.phases,
-        out.stats.awake_max(),
-        out.stats.awake_avg(),
-        out.stats.rounds,
-        out.stats.awake_round_product(),
-        out.stats.messages_delivered,
-        out.stats.messages_lost,
-        out.stats.max_message_bits,
-        out.stats.log_constant(graph.node_count()),
-        out.stats.injected_drops,
-        out.stats.dup_deliveries,
-        out.stats.crashed_nodes,
-        out.stats.graph_bytes,
-        out.stats.arena_peak_envelopes,
-        peak_rss_bytes(),
-        render_fault_plan(plan),
     )
 }
 
@@ -363,31 +223,12 @@ pub fn verify(alg: &AlgorithmSpec, graph: &WeightedGraph, out: &MstOutcome) -> R
 pub enum Command {
     /// `run`: execute and report.
     Run {
-        /// Algorithm to run.
-        alg: &'static AlgorithmSpec,
-        /// Graph spec.
-        graph: String,
-        /// Seed for weights and coins.
-        seed: u64,
-        /// Emit JSON instead of text.
+        /// The run: algorithm, graph, seed, driver, shards, and the
+        /// normalized fault plan, energy model and wake policy — the
+        /// same [`RunRequest`] a serve `run` line parses to.
+        request: RunRequest,
+        /// Emit the JSON result object instead of text.
         json: bool,
-        /// Fault plan (inert unless fault flags were given).
-        faults: FaultPlan,
-        /// Time driver (`None` = the calendar driver). Every driver is
-        /// bit-identical; the flag exists for differential checking and
-        /// throughput comparison.
-        executor: Option<Executor>,
-        /// Send-half-step shard count (`None` = serial). Bit-identical
-        /// for every value — `--shards 1` is the byte-equivalence
-        /// baseline for any `--shards K` run.
-        shards: Option<u32>,
-        /// Energy pricing model (`None` = no charging). A `--budget`
-        /// without `--energy-model` implies the reference model, like
-        /// the serve protocol's bare `"budget"` field.
-        energy: Option<EnergyModel>,
-        /// When scheduled wakes actually land (`block` = today's exact
-        /// timeline).
-        wake_policy: WakePolicy,
         /// Append the kernel's per-stage wall-clock profile
         /// ([`netsim::StageClock`]) to the text report.
         profile: bool,
@@ -601,16 +442,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut cache_capacity = 256usize;
     let mut bucket_capacity = 4096u64;
     let mut refill_per_sec = 4096u64;
-    let parse_executor = |v: &str| -> Result<Executor, String> {
-        Executor::parse(v)
-            .ok_or_else(|| format!("unknown executor '{v}' (expected sync, calendar, or naive)"))
-    };
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--alg" => {
                 let v = it.next().ok_or("--alg needs a value")?;
                 for name in v.split(',') {
-                    algs.push(parse_algorithm(name.trim())?);
+                    algs.push(wire::parse_algorithm(name.trim())?);
                 }
             }
             "--graph" => graph = Some(it.next().ok_or("--graph needs a value")?.clone()),
@@ -649,13 +486,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 let v = it
                     .next()
                     .ok_or("--executor needs sync, calendar, or naive")?;
-                executor = Some(parse_executor(v)?);
+                executor = Some(wire::parse_executor(v)?);
             }
             "--executors" => {
                 let v = it.next().ok_or("--executors needs a comma list")?;
                 executors = Some(
                     v.split(',')
-                        .map(|x| parse_executor(x.trim()))
+                        .map(|x| wire::parse_executor(x.trim()))
                         .collect::<Result<Vec<Executor>, String>>()?,
                 );
             }
@@ -708,12 +545,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             "--energy-model" => {
                 let v = it.next().ok_or("--energy-model needs a spec")?;
-                energy = Some(EnergyModel::parse(v).ok_or_else(|| {
-                    format!(
-                        "unknown energy model '{v}' (expected 'reference', 'radio', or a \
-                         comma list of round:R,tx:T,rx:X,idle:I,budget:B)"
-                    )
-                })?);
+                energy = Some(wire::parse_energy_model(v)?);
             }
             "--budget" => {
                 let v = it.next().ok_or("--budget needs a value")?;
@@ -724,12 +556,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             "--wake-policy" => {
                 let v = it.next().ok_or("--wake-policy needs a spec")?;
-                wake_policy = WakePolicy::parse(v).ok_or_else(|| {
-                    format!(
-                        "unknown wake policy '{v}' (expected block, duty:P, \
-                         heavytail:SEED:CAP, or shift:SEED:MAX)"
-                    )
-                })?;
+                wake_policy = wire::parse_wake_policy(v)?;
             }
             "--socket" => socket = Some(it.next().ok_or("--socket needs a path")?.clone()),
             "--workers" => {
@@ -761,12 +588,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
-    // A bare --budget prices the run under the reference model, exactly
-    // like the serve protocol's bare "budget" field.
-    let energy = match budget {
-        Some(b) => Some(energy.unwrap_or_else(EnergyModel::reference).with_budget(b)),
-        None => energy,
-    };
+    let energy = wire::budgeted(energy, budget);
     let single_shards = |shards: &Option<Vec<u32>>| -> Result<Option<u32>, String> {
         match shards.as_deref() {
             None => Ok(None),
@@ -837,15 +659,16 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     };
     match cmd {
         "run" => Ok(Command::Run {
-            alg: single_alg(&algs)?,
-            graph,
-            seed,
+            request: RunRequest {
+                executor,
+                shards: single_shards(&shards)?,
+                faults: Some(faults),
+                energy,
+                wake_policy,
+                ..RunRequest::new(single_alg(&algs)?, graph, seed)
+            }
+            .normalized(),
             json,
-            faults,
-            executor,
-            shards: single_shards(&shards)?,
-            energy,
-            wake_policy,
             profile,
         }),
         "verify" => Ok(Command::Verify {
@@ -987,11 +810,13 @@ ENERGY (run, sweep, report, chaos; serve takes it per request):
     --energy-model is given); a node that overspends is forced asleep
     permanently and the run fails with the typed error
     `run.energy-exhausted` rather than passing off a partial forest.
-    --wake-policy (run only) reschedules wakes deterministically: `block`
-    (exact timeline, the default), `duty:P` (wakes snap up to rounds
-    1, 1+P, 1+2P, …), `heavytail:SEED:CAP` (seeded geometric slip), or
-    `shift:SEED:MAX` (seeded constant per-node phase offset). Policies
-    hash like fault decisions, so all drivers and the naive oracle agree.
+    --wake-policy (run; serve takes it per request as \"wake_policy\")
+    reschedules wakes deterministically: `block` (exact timeline, the
+    default), `duty:P` (wakes snap up to rounds 1, 1+P, 1+2P, …),
+    `heavytail:SEED:CAP` (seeded geometric slip), or `shift:SEED:MAX`
+    (seeded constant per-node phase offset). Policies hash like fault
+    decisions, so all drivers and the naive oracle agree; a policy that
+    moves wakes is named in the `--json` output as \"wake_policy\".
 
 EXECUTORS:
     Execution is one generic kernel parameterized by a time driver:
@@ -1088,44 +913,27 @@ pub fn execute(cmd: &Command) -> (i32, String) {
             ),
         },
         Command::Run {
-            alg,
-            graph,
-            seed,
+            request,
             json,
-            faults,
-            executor,
-            shards,
-            energy,
-            wake_policy,
             profile,
-        } => match build_graph(graph, *seed) {
+        } => match build_graph(&request.graph, request.seed) {
             Err(e) => (2, format!("error: {e}\n")),
             Ok(g) => {
                 let mut scratch = MstScratch::new();
                 if *profile {
                     scratch.enable_profile();
                 }
-                let run = run_with_faults(
-                    alg,
-                    &g,
-                    *seed,
-                    faults,
-                    RunTuning {
-                        executor: *executor,
-                        shards: *shards,
-                        energy: *energy,
-                        wake_policy: *wake_policy,
-                    },
-                    &mut scratch,
-                );
-                match run {
+                match request
+                    .alg
+                    .run_with_options(&g, &request.exec_options(), &mut scratch)
+                {
                     Err(e) => (1, format!("error: {e}\n")),
                     Ok(out) => {
                         let text = if *json {
-                            render_json(alg, &g, *seed, faults, energy.as_ref(), &out) + "\n"
+                            render_run(request, &g, &out, Some(peak_rss_bytes())) + "\n"
                         } else {
-                            let mut text = render_text(alg, &g, &out);
-                            if !faults.is_inert() {
+                            let mut text = render_text(request.alg, &g, &out);
+                            if request.faults.is_some() {
                                 text.push_str(&format!(
                                     "faults           : {} dropped, {} duplicated, {} crashed\n",
                                     out.stats.injected_drops,
@@ -1133,7 +941,7 @@ pub fn execute(cmd: &Command) -> (i32, String) {
                                     out.stats.crashed_nodes,
                                 ));
                             }
-                            if let Some(model) = energy.filter(|m| !m.is_inert()) {
+                            if let Some(model) = &request.energy {
                                 text.push_str(&format!(
                                     "energy           : {} total, {} max/node ({})\n",
                                     out.stats.energy_total(),
@@ -1413,15 +1221,8 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Run {
-                alg: registry::find("randomized").unwrap(),
-                graph: "ring:32".into(),
-                seed: 9,
+                request: RunRequest::new(registry::find("randomized").unwrap(), "ring:32", 9),
                 json: true,
-                faults: FaultPlan::default(),
-                executor: None,
-                shards: None,
-                energy: None,
-                wake_policy: WakePolicy::Block,
                 profile: false,
             }
         );
@@ -1443,26 +1244,27 @@ mod tests {
             "duty:4",
         ]))
         .unwrap();
-        let Command::Run {
-            energy,
-            wake_policy,
-            ..
-        } = cmd
-        else {
+        let Command::Run { request, .. } = cmd else {
             unreachable!("expected run command");
         };
-        assert_eq!(energy, Some(EnergyModel::reference().with_budget(500_000)));
-        assert_eq!(wake_policy, WakePolicy::DutyCycle { period: 4 });
+        assert_eq!(
+            request.energy,
+            Some(EnergyModel::reference().with_budget(500_000))
+        );
+        assert_eq!(request.wake_policy, WakePolicy::DutyCycle { period: 4 });
 
         // A bare --budget implies the reference model.
         let cmd = parse_args(&args(&[
             "run", "--alg", "prim", "--graph", "ring:8", "--budget", "9",
         ]))
         .unwrap();
-        let Command::Run { energy, .. } = cmd else {
+        let Command::Run { request, .. } = cmd else {
             unreachable!("expected run command");
         };
-        assert_eq!(energy, Some(EnergyModel::reference().with_budget(9)));
+        assert_eq!(
+            request.energy,
+            Some(EnergyModel::reference().with_budget(9))
+        );
 
         // Custom comma-list models parse, and bad specs are rejected.
         let cmd = parse_args(&args(&[
@@ -1475,11 +1277,11 @@ mod tests {
             "round:2,tx:1",
         ]))
         .unwrap();
-        let Command::Run { energy, .. } = cmd else {
+        let Command::Run { request, .. } = cmd else {
             unreachable!("expected run command");
         };
         assert_eq!(
-            energy,
+            request.energy,
             Some(
                 EnergyModel::default()
                     .with_round_cost(2)
@@ -1551,10 +1353,10 @@ mod tests {
             "4",
         ]))
         .unwrap();
-        let Command::Run { shards, .. } = cmd else {
+        let Command::Run { request, .. } = cmd else {
             unreachable!("expected run command");
         };
-        assert_eq!(shards, Some(4));
+        assert_eq!(request.shards, Some(4));
 
         let cmd = parse_args(&args(&[
             "sweep",
@@ -1615,10 +1417,10 @@ mod tests {
             "sync",
         ]))
         .unwrap();
-        let Command::Run { executor, .. } = cmd else {
+        let Command::Run { request, .. } = cmd else {
             unreachable!("expected run command");
         };
-        assert_eq!(executor, Some(Executor::Sync));
+        assert_eq!(request.executor, Some(Executor::Sync));
         assert!(parse_args(&args(&[
             "run",
             "--alg",
@@ -1778,7 +1580,7 @@ mod tests {
         let g = build_graph("ring:8", 1).unwrap();
         let alg = registry::find("randomized").unwrap();
         let out = run(alg, &g, 1).unwrap();
-        let json = render_json(alg, &g, 1, &FaultPlan::default(), None, &out);
+        let json = render_run(&RunRequest::new(alg, "ring:8", 1), &g, &out, Some(0));
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"awake_max\":"));
         assert!(json.contains("\"max_message_bits\":"));
@@ -1843,9 +1645,10 @@ mod tests {
             "2@9",
         ]))
         .unwrap();
-        let Command::Run { faults, .. } = cmd else {
+        let Command::Run { request, .. } = cmd else {
             unreachable!("expected run command");
         };
+        let faults = request.faults.expect("an active plan");
         assert_eq!(faults.fault_seed, 11);
         assert_eq!(faults.drop_ppm, 50_000);
         assert_eq!(faults.duplicate_ppm, 1_000);

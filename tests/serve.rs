@@ -3,7 +3,9 @@
 //! cold direct execution), the admission controller must shed with a
 //! typed error, the front-door counters must reconcile exactly, and the
 //! loadgen artifact must be byte-deterministic modulo its wall-clock
-//! group.
+//! group. One contract ties the daemon to the CLI: a run spelled as
+//! `sleeping-mst run` argv and as an NDJSON line is the same request,
+//! rendered to the same bytes.
 
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -14,10 +16,12 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use bench::serve::admission::TokenBucket;
-use bench::serve::protocol::{codes, render_error_body, render_run_result};
+use bench::serve::protocol::{self, codes, render_error_body, render_run, Json, Request};
 use bench::serve::{ServeConfig, Server};
+use sleeping_mst::cli::{self, Command};
 use sleeping_mst::graphlib::generators;
-use sleeping_mst::mst_core::wire::{CanonicalRun, RunRequest};
+use sleeping_mst::mst_core::registry::{self, ALGORITHMS};
+use sleeping_mst::mst_core::wire::RunRequest;
 use sleeping_mst::mst_core::MstScratch;
 use sleeping_mst::netsim::FaultPlan;
 
@@ -146,26 +150,16 @@ fn reconcile(s: &Stats) {
 }
 
 /// The cold path a daemon response must be byte-identical to: build the
-/// graph, run with the canonical options, render — exactly what a
+/// graph, run with the request's options, render — exactly what a
 /// worker does, computed here without any serve machinery.
-fn cold_run(run: &CanonicalRun, scratch: &mut MstScratch) -> (bool, String) {
+fn cold_run(run: &RunRequest, scratch: &mut MstScratch) -> (bool, String) {
     match generators::from_spec(&run.graph, run.seed) {
         Err(e) => (false, render_error_body(codes::BAD_GRAPH, &e)),
         Ok(graph) => match run
             .alg
             .run_with_options(&graph, &run.exec_options(), scratch)
         {
-            Ok(out) => (
-                true,
-                render_run_result(
-                    run.alg,
-                    &graph,
-                    run.seed,
-                    run.faults.as_ref(),
-                    run.energy.as_ref(),
-                    &out,
-                ),
-            ),
+            Ok(out) => (true, render_run(run, &graph, &out, None)),
             Err(e) => (false, render_error_body(e.to_json_code(), &e.to_string())),
         },
     }
@@ -190,22 +184,12 @@ fn request_line(id: u64, (a, g, seed, faulty, e): (usize, usize, u64, bool, usiz
     )
 }
 
-fn canonical((a, g, seed, faulty, _): (usize, usize, u64, bool, usize)) -> CanonicalRun {
+fn canonical((a, g, seed, faulty, _): (usize, usize, u64, bool, usize)) -> RunRequest {
+    let alg = registry::find(ALGS[a]).expect("pool algorithms are registered");
     RunRequest {
-        alg: ALGS[a].into(),
-        graph: GRAPHS[g].into(),
-        seed,
-        executor: None,
-        shards: None,
-        faults: if faulty {
-            FaultPlan::seeded(1).with_drop_ppm(5000)
-        } else {
-            FaultPlan::default()
-        },
-        energy: None,
+        faults: faulty.then(|| FaultPlan::seeded(1).with_drop_ppm(5000)),
+        ..RunRequest::new(alg, GRAPHS[g], seed)
     }
-    .canonicalize()
-    .expect("pool algorithms are registered")
 }
 
 proptest! {
@@ -415,9 +399,9 @@ fn malformed_requests_are_rejected_with_typed_errors() {
     server.join().unwrap();
 }
 
-/// A numeric field of the wrong type is refused with `request.parse`
-/// naming the field — never answered as (or from the cache entry of) the
-/// defaulted seed-0 request.
+/// A mistyped field is refused with `request.parse` naming the field —
+/// never answered as (or from the cache entry of) the plain seed-0
+/// request its defaulted reading would be.
 #[test]
 fn mistyped_seed_is_refused_not_served_from_the_seed_zero_entry() {
     let server = Server::start(ServeConfig::new(test_socket("mistyped"))).unwrap();
@@ -428,9 +412,14 @@ fn mistyped_seed_is_refused_not_served_from_the_seed_zero_entry() {
     let first = client.request(seed_zero);
     assert!(first.ok && first.source == "exec", "{first:?}");
 
-    for seed in ["\"7\"", "-1"] {
+    for (field, bad) in [
+        ("seed", "\"seed\":\"7\""),
+        ("seed", "\"seed\":-1"),
+        // Read as an all-zero plan, this would be inert: the plain entry.
+        ("faults", "\"seed\":0,\"faults\":\"x\""),
+    ] {
         let line = format!(
-            "{{\"id\":2,\"cmd\":\"run\",\"alg\":\"randomized\",\"graph\":\"ring:8\",\"seed\":{seed}}}"
+            "{{\"id\":2,\"cmd\":\"run\",\"alg\":\"randomized\",\"graph\":\"ring:8\",{bad}}}"
         );
         let resp = client.request(&line);
         assert!(!resp.ok, "{resp:?}");
@@ -438,16 +427,337 @@ fn mistyped_seed_is_refused_not_served_from_the_seed_zero_entry() {
         assert!(
             resp.fragment
                 .contains(&format!("\"code\":\"{}\"", codes::PARSE))
-                && resp.fragment.contains("'seed'"),
+                && resp.fragment.contains(&format!("'{field}'")),
             "{resp:?}"
         );
     }
 
     let s = stats(&mut client);
-    assert_eq!((s.received, s.hits, s.rejected), (1, 0, 2), "{s:?}");
+    assert_eq!((s.received, s.hits, s.rejected), (1, 0, 3), "{s:?}");
 
     server.begin_shutdown();
     server.join().unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// One request, two surfaces: `sleeping-mst run` argv and a serve NDJSON
+// line parse to the same `RunRequest` and render the same result bytes.
+// ---------------------------------------------------------------------------
+
+const CONTRACT_GRAPHS: &[&str] = &["ring:10", "grid:3x3", "star:9", "random:12:0.3", "ring:0"];
+const ENERGY_MODELS: &[Option<&str>] = &[None, Some("reference"), Some("radio"), Some("round:0")];
+const BUDGETS: &[Option<u64>] = &[None, Some(200_000), Some(50_000_000)];
+const WAKE_POLICIES: &[Option<&str>] = &[
+    None,
+    Some("block"),
+    Some("duty:1"),
+    Some("duty:2"),
+    Some("heavytail:5:2"),
+    Some("shift:3:2"),
+];
+
+/// One generated run, as indices into the tables above plus raw knobs.
+#[derive(Debug, Clone)]
+struct RunSpec {
+    alg: usize,
+    graph: usize,
+    seed: u64,
+    /// 0 = absent, else `EXECUTORS[executor - 1]`.
+    executor: usize,
+    /// 0 = absent, else the shard count.
+    shards: u32,
+    /// The plan as spelled, inert ones included.
+    faults: Option<FaultPlan>,
+    energy: usize,
+    budget: usize,
+    wake: usize,
+}
+
+type RunSpecTuple = (
+    (usize, usize, u64, usize, u32),
+    (usize, u64, (usize, usize, usize, usize), Vec<(u32, u64)>),
+    (usize, usize, usize),
+);
+
+impl RunSpec {
+    /// `fault_mode` 0 is no plan, 1 an inert plan with a nonzero stream
+    /// seed, 2 a plan whose crashes and intensities (each on when its
+    /// pick is 2) are drawn.
+    fn from_tuple(
+        (
+            (alg, graph, seed, executor, shards),
+            (fault_mode, fault_seed, (drop, dup, sleep, jitter), crashes),
+            (energy, budget, wake),
+        ): RunSpecTuple,
+    ) -> RunSpec {
+        let on = |pick: usize, value: u32| if pick == 2 { value } else { 0 };
+        let faults = match fault_mode {
+            0 => None,
+            1 => Some(FaultPlan::seeded(fault_seed)),
+            _ => Some(
+                crashes.into_iter().fold(
+                    FaultPlan::seeded(fault_seed)
+                        .with_drop_ppm(on(drop, 2000))
+                        .with_duplicate_ppm(on(dup, 1000))
+                        .with_spurious_sleep_ppm(on(sleep, 1000))
+                        .with_wake_jitter(u64::from(on(jitter, 2))),
+                    |plan, (node, round)| plan.with_crash(node, round),
+                ),
+            ),
+        };
+        RunSpec {
+            alg,
+            graph,
+            seed,
+            executor,
+            shards,
+            faults,
+            energy,
+            budget,
+            wake,
+        }
+    }
+
+    /// The `sleeping-mst run --json` spelling.
+    fn argv(&self) -> Vec<String> {
+        let mut argv: Vec<String> = vec![
+            "run".into(),
+            "--alg".into(),
+            ALGORITHMS[self.alg].name.into(),
+            "--graph".into(),
+            CONTRACT_GRAPHS[self.graph].into(),
+            "--seed".into(),
+            self.seed.to_string(),
+            "--json".into(),
+        ];
+        let mut flag = |name: &str, value: String| argv.extend([name.to_string(), value]);
+        if self.executor > 0 {
+            flag("--executor", EXECUTORS[self.executor - 1].into());
+        }
+        if self.shards > 0 {
+            flag("--shards", self.shards.to_string());
+        }
+        if let Some(plan) = &self.faults {
+            flag("--fault-seed", plan.fault_seed.to_string());
+            for (name, value) in [
+                ("--drop-ppm", u64::from(plan.drop_ppm)),
+                ("--dup-ppm", u64::from(plan.duplicate_ppm)),
+                ("--sleep-ppm", u64::from(plan.spurious_sleep_ppm)),
+                ("--jitter", plan.wake_jitter),
+            ] {
+                if value > 0 {
+                    flag(name, value.to_string());
+                }
+            }
+            for (node, round) in &plan.crashes {
+                flag("--crash", format!("{node}@{round}"));
+            }
+        }
+        if let Some(model) = ENERGY_MODELS[self.energy] {
+            flag("--energy-model", model.into());
+        }
+        if let Some(budget) = BUDGETS[self.budget] {
+            flag("--budget", budget.to_string());
+        }
+        if let Some(policy) = WAKE_POLICIES[self.wake] {
+            flag("--wake-policy", policy.into());
+        }
+        argv
+    }
+
+    /// The serve NDJSON spelling.
+    fn ndjson(&self, id: u64) -> String {
+        let mut line = format!(
+            "{{\"id\":{id},\"cmd\":\"run\",\"alg\":\"{}\",\"graph\":\"{}\",\"seed\":{}",
+            ALGORITHMS[self.alg].name, CONTRACT_GRAPHS[self.graph], self.seed
+        );
+        if self.executor > 0 {
+            line.push_str(&format!(
+                ",\"executor\":\"{}\"",
+                EXECUTORS[self.executor - 1]
+            ));
+        }
+        if self.shards > 0 {
+            line.push_str(&format!(",\"shards\":{}", self.shards));
+        }
+        if let Some(plan) = &self.faults {
+            let crashes: Vec<String> = plan
+                .crashes
+                .iter()
+                .map(|(n, r)| format!("[{n},{r}]"))
+                .collect();
+            line.push_str(&format!(
+                ",\"faults\":{{\"fault_seed\":{},\"drop_ppm\":{},\"duplicate_ppm\":{},\
+                 \"spurious_sleep_ppm\":{},\"wake_jitter\":{},\"crashes\":[{}]}}",
+                plan.fault_seed,
+                plan.drop_ppm,
+                plan.duplicate_ppm,
+                plan.spurious_sleep_ppm,
+                plan.wake_jitter,
+                crashes.join(",")
+            ));
+        }
+        if let Some(model) = ENERGY_MODELS[self.energy] {
+            line.push_str(&format!(",\"energy\":\"{model}\""));
+        }
+        if let Some(budget) = BUDGETS[self.budget] {
+            line.push_str(&format!(",\"budget\":{budget}"));
+        }
+        if let Some(policy) = WAKE_POLICIES[self.wake] {
+            line.push_str(&format!(",\"wake_policy\":\"{policy}\""));
+        }
+        line + "}"
+    }
+}
+
+/// Drops the `"peak_rss_bytes"` member, the CLI's one process-level field.
+fn without_rss(json: &str) -> String {
+    let key = ",\"peak_rss_bytes\":";
+    let Some(at) = json.find(key) else {
+        return json.to_string();
+    };
+    let digits = json[at + key.len()..]
+        .bytes()
+        .take_while(u8::is_ascii_digit)
+        .count();
+    format!("{}{}", &json[..at], &json[at + key.len() + digits..])
+}
+
+/// Rebuilds the cache key from a rendered result object and the graph
+/// spec alone — possible only if the result names every key component.
+fn key_from_result(result: &Json, graph: &str) -> String {
+    let num = |v: &Json, name: &str| v.get(name).and_then(Json::as_u64).expect(name);
+    let mut key = format!(
+        "run|alg={}|graph={graph}|seed={}",
+        result
+            .get("algorithm")
+            .and_then(Json::as_str)
+            .expect("algorithm"),
+        num(result, "seed")
+    );
+    let plan = result.get("fault_plan").expect("fault_plan");
+    let intensities = [
+        "drop_ppm",
+        "duplicate_ppm",
+        "spurious_sleep_ppm",
+        "wake_jitter",
+    ]
+    .map(|name| num(plan, name));
+    let crashes: Vec<String> = plan
+        .get("crashes")
+        .and_then(Json::as_arr)
+        .expect("crashes")
+        .iter()
+        .map(|pair| {
+            let pair = pair.as_arr().expect("crash pair");
+            format!(
+                "{}@{}",
+                pair[0].as_u64().unwrap(),
+                pair[1].as_u64().unwrap()
+            )
+        })
+        .collect();
+    if intensities == [0; 4] && crashes.is_empty() {
+        // An inert plan renders canonically, stream seed included.
+        assert_eq!(num(plan, "fault_seed"), 0, "inert plan not canonical");
+    } else {
+        let [drop, dup, sleep, jitter] = intensities;
+        key.push_str(&format!(
+            "|faults=fs:{},drop:{drop},dup:{dup},sleep:{sleep},jitter:{jitter},crashes:{}",
+            num(plan, "fault_seed"),
+            crashes.join(";")
+        ));
+    }
+    if let Some(energy) = result.get("energy") {
+        let model = energy.get("model").and_then(Json::as_str).expect("model");
+        key.push_str(&format!("|energy={model}"));
+    }
+    if let Some(policy) = result.get("wake_policy") {
+        key.push_str(&format!("|wake={}", policy.as_str().expect("policy")));
+    }
+    key
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The cross-surface contract: for every knob a run has, the argv
+    /// and NDJSON spellings parse to one `RunRequest`; `run --json`
+    /// prints the daemon's `result` bytes plus only `peak_rss_bytes`
+    /// (and a failing run prints the daemon's error message); and the
+    /// result names every cache-key component, so it is a complete
+    /// replay recipe.
+    #[test]
+    fn cli_and_daemon_agree_on_every_run_request(
+        specs in vec(
+            (
+                (0usize..ALGORITHMS.len(), 0usize..5, 0u64..1000, 0usize..4, 0u32..3),
+                (
+                    0usize..3,
+                    1u64..100,
+                    (0usize..3, 0usize..3, 0usize..3, 0usize..3),
+                    vec((0u32..9, 1u64..300), 0..3),
+                ),
+                (0usize..4, 0usize..3, 0usize..6),
+            ),
+            2..5,
+        ),
+    ) {
+        // Two runs known to complete, so the key rebuild always meets a
+        // "wake_policy" field and a live fault plan with an energy model.
+        let alg = |name: &str| ALGORITHMS.iter().position(|a| a.name == name).unwrap();
+        let plain = RunSpec::from_tuple(((0, 0, 0, 0, 0), (0, 0, (0, 0, 0, 0), vec![]), (0, 0, 0)));
+        let anchors = [
+            RunSpec { alg: alg("logstar"), graph: 2, wake: 3, ..plain.clone() },
+            RunSpec {
+                alg: alg("prim"),
+                faults: Some(FaultPlan::seeded(3).with_drop_ppm(2000).with_duplicate_ppm(1000)),
+                energy: 1,
+                ..plain
+            },
+        ];
+        let generated = specs.len();
+        let server = Server::start(ServeConfig::new(test_socket("contract"))).unwrap();
+        let mut client = Client::connect(&server);
+        let all = specs.into_iter().map(RunSpec::from_tuple).chain(anchors);
+        for (i, spec) in all.enumerate() {
+            let argv = spec.argv();
+            let line = spec.ndjson(i as u64 + 1);
+            let cmd = cli::parse_args(&argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+            let Command::Run { request, .. } = &cmd else {
+                panic!("not a run: {argv:?}");
+            };
+            let Request::Run(wire_request) = protocol::parse_request(&line)
+                .unwrap_or_else(|e| panic!("{line}: {}", e.message))
+                .request
+            else {
+                panic!("not a run: {line}");
+            };
+            prop_assert_eq!(request, &wire_request, "{}", line);
+
+            let (code, text) = cli::execute(&cmd);
+            let resp = client.request(&line);
+            prop_assert!(resp.ok || i < generated, "anchor failed: {}", line);
+            if resp.ok {
+                prop_assert_eq!(code, 0, "{}", line);
+                prop_assert_eq!(without_rss(text.trim_end()), resp.fragment.clone(), "{}", line);
+                let result = Json::parse(&resp.fragment).expect("result is JSON");
+                prop_assert_eq!(
+                    key_from_result(&result, CONTRACT_GRAPHS[spec.graph]),
+                    request.cache_key(),
+                    "{}",
+                    line
+                );
+            } else {
+                let error = Json::parse(&resp.fragment).expect("error is JSON");
+                let message = error.get("message").and_then(Json::as_str).expect("message");
+                prop_assert!(code != 0, "{}", line);
+                prop_assert_eq!(text, format!("error: {message}\n"), "{}", line);
+            }
+        }
+        server.begin_shutdown();
+        server.join().unwrap();
+    }
 }
 
 /// Batch request kinds (sweep/report/chaos) execute and cache like runs.
