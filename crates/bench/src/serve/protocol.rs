@@ -615,6 +615,7 @@ fn parse_fault_plan(value: &Json) -> Result<FaultPlan, String> {
         },
     )?;
     for (node, round) in crashes.unwrap_or_default() {
+        let round = wire::crash_round(round).map_err(|e| format!("field 'faults.crashes': {e}"))?;
         faults = faults.with_crash(node, round);
     }
     Ok(faults)
@@ -936,6 +937,8 @@ mod tests {
                 r#""faults":{"crashes":[[4294967296,9]]}"#,
                 "faults.crashes",
             ),
+            // A crash in round 0 would never fire.
+            (run, r#""faults":{"crashes":[[3,0]]}"#, "faults.crashes"),
             (chaos, r#""trials":0"#, "trials"),
             (chaos, r#""sizes":[]"#, "sizes"),
             (sweep, r#""sizes":[]"#, "sizes"),

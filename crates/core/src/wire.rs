@@ -123,6 +123,20 @@ pub fn budgeted(model: Option<EnergyModel>, budget: Option<u64>) -> Option<Energ
     }
 }
 
+/// Checks the round of a crash fault. Rounds start at 1, so a crash at
+/// round 0 would never fire — the one place that rule lives for the
+/// CLI's `--crash` and the serve protocol's `"crashes"`.
+///
+/// # Errors
+///
+/// Returns the rule's message for round 0.
+pub fn crash_round(round: u64) -> Result<u64, String> {
+    if round == 0 {
+        return Err("crash round must be >= 1 (rounds start at 1)".into());
+    }
+    Ok(round)
+}
+
 /// A validated, normalized run request: the algorithm resolved against
 /// the registry, the output-moving knobs in canonical form, and the
 /// bit-identical knobs (executor, shards) kept apart from the cache key.
@@ -347,6 +361,8 @@ mod tests {
             Some(EnergyModel::reference().with_budget(9))
         );
         assert_eq!(budgeted(None, None), None);
+        assert_eq!(crash_round(1), Ok(1));
+        assert!(crash_round(0).unwrap_err().contains(">= 1"));
     }
 
     #[test]

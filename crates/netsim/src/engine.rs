@@ -33,51 +33,62 @@
 //! cross-driver proptests.
 //!
 //! A round with `k` awake nodes and `M` delivered messages costs
-//! `O(k + M)` mostly sequential work. Message routing uses the back
-//! ports precomputed by [`graphlib::GraphBuilder::build`] — the hot loop
-//! never scans an adjacency list — and touches one per-receiver record
-//! per message. Grouping the round's inboxes assigns each envelope its
-//! inbox position in one pass, then permutes a cache-sized round in
-//! place or gathers a larger one sequentially out of the send lanes'
-//! buffers. All per-run and
-//! per-round state (node contexts, the weight table, send lanes, the
-//! flat inbox arena, its grouping scratch) lives in an
-//! [`ExecutorScratch`] that is reused across rounds *and across runs*,
-//! so the steady-state hot path performs no allocations.
+//! `O(k + M)` mostly sequential work. The send half-step runs in *send
+//! lanes*, one function for every round: a serial round is one lane on
+//! the calling thread, a wide sharded round splits its ascending awake
+//! set into contiguous chunks, one lane each. A lane is the only place a
+//! message is sent, routed (through the back ports precomputed by
+//! [`graphlib::GraphBuilder::build`] — no adjacency scan), adjudicated
+//! (one 4-byte slot-table lookup per message answers whether the
+//! receiver is awake and where its inbox goes) and accounted: it charges
+//! its senders' transmit energy into its own window of the ledger, edge
+//! bits into the run's table (lane 0) or a private one folded in at run
+//! end (lanes 1..), and keeps its counters, which the kernel sums in
+//! lane order — serial node order — so every shard count produces the
+//! same bits. Nothing is logged per message and replayed. Grouping
+//! counts each slot's envelopes in one pass over the lanes' receiver
+//! keys, then permutes a cache-sized round in place or scatters a larger
+//! one straight out of the lanes; receive accounting is the sum over
+//! each inbox at deliver time. All per-run and per-round state (node
+//! contexts, the weight table, send lanes, the slot table, the flat
+//! inbox arena, its grouping scratch) lives in an [`ExecutorScratch`]
+//! that is reused across rounds *and across runs*, so the steady-state
+//! hot path performs no allocations.
 
 use std::num::NonZeroU64;
 use std::sync::Arc;
 
 use graphlib::{NodeId, Port, WeightedGraph};
 
-use crate::metrics::MetricsRecorder;
+use crate::metrics::{EdgeLoad, MetricsRecorder};
 use crate::profile::{Stage, StageClock};
 use crate::{
     EnergyModel, Envelope, FaultPlan, NextWake, NodeCtx, Outbox, Payload, PortWeights, Protocol,
     Round, RunOutcome, RunStats, SimConfig, SimError, Trace, TraceEvent, WakePolicy,
 };
 
-/// Rounds with fewer awake nodes than this run the send half-step
-/// serially even when [`SimConfig::shards`] asks for more shards: below
+/// Rounds with fewer awake nodes than this run the send half-step as
+/// one lane even when [`SimConfig::shards`] asks for more shards: below
 /// it, the per-round cost of spawning scoped worker threads dwarfs the
 /// send work itself (the paper's token-passing phases wake one or two
 /// nodes per round). The outcome is bit-identical either way — the
-/// threshold only picks which code path computes it.
+/// threshold only picks how many lanes compute it.
 const SHARD_MIN_AWAKE: usize = 128;
 
 /// Rounds whose delivered envelopes fit in this many bytes are grouped
-/// into inboxes in place, in the send buffer; larger rounds are gathered
-/// into a second buffer. In cache, walking the grouping permutation's
-/// cycles is cheap and the second buffer would be memory for nothing;
-/// out of cache, every swap of the walk waits on the previous one's miss,
-/// while a gather issues independent loads. The outcome is bit-identical
-/// either way.
+/// into inboxes in place, in the send buffer; larger rounds are
+/// scattered into a second buffer. In cache, walking the grouping
+/// permutation's cycles is cheap and the second buffer would be memory
+/// for nothing; out of cache, every swap of the walk waits on the
+/// previous one's miss, while a scatter issues independent stores. The
+/// outcome is bit-identical either way.
 const IN_PLACE_GROUPING_BYTES: usize = 1 << 20;
 
 /// The shard-engagement decision, as a pure function: `Some(chunk_len)`
 /// when the send half-step of a round with `awake_len` awake nodes runs
 /// sharded (the ascending awake set is split into contiguous chunks of
-/// `chunk_len`, one lane per chunk), `None` when it runs serially.
+/// `chunk_len`, one lane per chunk), `None` when it runs as one lane on
+/// the calling thread.
 ///
 /// This is the *entire* input surface of the decision — the awake set's
 /// size, the configured shard count, and whether the run is traced
@@ -239,92 +250,57 @@ fn refill_contexts(
     );
 }
 
-/// Validates one outgoing envelope, accounts its per-edge bits, and routes
-/// it to `(receiver, receiver port, bits, edge index)` via the precomputed
-/// back port — no adjacency scan, and `bit_size` is computed exactly once
-/// per message (the result is threaded through delivery accounting, the
-/// trace, and the metrics recorder's congestion scratch).
-#[inline]
-fn route_envelope<M: Payload>(
-    graph: &WeightedGraph,
-    config: &SimConfig,
-    stats: &mut RunStats,
-    node: NodeId,
-    round: Round,
-    port: Port,
-    msg: &M,
-) -> Result<(u32, u32, usize, usize), SimError> {
-    if port.index() >= graph.degree(node) {
-        return Err(SimError::PortOutOfRange { node, port, round });
-    }
-    let bits = msg.bit_size();
-    if let Some(limit) = config.bit_limit {
-        if bits > limit {
-            return Err(SimError::MessageTooLarge {
-                node,
-                round,
-                bits,
-                limit,
-            });
-        }
-    }
-    let entry = graph.port_entry(node, port);
-    stats.bits_by_edge[entry.edge.index()] += bits as u64;
-    stats.max_message_bits = stats.max_message_bits.max(bits as u64);
-    Ok((
-        entry.neighbor.raw(),
-        entry.back_port.raw(),
-        bits,
-        entry.edge.index(),
-    ))
-}
+/// `slot_of` entry of a node asleep in the executing round.
+const ASLEEP: u32 = u32::MAX;
 
-/// Outcome class of one routed send attempt, recorded by a shard worker
-/// and replayed into the shared stats/metrics by the deterministic merge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SentKind {
-    /// Delivered to an awake receiver (one arena envelope).
-    Delivered,
-    /// Delivered plus an injected duplicate (two arena envelopes).
-    DeliveredDup,
-    /// Lost: the receiver was asleep (a model loss).
-    Lost,
-    /// Destroyed in flight by an injected drop fault.
-    Dropped,
-}
-
-/// One adjudicated send attempt, in a shard worker's send order. Holds
-/// exactly what the merge needs to replay the serial path's accounting:
-/// the sender (the energy ledger charges transmit bits to it), the
-/// receiver (stats + inbox slot), the wire size, the edge, and the
-/// outcome.
-#[derive(Debug, Clone, Copy)]
-struct SentRecord {
-    from: u32,
-    to: u32,
-    edge: u32,
+/// A send lane's tallies for one round, summed into the stats and the
+/// metrics in lane order once every lane is done.
+#[derive(Debug, Clone, Copy, Default)]
+struct LaneTally {
+    /// Copies handed to awake receivers, injected duplicates included.
+    delivered: u64,
+    /// Injected duplicate copies (also counted in `delivered`).
+    dups: u64,
+    /// Messages lost to sleeping receivers.
+    lost: u64,
+    /// Messages destroyed in flight by the fault plan.
+    dropped: u64,
+    /// Payload bits of every routed message.
     bits: u64,
-    kind: SentKind,
+    /// Largest routed message, in bits.
+    max_bits: u64,
+    /// Transmit energy charged to the lane's senders.
+    tx_energy: u64,
 }
 
-/// One send lane: the working buffers of a shard of the send half-step,
-/// reused across rounds (and runs) like every other executor buffer.
-/// Serial rounds send through lane 0.
+/// One send lane: the working buffers of one contiguous chunk of a
+/// round's awake set, reused across rounds (and runs) like every other
+/// executor buffer. A serial round is lane 0 alone, on the calling
+/// thread; a wide sharded round adds lanes 1.. on scoped threads. Every
+/// lane sends, routes, adjudicates and accounts its own messages; the
+/// kernel folds the lanes' outputs in lane order, which is serial node
+/// order.
 #[derive(Debug)]
 struct ShardScratch<M> {
     outbox: Outbox<M>,
-    /// Delivered envelopes of this lane's nodes, in send order. The
-    /// grouping gathers the round's inboxes straight out of these, or
-    /// permutes lane 0's in place.
+    /// Delivered envelopes of this lane's nodes, in send order. Grouping
+    /// scatters them into the round's inboxes, or permutes lane 0's in
+    /// place.
     arena: Vec<Envelope<M>>,
-    /// Round-wide send index of `arena[0]`: the lanes' arenas,
-    /// concatenated in lane order, are the round's send order.
-    base: u32,
-    /// Every adjudicated send attempt of this shard, in send order.
-    records: Vec<SentRecord>,
-    /// First validation error hit by this shard, if any; the worker
-    /// stops at it, exactly where the serial path would abort.
+    /// `keys[i]` = receiver slot of `arena[i]`.
+    keys: Vec<u32>,
+    tally: LaneTally,
+    /// First validation error hit by this lane, if any; the lane stops at
+    /// it, exactly where a serial send would abort.
     error: Option<SimError>,
+    /// Lanes 1..: bits per edge over the run, folded into the stats at
+    /// run end (lane 0 charges the stats' table directly). Emptied on
+    /// [`ExecutorScratch::reset`] — a failed run leaves its charges here
+    /// — and zero-filled by the run's first wide round.
+    edge_bits: Vec<u64>,
+    /// Lanes 1..: the round's per-edge load when metrics are recorded,
+    /// folded into the recorder's at round end. Emptied like `edge_bits`.
+    congestion: EdgeLoad,
 }
 
 impl<M> ShardScratch<M> {
@@ -332,111 +308,204 @@ impl<M> ShardScratch<M> {
         ShardScratch {
             outbox: Outbox::new(),
             arena: Vec::new(),
-            base: 0,
-            records: Vec::new(),
+            keys: Vec::new(),
+            tally: LaneTally::default(),
             error: None,
+            edge_bits: Vec::new(),
+            congestion: EdgeLoad::default(),
         }
+    }
+
+    /// Forgets everything a previous run left, keeping the storage.
+    fn reset(&mut self) {
+        self.outbox.clear();
+        self.arena.clear();
+        self.keys.clear();
+        self.error = None;
+        self.edge_bits.clear();
+        self.congestion.clear();
     }
 }
 
-/// Send half-step of one shard: runs `send` for a contiguous slice of
-/// the round's awake set and adjudicates every envelope — validation,
-/// routing via the precomputed back port, fault verdicts (pure functions
-/// of the plan's seed, so every worker reaches the serial verdicts), and
-/// the awake check against the receiver records' stamps — exactly as the serial
-/// path does, but records outcomes into shard-local buffers instead of
-/// the shared stats. The kernel's merge replays them in shard order,
-/// which *is* serial node order (shards partition the ascending awake
-/// set into contiguous runs), so the accounting is reproduced bit for
-/// bit.
-#[allow(clippy::too_many_arguments)]
-fn shard_send<P: Protocol>(
-    graph: &WeightedGraph,
+/// The round-wide inputs every lane reads.
+#[derive(Clone, Copy)]
+struct RoundEnv<'a> {
+    graph: &'a WeightedGraph,
+    ctxs: &'a [NodeCtx],
+    /// Receiver slot by node; [`ASLEEP`] for nodes not awake this round.
+    slot_of: &'a [u32],
     bit_limit: Option<usize>,
-    faults: Option<&FaultPlan>,
+    faults: Option<&'a FaultPlan>,
+    /// Transmit cost per bit, when an energy model is active.
+    tx_bit_cost: Option<u64>,
+    /// Whether the run records metrics (per-edge congestion).
+    metrics: bool,
     round: Round,
-    receivers: &[Receiver],
-    ctxs: &[NodeCtx],
+}
+
+/// The run's own tables, which lane 0 charges directly; lanes 1.. charge
+/// their private ones instead.
+struct RunLedgers<'a> {
+    edge_bits: &'a mut [u64],
+    /// The recorder's per-edge load, when metrics are recorded.
+    congestion: Option<&'a mut EdgeLoad>,
+    /// The run's trace, for a traced round — always one lane — so its
+    /// events stay in send order.
+    trace: Option<&'a mut Trace>,
+}
+
+/// The send half-step of one lane, and the only place a message is sent.
+/// Runs `send` for `chunk` (ascending nodes whose states are `part`,
+/// which starts at node `part_base`) and adjudicates every envelope:
+/// validation, routing via the precomputed back port, fault verdicts
+/// (pure functions of the plan's seed, so every lane reaches the serial
+/// verdicts) and the awake check against the slot table. Stops at the
+/// first validation error, as a serial send would.
+///
+/// Sender-side costs are charged as the lane goes: edge bits and
+/// congestion to `run` (lane 0) or to the lane's private tables (lanes
+/// 1..), transmit energy to `energy`, the lane's window of
+/// `energy_spent_by_node` (the same `split_at_mut` window as `part`).
+/// Counts go to the lane's tally.
+fn send_lane<P: Protocol>(
+    env: RoundEnv<'_>,
     part: &mut [P],
     part_base: usize,
     chunk: &[u32],
+    energy: &mut [u64],
     lane: &mut ShardScratch<P::Msg>,
-) {
-    lane.arena.clear();
-    lane.records.clear();
-    lane.error = None;
+    run: Option<RunLedgers<'_>>,
+) -> Result<(), SimError> {
+    let RoundEnv {
+        graph,
+        ctxs,
+        slot_of,
+        bit_limit,
+        faults,
+        tx_bit_cost,
+        metrics,
+        round,
+    } = env;
+    let ShardScratch {
+        outbox,
+        arena,
+        keys,
+        tally: lane_tally,
+        edge_bits: own_edge_bits,
+        congestion: own_congestion,
+        ..
+    } = lane;
+    let (edge_bits, mut congestion, mut trace) = match run {
+        Some(run) => (run.edge_bits, run.congestion, run.trace),
+        None => {
+            // The run's first wide round zero-fills the private tables.
+            if own_edge_bits.is_empty() {
+                own_edge_bits.resize(graph.edge_count(), 0);
+            }
+            if metrics {
+                own_congestion.ensure(graph.edge_count());
+            }
+            (
+                &mut own_edge_bits[..],
+                metrics.then_some(own_congestion),
+                None,
+            )
+        }
+    };
+    arena.clear();
+    keys.clear();
+    let mut tally = LaneTally::default();
     for &v in chunk {
         let node = NodeId::new(v);
-        lane.outbox.clear();
-        part[v as usize - part_base].send(&ctxs[v as usize], round, &mut lane.outbox);
-        for Envelope { port, msg } in lane.outbox.drain() {
+        let local = v as usize - part_base;
+        outbox.clear();
+        part[local].send(&ctxs[v as usize], round, outbox);
+        let mut node_bits = 0u64;
+        for Envelope { port, msg } in outbox.drain() {
             if port.index() >= graph.degree(node) {
-                lane.error = Some(SimError::PortOutOfRange { node, port, round });
-                return;
+                return Err(SimError::PortOutOfRange { node, port, round });
             }
             let bits = msg.bit_size();
             if let Some(limit) = bit_limit {
                 if bits > limit {
-                    lane.error = Some(SimError::MessageTooLarge {
+                    return Err(SimError::MessageTooLarge {
                         node,
                         round,
                         bits,
                         limit,
                     });
-                    return;
                 }
             }
             let entry = graph.port_entry(node, port);
             let to = entry.neighbor.raw();
-            let edge = entry.edge.index() as u32;
+            let edge = entry.edge.index();
             let bits = bits as u64;
+            // The sender pays for every routed message — delivered, lost,
+            // or dropped in flight.
+            edge_bits[edge] += bits;
+            node_bits += bits;
+            tally.max_bits = tally.max_bits.max(bits);
+            if let Some(load) = congestion.as_deref_mut() {
+                load.charge(edge, bits);
+            }
             if let Some(plan) = faults {
+                // An injected fault, not a model loss: destroyed in flight
+                // regardless of the receiver's state.
                 if plan.drops(round, v, port.raw()) {
-                    lane.records.push(SentRecord {
-                        from: v,
-                        to,
-                        edge,
-                        bits,
-                        kind: SentKind::Dropped,
-                    });
+                    tally.dropped += 1;
+                    if let Some(trace) = trace.as_deref_mut() {
+                        record_dropped(trace, round, v, to);
+                    }
                     continue;
                 }
             }
-            if receivers[to as usize].stamp == round {
-                let dup = match faults {
-                    Some(plan) => plan.duplicates(round, v, port.raw()),
-                    None => false,
-                };
-                if dup {
-                    lane.records.push(SentRecord {
-                        from: v,
-                        to,
-                        edge,
-                        bits,
-                        kind: SentKind::DeliveredDup,
-                    });
-                    lane.arena.push(Envelope::new(entry.back_port, msg.clone()));
-                } else {
-                    lane.records.push(SentRecord {
-                        from: v,
-                        to,
-                        edge,
-                        bits,
-                        kind: SentKind::Delivered,
-                    });
+            let slot = slot_of[to as usize];
+            if slot == ASLEEP {
+                tally.lost += 1;
+                if let Some(trace) = trace.as_deref_mut() {
+                    record_lost(trace, round, v, to);
                 }
-                lane.arena.push(Envelope::new(entry.back_port, msg));
-            } else {
-                lane.records.push(SentRecord {
-                    from: v,
-                    to,
-                    edge,
-                    bits,
-                    kind: SentKind::Lost,
-                });
+                continue;
             }
+            // An injected duplication delivers a second identical copy,
+            // counted as a delivery of its own so the conservation audit
+            // reconciles.
+            let copies = match faults {
+                Some(plan) if plan.duplicates(round, v, port.raw()) => 2,
+                _ => 1,
+            };
+            tally.delivered += copies;
+            tally.dups += copies - 1;
+            if let Some(trace) = trace.as_deref_mut() {
+                for _ in 0..copies {
+                    record_delivered(trace, round, v, to, entry.back_port, bits, &msg);
+                }
+            }
+            if copies == 2 {
+                keys.push(slot);
+                arena.push(Envelope::new(entry.back_port, msg.clone()));
+            }
+            keys.push(slot);
+            arena.push(Envelope::new(entry.back_port, msg));
+        }
+        tally.bits += node_bits;
+        if let Some(cost) = tx_bit_cost {
+            let tx = cost * node_bits;
+            energy[local] += tx;
+            tally.tx_energy += tx;
         }
     }
+    *lane_tally = tally;
+    Ok(())
+}
+
+/// Splits the next `hi + 1 - base` entries (nodes `base..=hi`) off the
+/// front of `rest`: one lane's window of a per-node table.
+fn take_window<'a, T>(rest: &mut &'a mut [T], base: usize, hi: u32) -> &'a mut [T] {
+    let len = (hi as usize + 1 - base).min(rest.len());
+    let (window, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    window
 }
 
 /// Number of [`WakeQueue`] buckets: one for the settled round plus one
@@ -611,6 +680,7 @@ impl WakeQueue {
     /// Whether `node` is awake in the round currently being executed:
     /// popped for `round`, and neither halted nor rescheduled since.
     #[inline]
+    #[cfg_attr(not(feature = "validate"), allow(dead_code))]
     pub(crate) fn is_awake_in(&self, node: u32, round: Round) -> bool {
         self.next_wake[node as usize].map(NonZeroU64::get) == Some(round)
     }
@@ -645,27 +715,10 @@ impl WakeQueue {
     }
 }
 
-/// The kernel's per-node receiver record for the executing round: one
-/// lookup per routed message answers whether the receiver is awake,
-/// where its inbox goes, and what it received.
-#[derive(Debug, Clone, Copy, Default)]
-struct Receiver {
-    /// `stamp == r` marks the node awake in round `r` (the kernel's own
-    /// copy of the driver's awake set, written once per round so shard
-    /// workers can read it lock-free; stamps start at 1).
-    stamp: Round,
-    /// The node's index in the round's ascending awake set.
-    slot: u32,
-    /// Envelopes delivered to the node this round, duplicates included.
-    count: u32,
-    /// Bits delivered to the node this round, duplicates included;
-    /// charged to its stats and energy ledger once, at deliver time.
-    bits: u64,
-}
-
 /// Reusable executor state: the wake queue, the node contexts and their
-/// shared weight table, the per-round delivery buffers (send lanes, flat
-/// inbox arena, grouping scratch), and a pool of recycled [`RunStats`].
+/// shared weight table, the per-round delivery buffers (send lanes, slot
+/// table, flat inbox arena, grouping scratch), and a pool of recycled
+/// [`RunStats`].
 ///
 /// [`Simulator::run_with_scratch`](crate::Simulator::run_with_scratch)
 /// threads one value through many runs — a sweep's worker thread creates
@@ -677,26 +730,27 @@ struct Receiver {
 pub struct ExecutorScratch<M> {
     queue: WakeQueue,
     awake_now: Vec<u32>,
-    /// Receiver records, by node.
-    receivers: Vec<Receiver>,
+    /// Each node's index in the executing round's ascending awake set, or
+    /// [`ASLEEP`]: the kernel's own copy of the driver's awake set,
+    /// written once per round so lanes can read it lock-free, and reset
+    /// node by node in the deliver loop.
+    slot_of: Vec<u32>,
     /// Flat inbox arena of rounds too large to group in place: every
-    /// delivered envelope of the round, gathered out of the send lanes,
-    /// grouped by receiver slot and sorted by receiver port within each
-    /// group.
+    /// delivered envelope of the round, scattered out of the send lanes,
+    /// grouped by receiver slot and in send order within each group.
     arena: Vec<Envelope<M>>,
-    /// `slots[i]` = receiver slot of the round's `i`-th delivered envelope
-    /// in send order.
-    slots: Vec<u32>,
-    /// The grouping permutation between send order and inbox order.
+    /// The in-place grouping's permutation from send order to inbox
+    /// order.
     order: Vec<u32>,
-    /// Per-slot placement cursor of the grouping scatter.
+    /// Per-slot grouping cursor: after the scatter, `cursor[s]` is where
+    /// slot `s`'s inbox ends.
     cursor: Vec<u32>,
     /// The run's node contexts, refilled in place every run.
     ctxs: Vec<NodeCtx>,
     /// The run-wide port-weight table every context's
     /// [`PortWeights`] views.
     weights: Arc<[u64]>,
-    /// Send lanes: lane 0 serves serial rounds, and a run with
+    /// Send lanes: lane 0 serves every round, and a run with
     /// `shards > 1` adds one per shard the first time a round is wide
     /// enough to parallelize.
     shard_lanes: Vec<ShardScratch<M>>,
@@ -720,9 +774,8 @@ impl<M> ExecutorScratch<M> {
         ExecutorScratch {
             queue: WakeQueue::new(0),
             awake_now: Vec::new(),
-            receivers: Vec::new(),
+            slot_of: Vec::new(),
             arena: Vec::new(),
-            slots: Vec::new(),
             order: Vec::new(),
             cursor: Vec::new(),
             ctxs: Vec::new(),
@@ -758,22 +811,19 @@ impl<M> ExecutorScratch<M> {
     fn reset(&mut self, n: usize) {
         self.queue.reset(n);
         self.awake_now.clear();
-        // Stale stamps would mark nodes awake in a round of the *next*
-        // run (rounds restart from 1), so clearing is load-bearing.
-        self.receivers.clear();
-        self.receivers.resize(n, Receiver::default());
+        // A failed run can leave slots set, and lanes' private tables
+        // charged, mid-round: both would leak into the next run, so
+        // clearing them is load-bearing.
+        self.slot_of.clear();
+        self.slot_of.resize(n, ASLEEP);
         self.arena.clear();
-        self.slots.clear();
         self.order.clear();
         self.cursor.clear();
         if self.shard_lanes.is_empty() {
             self.shard_lanes.push(ShardScratch::new());
         }
         for lane in self.shard_lanes.iter_mut() {
-            lane.outbox.clear();
-            lane.arena.clear();
-            lane.records.clear();
-            lane.error = None;
+            lane.reset();
         }
     }
 
@@ -790,49 +840,49 @@ impl<M> ExecutorScratch<M> {
     }
 }
 
-/// Buffers a `Delivered` trace event. Deliberately out-of-line: the
-/// `Debug` formatting machinery must stay off the untraced hot path.
-/// Delivery events buffer into `buf` (flushed after the round's send
-/// half-step) so the recorded order — every `Awake` of the round, then
-/// `Delivered`/`Lost` in send order — is identical under every driver.
+/// Records a `Delivered` trace event. Deliberately out-of-line: the
+/// `Debug` formatting machinery must stay off the untraced hot path. A
+/// traced round runs as one lane after the round's `Awake` events, so
+/// the recorded order — every `Awake` of the round, then
+/// `Delivered`/`Lost`/`Dropped` in send order — is identical under every
+/// driver.
 #[cold]
 #[inline(never)]
-#[allow(clippy::too_many_arguments)]
 fn record_delivered<M: Payload>(
-    buf: &mut Vec<TraceEvent>,
+    trace: &mut Trace,
     round: Round,
     from: u32,
     to: u32,
-    recv_port: u32,
-    bits: usize,
+    port: Port,
+    bits: u64,
     msg: &M,
 ) {
-    buf.push(TraceEvent::Delivered {
+    trace.push(TraceEvent::Delivered {
         round,
         from: NodeId::new(from),
         to: NodeId::new(to),
-        port: Port::new(recv_port),
-        bits,
+        port,
+        bits: bits as usize,
         payload: format!("{msg:?}"),
     });
 }
 
-/// Buffers a `Lost` trace event (out-of-line, like [`record_delivered`]).
+/// Records a `Lost` trace event (out-of-line, like [`record_delivered`]).
 #[cold]
 #[inline(never)]
-fn record_lost(buf: &mut Vec<TraceEvent>, round: Round, from: u32, to: u32) {
-    buf.push(TraceEvent::Lost {
+fn record_lost(trace: &mut Trace, round: Round, from: u32, to: u32) {
+    trace.push(TraceEvent::Lost {
         round,
         from: NodeId::new(from),
         to: NodeId::new(to),
     });
 }
 
-/// Buffers a `Dropped` trace event (out-of-line, like [`record_lost`]).
+/// Records a `Dropped` trace event (out-of-line, like [`record_lost`]).
 #[cold]
 #[inline(never)]
-fn record_dropped(buf: &mut Vec<TraceEvent>, round: Round, from: u32, to: u32) {
-    buf.push(TraceEvent::Dropped {
+fn record_dropped(trace: &mut Trace, round: Round, from: u32, to: u32) {
+    trace.push(TraceEvent::Dropped {
         round,
         from: NodeId::new(from),
         to: NodeId::new(to),
@@ -857,7 +907,9 @@ trait TimeDriver {
     /// pending wakes remain. May return a round past the budget (with
     /// any live set); the kernel turns that into `MaxRoundsExceeded`.
     fn next_round(&mut self, live: &mut Vec<u32>) -> Option<Round>;
-    /// Whether `node` is awake in the currently executing `round`.
+    /// Whether `node` is awake in the currently executing `round`. Only
+    /// the `validate` feature's awake-set check asks.
+    #[cfg_attr(not(feature = "validate"), allow(dead_code))]
     fn is_awake_in(&self, node: u32, round: Round) -> bool;
 }
 
@@ -1005,9 +1057,8 @@ impl TimeDriver for NaiveDriver {
 /// borrowed separately by the calendar/sync drivers.
 struct KernelBuffers<'a, M> {
     awake_now: &'a mut Vec<u32>,
-    receivers: &'a mut Vec<Receiver>,
+    slot_of: &'a mut Vec<u32>,
     arena: &'a mut Vec<Envelope<M>>,
-    slots: &'a mut Vec<u32>,
     order: &'a mut Vec<u32>,
     cursor: &'a mut Vec<u32>,
     ctxs: &'a mut Vec<NodeCtx>,
@@ -1041,9 +1092,8 @@ where
     let ExecutorScratch {
         queue,
         awake_now,
-        receivers,
+        slot_of,
         arena,
-        slots,
         order,
         cursor,
         ctxs,
@@ -1054,9 +1104,8 @@ where
     } = scratch;
     let bufs = KernelBuffers {
         awake_now,
-        receivers,
+        slot_of,
         arena,
-        slots,
         order,
         cursor,
         ctxs,
@@ -1112,9 +1161,8 @@ where
 {
     let KernelBuffers {
         awake_now,
-        receivers,
+        slot_of,
         arena,
-        slots,
         order,
         cursor,
         ctxs,
@@ -1139,7 +1187,7 @@ where
     stats.graph_bytes = graph.memory_bytes();
     // Sharding is a pure execution strategy: any round too narrow to
     // parallelize (or any traced run — trace payload formatting is
-    // inherently sequential) takes the serial path, and the outcomes are
+    // inherently sequential) runs as one lane, and the outcomes are
     // bit-identical either way (the cross-shard differential proptests
     // pin this). The per-round decision is [`shard_chunk_len`].
     // `None` when metrics are off: the hot path pays one untaken branch
@@ -1190,9 +1238,6 @@ where
         protocols.push(protocol);
     }
     let ctxs: &[NodeCtx] = ctxs;
-    // Round-local trace staging; stays empty (and allocation-free) unless
-    // the run records a trace.
-    let mut trace_buf: Vec<TraceEvent> = Vec::new();
     // The previous round handed out by the driver (0 = none yet).
     #[cfg(feature = "validate")]
     let mut previous_round: Round = 0;
@@ -1263,21 +1308,27 @@ where
             rec.start_round(round, awake_now);
         }
         // Awake accounting up front: the awake set is fixed before any
-        // send, so the receiver records (which shard workers read
-        // lock-free), the per-node awake counts, and the `Awake` trace
-        // events — which precede the round's buffered delivery events in
-        // the recorded order anyway — are all independent of how the
-        // send half-step executes.
+        // send, so the slot table (which the lanes read lock-free), the
+        // per-node awake counts, and the `Awake` trace events — which
+        // precede the round's delivery events in the recorded order
+        // anyway — are all independent of how the send half-step
+        // executes.
         // Nano-joules charged this round (round + tx + rx + idle terms),
         // for the metrics timeline; stays 0 without an active model.
         let mut round_energy = 0u64;
         for (slot, &v) in awake_now.iter().enumerate() {
-            receivers[v as usize] = Receiver {
-                stamp: round,
-                slot: slot as u32,
-                count: 0,
-                bits: 0,
-            };
+            // The lanes trust the slot table instead of asking the driver
+            // per message; under `validate`, every node of the awake set
+            // must be listed once (its entry still reads asleep) and be
+            // awake in the round according to the driver.
+            #[cfg(feature = "validate")]
+            if slot_of[v as usize] != ASLEEP || !driver.is_awake_in(v, round) {
+                return Err(SimError::AwakeSetMismatch {
+                    node: NodeId::new(v),
+                    round,
+                });
+            }
+            slot_of[v as usize] = slot as u32;
             stats.awake_by_node[v as usize] += 1;
             if let Some(em) = energy {
                 stats.energy_spent_by_node[v as usize] += em.round_cost;
@@ -1292,249 +1343,141 @@ where
         }
 
         // --- Send half-step ---
-        // Each message is fully adjudicated at routing time: the awake set
-        // is fixed before any send, so delivered-vs-lost is already known
-        // here. Stats are order-independent sums and accrue inline; lost
-        // messages are accounted and dropped without ever materializing.
-        // Delivered envelopes land in the send lanes' arenas in send
-        // order, with the receiver slot recorded alongside in `slots` and
-        // the receiver's count and bits in its record. Trace events buffer
-        // so their order is driver-independent (see [`record_delivered`]).
-        slots.clear();
-        let lanes_used = if let Some(chunk_len) =
-            shard_chunk_len(awake_now.len(), config.shards, config.record_trace)
-        {
-            // --- Sharded send ---
-            // Partition the ascending awake set into contiguous chunks;
-            // each worker runs its nodes' sends against a disjoint
-            // protocol sub-slice and records adjudicated outcomes into
-            // its own lane. Concatenating the lanes in shard order
-            // reproduces serial node order exactly, so the merge below
-            // replays the identical accounting stream.
-            let lanes_used = awake_now.len().div_ceil(chunk_len);
-            if shard_lanes.len() < lanes_used {
-                shard_lanes.resize_with(lanes_used, ShardScratch::new);
-            }
-            let bit_limit = config.bit_limit;
-            let records: &[Receiver] = receivers;
+        // The ascending awake set splits into contiguous chunks, one lane
+        // each: one lane on this thread for a serial round, more on
+        // scoped threads for a wide sharded one. Each lane owns disjoint
+        // windows of the protocol states and the energy ledger, charges
+        // the run's edge table (lane 0) or its private one (lanes 1..),
+        // and keeps its own tallies; folding the tallies in lane order
+        // below is serial node order, so the outcome is bit-identical for
+        // every shard count.
+        let k = awake_now.len();
+        let chunk_len = shard_chunk_len(k, config.shards, config.record_trace).unwrap_or(k);
+        let lanes_used = k.div_ceil(chunk_len);
+        if shard_lanes.len() < lanes_used {
+            shard_lanes.resize_with(lanes_used, ShardScratch::new);
+        }
+        let (lane0, wide) = shard_lanes[..lanes_used].split_at_mut(1);
+        let env = RoundEnv {
+            graph,
+            ctxs,
+            slot_of,
+            bit_limit: config.bit_limit,
+            faults,
+            tx_bit_cost: energy.map(|em| em.tx_bit_cost),
+            metrics: metrics.is_some(),
+            round,
+        };
+        let mut chunks = awake_now.chunks(chunk_len);
+        let first = chunks.next().unwrap_or_default();
+        let hi = first.last().copied().unwrap_or_default();
+        let mut states: &mut [P] = &mut protocols;
+        let mut ledger: &mut [u64] = &mut stats.energy_spent_by_node;
+        let lane0_states = take_window(&mut states, 0, hi);
+        let lane0_energy = take_window(&mut ledger, 0, hi);
+        let run_ledgers = RunLedgers {
+            edge_bits: &mut stats.bits_by_edge,
+            congestion: metrics.as_mut().map(MetricsRecorder::edges),
+            trace: config.record_trace.then_some(&mut trace),
+        };
+        let lane0 = &mut lane0[0];
+        let run_lane0 = move || {
+            lane0.error = send_lane(
+                env,
+                lane0_states,
+                0,
+                first,
+                lane0_energy,
+                lane0,
+                Some(run_ledgers),
+            )
+            .err();
+        };
+        if wide.is_empty() {
+            run_lane0();
+        } else {
             std::thread::scope(|scope| {
-                let mut rest: &mut [P] = &mut protocols;
-                let mut base = 0usize;
-                for (chunk, lane) in awake_now.chunks(chunk_len).zip(shard_lanes.iter_mut()) {
+                let mut base = hi as usize + 1;
+                for (chunk, lane) in chunks.zip(wide.iter_mut()) {
                     let Some(&hi) = chunk.last() else { continue };
-                    let take = (hi as usize + 1 - base).min(rest.len());
-                    let (part, tail) = rest.split_at_mut(take);
-                    rest = tail;
+                    let part = take_window(&mut states, base, hi);
+                    let energy = take_window(&mut ledger, base, hi);
                     let part_base = base;
                     base = hi as usize + 1;
                     scope.spawn(move || {
-                        shard_send(
-                            graph, bit_limit, faults, round, records, ctxs, part, part_base, chunk,
-                            lane,
-                        );
+                        lane.error =
+                            send_lane(env, part, part_base, chunk, energy, lane, None).err();
                     });
                 }
+                run_lane0();
             });
-            let lanes = &mut shard_lanes[..lanes_used];
-            // First error in lane order = first error in node order =
-            // exactly where the serial path would have aborted.
-            for lane in lanes.iter_mut() {
-                if let Some(err) = lane.error.take() {
-                    return Err(err);
-                }
-            }
-            for lane in lanes.iter_mut() {
-                lane.base = slots.len() as u32;
-                for rec in lane.records.iter() {
-                    stats.bits_by_edge[rec.edge as usize] += rec.bits;
-                    stats.max_message_bits = stats.max_message_bits.max(rec.bits);
-                    if let Some(em) = energy {
-                        // The sender pays transmit energy for every routed
-                        // message — lost and dropped ones included, exactly
-                        // as the serial path charges.
-                        let tx = em.tx_bit_cost * rec.bits;
-                        stats.energy_spent_by_node[rec.from as usize] += tx;
-                        round_energy += tx;
-                    }
-                    if let Some(m) = metrics.as_mut() {
-                        m.on_send(rec.edge as usize, rec.bits as usize);
-                    }
-                    match rec.kind {
-                        SentKind::Delivered => {
-                            stats.messages_delivered += 1;
-                            if let Some(m) = metrics.as_mut() {
-                                m.on_delivered();
-                            }
-                            let to = &mut receivers[rec.to as usize];
-                            to.count += 1;
-                            to.bits += rec.bits;
-                            slots.push(to.slot);
-                        }
-                        SentKind::DeliveredDup => {
-                            stats.messages_delivered += 2;
-                            stats.dup_deliveries += 1;
-                            if let Some(m) = metrics.as_mut() {
-                                m.on_delivered();
-                                m.on_dup_delivered();
-                            }
-                            let to = &mut receivers[rec.to as usize];
-                            to.count += 2;
-                            to.bits += 2 * rec.bits;
-                            slots.push(to.slot);
-                            slots.push(to.slot);
-                        }
-                        SentKind::Lost => {
-                            stats.messages_lost += 1;
-                            if let Some(m) = metrics.as_mut() {
-                                m.on_lost();
-                            }
-                        }
-                        SentKind::Dropped => {
-                            stats.injected_drops += 1;
-                            if let Some(m) = metrics.as_mut() {
-                                m.on_dropped();
-                            }
-                        }
-                    }
-                }
-            }
-            lanes_used
-        } else {
-            let ShardScratch {
-                outbox,
-                arena: sent,
-                base,
-                ..
-            } = &mut shard_lanes[0];
-            *base = 0;
-            sent.clear();
-            for &v in awake_now.iter() {
-                let node = NodeId::new(v);
-                outbox.clear();
-                protocols[v as usize].send(&ctxs[v as usize], round, outbox);
-                for Envelope { port, msg } in outbox.drain() {
-                    let (to, recv_port, bits, edge) =
-                        route_envelope(graph, config, &mut stats, node, round, port, &msg)?;
-                    if let Some(em) = energy {
-                        // Transmit energy accrues at routing time: the
-                        // sender pays whether the message is delivered,
-                        // lost, or dropped in flight.
-                        let tx = em.tx_bit_cost * bits as u64;
-                        stats.energy_spent_by_node[v as usize] += tx;
-                        round_energy += tx;
-                    }
-                    if let Some(rec) = metrics.as_mut() {
-                        rec.on_send(edge, bits);
-                    }
-                    if let Some(plan) = faults {
-                        // A dropped message is destroyed in flight after the
-                        // sender paid for it (bits accrued above), regardless
-                        // of the receiver's state — it is an injected fault,
-                        // not a model loss.
-                        if plan.drops(round, v, port.raw()) {
-                            stats.injected_drops += 1;
-                            if let Some(rec) = metrics.as_mut() {
-                                rec.on_dropped();
-                            }
-                            if config.record_trace {
-                                record_dropped(&mut trace_buf, round, v, to);
-                            }
-                            continue;
-                        }
-                    }
-                    let receiver = &mut receivers[to as usize];
-                    let to_awake = receiver.stamp == round;
-                    debug_assert_eq!(to_awake, driver.is_awake_in(to, round));
-                    if to_awake {
-                        stats.messages_delivered += 1;
-                        receiver.count += 1;
-                        receiver.bits += bits as u64;
-                        if let Some(rec) = metrics.as_mut() {
-                            rec.on_delivered();
-                        }
-                        if config.record_trace {
-                            record_delivered(&mut trace_buf, round, v, to, recv_port, bits, &msg);
-                        }
-                        slots.push(receiver.slot);
-                        // An injected duplication delivers a second identical
-                        // copy; it counts as a delivery of its own so the
-                        // conservation audit reconciles.
-                        let dup = match faults {
-                            Some(plan) => plan.duplicates(round, v, port.raw()),
-                            None => false,
-                        };
-                        if dup {
-                            stats.messages_delivered += 1;
-                            stats.dup_deliveries += 1;
-                            receiver.count += 1;
-                            receiver.bits += bits as u64;
-                            if let Some(rec) = metrics.as_mut() {
-                                rec.on_dup_delivered();
-                            }
-                            if config.record_trace {
-                                record_delivered(
-                                    &mut trace_buf,
-                                    round,
-                                    v,
-                                    to,
-                                    recv_port,
-                                    bits,
-                                    &msg,
-                                );
-                            }
-                            slots.push(receiver.slot);
-                            sent.push(Envelope::new(Port::new(recv_port), msg.clone()));
-                        }
-                        sent.push(Envelope::new(Port::new(recv_port), msg));
-                    } else {
-                        stats.messages_lost += 1;
-                        if let Some(rec) = metrics.as_mut() {
-                            rec.on_lost();
-                        }
-                        if config.record_trace {
-                            record_lost(&mut trace_buf, round, v, to);
-                        }
-                    }
-                }
-            }
-            1
-        };
-        if config.record_trace {
-            for event in trace_buf.drain(..) {
-                trace.push(event);
+        }
+        let lanes = &mut shard_lanes[..lanes_used];
+        // First error in lane order = first error in node order =
+        // exactly where a serial send would have aborted.
+        for lane in lanes.iter_mut() {
+            if let Some(err) = lane.error.take() {
+                return Err(err);
             }
         }
-        stats.arena_peak_envelopes = stats.arena_peak_envelopes.max(slots.len() as u64);
+        let mut delivered = 0usize;
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let t = lane.tally;
+            stats.messages_delivered += t.delivered;
+            stats.dup_deliveries += t.dups;
+            stats.messages_lost += t.lost;
+            stats.injected_drops += t.dropped;
+            stats.max_message_bits = stats.max_message_bits.max(t.max_bits);
+            round_energy += t.tx_energy;
+            if let Some(rec) = metrics.as_mut() {
+                let sent = t.delivered - t.dups + t.lost + t.dropped;
+                rec.add_traffic(sent, t.bits, t.delivered, t.dups, t.lost, t.dropped);
+                if i > 0 {
+                    rec.edges().absorb(&mut lane.congestion);
+                }
+            }
+            delivered += lane.keys.len();
+        }
+        stats.arena_peak_envelopes = stats.arena_peak_envelopes.max(delivered as u64);
         lap(profile, Stage::SendRoute);
 
         // --- Grouping ---
-        // Group the round's envelopes by receiver slot in O(M): every
-        // slot's inbox range starts where the previous one ends (the
-        // receiver records already hold the counts), and each envelope
-        // takes the next position of its slot's range in send order —
-        // so within a slot the grouped arena keeps send order. Sorting
-        // each range by port (in the deliver loop) then reproduces
-        // exactly a per-inbox `sort_by_key(|e| e.port)`: deliver order
-        // is bit-identical under every driver and shard count.
+        // Group the round's envelopes by receiver slot in O(M): one
+        // counting pass over the lanes' keys sizes every slot's inbox,
+        // whose range starts where the previous one ends, and each
+        // envelope takes the next position of its slot's range in send
+        // order — so within a slot the grouped arena keeps send order.
+        // Sorting each range by port (in the deliver loop) then
+        // reproduces exactly a per-inbox `sort_by_key(|e| e.port)`:
+        // deliver order is bit-identical under every driver and shard
+        // count.
         cursor.clear();
-        let mut start = 0u32;
-        for &v in awake_now.iter() {
-            cursor.push(start);
-            start += receivers[v as usize].count;
+        cursor.resize(k, 0);
+        for lane in lanes.iter() {
+            for &slot in &lane.keys {
+                cursor[slot as usize] += 1;
+            }
         }
-        order.clear();
-        arena.clear();
+        let mut start = 0u32;
+        for at in cursor.iter_mut() {
+            let count = *at;
+            *at = start;
+            start += count;
+        }
         let in_place = lanes_used == 1
-            && slots.len() * std::mem::size_of::<Envelope<P::Msg>>() <= IN_PLACE_GROUPING_BYTES;
+            && delivered * std::mem::size_of::<Envelope<P::Msg>>() <= IN_PLACE_GROUPING_BYTES;
         let inboxes: &mut [Envelope<P::Msg>] = if in_place {
             // A cache-resident round is permuted within lane 0 by
             // walking the permutation's cycles: no second buffer.
-            order.extend(slots.iter().map(|&slot| {
+            let ShardScratch {
+                arena: sent, keys, ..
+            } = &mut lanes[0];
+            order.clear();
+            order.extend(keys.iter().map(|&slot| {
                 let at = &mut cursor[slot as usize];
                 *at += 1;
                 *at - 1
             }));
-            let sent = &mut shard_lanes[0].arena;
             for i in 0..order.len() {
                 while order[i] != i as u32 {
                     let j = order[i] as usize;
@@ -1545,24 +1488,20 @@ where
             sent
         } else {
             // Out of cache, each cycle-walk swap would wait on the last
-            // one's miss; an index scatter plus a sequential gather out of
-            // the lanes issues independent loads instead.
-            order.resize(slots.len(), 0);
-            for (i, &slot) in slots.iter().enumerate() {
-                let at = &mut cursor[slot as usize];
-                order[*at as usize] = i as u32;
-                *at += 1;
+            // one's miss; scattering the envelopes straight out of the
+            // lanes issues independent stores instead. The arena is
+            // first filled with copies of one envelope, every one of
+            // which the scatter overwrites.
+            arena.clear();
+            if let Some(filler) = lanes.iter().find_map(|lane| lane.arena.first()) {
+                arena.resize(delivered, filler.clone());
             }
-            let lanes: &[ShardScratch<P::Msg>] = &shard_lanes[..lanes_used];
-            arena.extend(order.iter().map(|&i| {
-                // Lanes are contiguous runs of the send order: the lane
-                // holding send index `i` is the last one starting at or
-                // before it.
-                let lane = &lanes[lanes[1..].iter().filter(|lane| lane.base <= i).count()];
-                lane.arena[(i - lane.base) as usize].clone()
-            }));
-            for lane in shard_lanes[..lanes_used].iter_mut() {
-                lane.arena.clear();
+            for lane in lanes.iter_mut() {
+                for (&slot, envelope) in lane.keys.iter().zip(lane.arena.drain(..)) {
+                    let at = &mut cursor[slot as usize];
+                    arena[*at as usize] = envelope;
+                    *at += 1;
+                }
             }
             arena
         };
@@ -1570,10 +1509,13 @@ where
 
         // --- Deliver half-step ---
         let mut start = 0usize;
-        for &v in awake_now.iter() {
+        for (slot, &v) in awake_now.iter().enumerate() {
             let node = NodeId::new(v);
-            let Receiver { count, bits, .. } = receivers[v as usize];
-            if count == 0 {
+            slot_of[v as usize] = ASLEEP;
+            let end = cursor[slot] as usize;
+            let inbox = &mut inboxes[start..end];
+            start = end;
+            if inbox.is_empty() {
                 // An awake round that delivered nothing is idle listening.
                 // Counted whether or not an energy model is active, so an
                 // inert model stays bit-identical to no model.
@@ -1583,8 +1525,10 @@ where
                     round_energy += em.idle_cost;
                 }
             } else {
-                // Receive accounting, once per receiver: the sum over the
-                // round's envelopes, charged before the budget check.
+                // Receive accounting, once per receiver: the bits of its
+                // inbox (duplicates included), charged before the budget
+                // check.
+                let bits: u64 = inbox.iter().map(|e| e.msg.bit_size() as u64).sum();
                 stats.bits_received_by_node[v as usize] += bits;
                 if let Some(em) = energy {
                     let rx = em.rx_bit_cost * bits;
@@ -1592,8 +1536,6 @@ where
                     round_energy += rx;
                 }
             }
-            let inbox = &mut inboxes[start..start + count as usize];
-            start += count as usize;
             if inbox.len() > 1 {
                 inbox.sort_by_key(|e| e.port);
             }
@@ -1670,6 +1612,15 @@ where
             running,
             round: stats.rounds,
         });
+    }
+    // Lanes 1.. kept their edge charges private; fold them in, leaving
+    // each table empty for the next run's first wide round. A failed run
+    // returns before this point and leaves its charges to
+    // `ExecutorScratch::reset`.
+    for lane in shard_lanes.iter_mut().skip(1) {
+        for (total, bits) in stats.bits_by_edge.iter_mut().zip(lane.edge_bits.drain(..)) {
+            *total += bits;
+        }
     }
     Ok(RunOutcome {
         states: protocols,
@@ -1847,6 +1798,74 @@ mod tests {
         assert_eq!(live, vec![0], "stale state swallowed the wake");
     }
 
+    /// Node 0 wakes in round 2 and every round after it; node 1 halts.
+    #[cfg(feature = "validate")]
+    struct Ticker;
+
+    #[cfg(feature = "validate")]
+    impl Protocol for Ticker {
+        type Msg = u64;
+        fn init(&mut self, ctx: &NodeCtx) -> NextWake {
+            if ctx.node.raw() == 0 {
+                NextWake::At(2)
+            } else {
+                NextWake::Halt
+            }
+        }
+        fn send(&mut self, _: &NodeCtx, _: Round, _: &mut Outbox<u64>) {}
+        fn deliver(&mut self, _: &NodeCtx, round: Round, _: &[Envelope<u64>]) -> NextWake {
+            NextWake::At(round + 1)
+        }
+    }
+
+    /// Runs [`Ticker`] on a one-edge graph under `driver`: the run's
+    /// result and the rounds the observer saw executed.
+    #[cfg(feature = "validate")]
+    fn run_ticker<D: TimeDriver>(driver: D) -> (Result<RunOutcome<Ticker>, SimError>, Vec<Round>) {
+        let graph = graphlib::GraphBuilder::new(2)
+            .edge(0, 1, 1)
+            .build()
+            .expect("a one-edge graph");
+        let config = SimConfig::default();
+        let mut scratch: ExecutorScratch<u64> = ExecutorScratch::new();
+        scratch.reset(2);
+        let stats = scratch.take_stats(2, 1);
+        let ExecutorScratch {
+            awake_now,
+            slot_of,
+            arena,
+            order,
+            cursor,
+            ctxs,
+            weights,
+            shard_lanes,
+            profile,
+            ..
+        } = &mut scratch;
+        let bufs = KernelBuffers {
+            awake_now,
+            slot_of,
+            arena,
+            order,
+            cursor,
+            ctxs,
+            weights,
+            shard_lanes,
+            profile,
+        };
+        let mut executed = Vec::new();
+        let result = run_kernel(
+            &graph,
+            &config,
+            |_| Ticker,
+            |round, _: &[Ticker]| executed.push(round),
+            stats,
+            driver,
+            bufs,
+        );
+        (result, executed)
+    }
+
     /// A driver that breaks the `TimeDriver` contract — it hands out
     /// round 4 again after round 4 — fails the run with the typed error
     /// under `validate`, before the repeated round executes.
@@ -1868,68 +1887,10 @@ mod tests {
                 node == 0
             }
         }
-        struct Ticker;
-        impl Protocol for Ticker {
-            type Msg = u64;
-            fn init(&mut self, ctx: &NodeCtx) -> NextWake {
-                if ctx.node.raw() == 0 {
-                    NextWake::At(2)
-                } else {
-                    NextWake::Halt
-                }
-            }
-            fn send(&mut self, _: &NodeCtx, _: Round, _: &mut Outbox<u64>) {}
-            fn deliver(&mut self, _: &NodeCtx, round: Round, _: &[Envelope<u64>]) -> NextWake {
-                NextWake::At(round + 1)
-            }
-        }
 
-        let graph = graphlib::GraphBuilder::new(2)
-            .edge(0, 1, 1)
-            .build()
-            .expect("a one-edge graph");
-        let config = SimConfig::default();
-        let mut scratch: ExecutorScratch<u64> = ExecutorScratch::new();
-        scratch.reset(2);
-        let stats = scratch.take_stats(2, 1);
-        let ExecutorScratch {
-            awake_now,
-            receivers,
-            arena,
-            slots,
-            order,
-            cursor,
-            ctxs,
-            weights,
-            shard_lanes,
-            profile,
-            ..
-        } = &mut scratch;
-        let bufs = KernelBuffers {
-            awake_now,
-            receivers,
-            arena,
-            slots,
-            order,
-            cursor,
-            ctxs,
-            weights,
-            shard_lanes,
-            profile,
-        };
-        let driver = Repeating {
+        let (result, executed) = run_ticker(Repeating {
             rounds: vec![4, 4, 2],
-        };
-        let mut executed = Vec::new();
-        let result = run_kernel(
-            &graph,
-            &config,
-            |_| Ticker,
-            |round, _: &[Ticker]| executed.push(round),
-            stats,
-            driver,
-            bufs,
-        );
+        });
         assert_eq!(
             result.err(),
             Some(SimError::RoundNotIncreasing {
@@ -1938,6 +1899,71 @@ mod tests {
             })
         );
         assert_eq!(executed, vec![2, 4]);
+    }
+
+    /// The lanes trust the kernel's slot table instead of the driver, so
+    /// under `validate` an awake set the driver disowns — a node it says
+    /// is asleep, or a node listed twice — fails the run with the typed
+    /// error before the round sends anything.
+    #[cfg(feature = "validate")]
+    #[test]
+    fn validate_rejects_an_awake_set_the_driver_disowns() {
+        /// Hands out round 2 with `live`, then round 3 with node 0 alone;
+        /// claims only `awake` is awake.
+        struct Lying {
+            live: Vec<u32>,
+            awake: u32,
+            rounds: Vec<Round>,
+        }
+        impl TimeDriver for Lying {
+            fn schedule(&mut self, _: u32, _: Round) {}
+            fn halt(&mut self, _: u32) {}
+            fn next_round(&mut self, live: &mut Vec<u32>) -> Option<Round> {
+                let round = self.rounds.pop()?;
+                live.clear();
+                if round == 2 {
+                    live.extend(&self.live);
+                } else {
+                    live.push(0);
+                }
+                Some(round)
+            }
+            fn is_awake_in(&self, node: u32, _: Round) -> bool {
+                node == self.awake
+            }
+        }
+
+        // An honest driver runs both rounds, then stalls: node 0 never
+        // halts and the driver runs out of rounds.
+        let (result, executed) = run_ticker(Lying {
+            live: vec![0],
+            awake: 0,
+            rounds: vec![3, 2],
+        });
+        assert_eq!(
+            result.err(),
+            Some(SimError::Stalled {
+                running: 1,
+                round: 3
+            })
+        );
+        assert_eq!(executed, vec![2, 3]);
+        for (live, awake, node) in [(vec![0], 1, 0), (vec![0, 1], 0, 1), (vec![0, 0], 0, 0)] {
+            let (result, executed) = run_ticker(Lying {
+                live: live.clone(),
+                awake,
+                rounds: vec![3, 2],
+            });
+            assert_eq!(
+                result.err(),
+                Some(SimError::AwakeSetMismatch {
+                    node: NodeId::new(node),
+                    round: 2
+                }),
+                "live {live:?}, driver claims node {awake}"
+            );
+            assert!(executed.is_empty(), "live {live:?}");
+        }
     }
 
     #[test]

@@ -73,6 +73,16 @@ pub enum SimError {
         /// The round handed out before it.
         previous: Round,
     },
+    /// The kernel's awake set disagrees with the time driver: a node the
+    /// send lanes treat as awake is listed twice, or is not awake in the
+    /// round according to the driver. Checked per round under the
+    /// `validate` feature.
+    AwakeSetMismatch {
+        /// The first node of the awake set that fails the check.
+        node: NodeId,
+        /// The executing round.
+        round: Round,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -104,6 +114,10 @@ impl fmt::Display for SimError {
                 f,
                 "time driver moved from round {previous} to round {round}; rounds must strictly increase"
             ),
+            SimError::AwakeSetMismatch { node, round } => write!(
+                f,
+                "the kernel's awake set for round {round} disagrees with the time driver at node {node}"
+            ),
         }
     }
 }
@@ -122,6 +136,7 @@ pub const SIM_ERROR_CODES: &[&str] = &[
     "sim.stalled",
     "sim.energy-exhausted",
     "sim.round-not-increasing",
+    "sim.awake-set-mismatch",
 ];
 
 /// Resolves a wire code back to its canonical `&'static str` (the exact
@@ -145,6 +160,7 @@ impl SimError {
             SimError::Stalled { .. } => "sim.stalled",
             SimError::EnergyExhausted { .. } => "sim.energy-exhausted",
             SimError::RoundNotIncreasing { .. } => "sim.round-not-increasing",
+            SimError::AwakeSetMismatch { .. } => "sim.awake-set-mismatch",
         }
     }
 }
@@ -187,6 +203,10 @@ mod tests {
             SimError::RoundNotIncreasing {
                 round: 3,
                 previous: 3,
+            },
+            SimError::AwakeSetMismatch {
+                node: NodeId::new(2),
+                round: 6,
             },
         ]
     }

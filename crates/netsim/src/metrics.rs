@@ -262,19 +262,80 @@ impl Metrics {
     }
 }
 
+/// Bits routed per edge within one round, reset in `O(touched edges)`.
+///
+/// The recorder owns one for the round's congestion; each send lane past
+/// the first owns a private one that the kernel folds into the recorder's
+/// at round end ([`EdgeLoad::absorb`]), so no lane ever writes another's
+/// table.
+#[derive(Debug, Default)]
+pub(crate) struct EdgeLoad {
+    /// Nonzero only at indices listed in `touched`.
+    bits: Vec<u64>,
+    touched: Vec<u32>,
+}
+
+impl EdgeLoad {
+    pub(crate) fn new(m: usize) -> Self {
+        EdgeLoad {
+            bits: vec![0; m],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Sizes an emptied table for an `m`-edge run; a no-op on a table
+    /// already in use this run.
+    pub(crate) fn ensure(&mut self, m: usize) {
+        if self.bits.is_empty() {
+            self.bits.resize(m, 0);
+        }
+    }
+
+    /// Drops every charge and the storage's size, keeping its capacity:
+    /// the next [`EdgeLoad::ensure`] refills it with zeros.
+    pub(crate) fn clear(&mut self) {
+        self.bits.clear();
+        self.touched.clear();
+    }
+
+    #[inline]
+    pub(crate) fn charge(&mut self, edge: usize, bits: u64) {
+        if self.bits[edge] == 0 {
+            self.touched.push(edge as u32);
+        }
+        self.bits[edge] += bits;
+    }
+
+    /// Moves every charge of `other` into `self`, leaving `other` empty
+    /// for its next round.
+    pub(crate) fn absorb(&mut self, other: &mut EdgeLoad) {
+        for &e in &other.touched {
+            let bits = std::mem::take(&mut other.bits[e as usize]);
+            self.charge(e as usize, bits);
+        }
+        other.touched.clear();
+    }
+
+    /// The largest per-edge load, resetting the table for the next round.
+    fn take_max(&mut self) -> u64 {
+        let mut max_edge = 0u64;
+        for &e in &self.touched {
+            max_edge = max_edge.max(std::mem::take(&mut self.bits[e as usize]));
+        }
+        self.touched.clear();
+        max_edge
+    }
+}
+
 /// The executors' recording half: accumulates the current round's report
-/// and owns an `O(m)` per-edge bit scratch reset in `O(touched edges)`
-/// per round. Crate-private — protocols never see it; the public surface
-/// is [`Metrics`].
+/// and owns the round's [`EdgeLoad`]. Crate-private — protocols never see
+/// it; the public surface is [`Metrics`].
 #[derive(Debug)]
 pub(crate) struct MetricsRecorder {
     per_round: Vec<RoundReport>,
     awake_rounds_by_node: Vec<Vec<Round>>,
     current: RoundReport,
-    /// Bits routed per edge in the current round; nonzero only at indices
-    /// listed in `touched`.
-    edge_bits: Vec<u64>,
-    touched: Vec<u32>,
+    edges: EdgeLoad,
 }
 
 impl MetricsRecorder {
@@ -283,8 +344,7 @@ impl MetricsRecorder {
             per_round: Vec::new(),
             awake_rounds_by_node: vec![Vec::new(); n],
             current: RoundReport::default(),
-            edge_bits: vec![0; m],
-            touched: Vec::new(),
+            edges: EdgeLoad::new(m),
         }
     }
 
@@ -300,35 +360,31 @@ impl MetricsRecorder {
         }
     }
 
-    #[inline]
-    pub(crate) fn on_send(&mut self, edge: usize, bits: usize) {
-        self.current.messages_sent += 1;
-        self.current.bits_sent += bits as u64;
-        if self.edge_bits[edge] == 0 {
-            self.touched.push(edge as u32);
-        }
-        self.edge_bits[edge] += bits as u64;
+    /// The current round's per-edge load, charged by the first send lane.
+    pub(crate) fn edges(&mut self) -> &mut EdgeLoad {
+        &mut self.edges
     }
 
-    #[inline]
-    pub(crate) fn on_delivered(&mut self) {
-        self.current.messages_delivered += 1;
-    }
-
-    #[inline]
-    pub(crate) fn on_dup_delivered(&mut self) {
-        self.current.messages_delivered += 1;
-        self.current.dup_deliveries += 1;
-    }
-
-    #[inline]
-    pub(crate) fn on_lost(&mut self) {
-        self.current.messages_lost += 1;
-    }
-
-    #[inline]
-    pub(crate) fn on_dropped(&mut self) {
-        self.current.injected_drops += 1;
+    /// Adds one send lane's traffic to the current round: `sent`
+    /// envelopes accepted by routing carrying `bits` payload bits, of
+    /// which copies were `delivered` (`dups` of them injected
+    /// duplicates), `lost` to sleeping receivers, or `dropped` in flight.
+    pub(crate) fn add_traffic(
+        &mut self,
+        sent: u64,
+        bits: u64,
+        delivered: u64,
+        dups: u64,
+        lost: u64,
+        dropped: u64,
+    ) {
+        let r = &mut self.current;
+        r.messages_sent += sent;
+        r.bits_sent += bits;
+        r.messages_delivered += delivered;
+        r.dup_deliveries += dups;
+        r.messages_lost += lost;
+        r.injected_drops += dropped;
     }
 
     /// Records the round's total energy charge (called at most once per
@@ -339,16 +395,9 @@ impl MetricsRecorder {
     }
 
     /// Closes the round: resolves the round's max per-edge congestion,
-    /// resets the touched scratch, and appends the report.
+    /// resets the edge table, and appends the report.
     pub(crate) fn finish_round(&mut self) {
-        let mut max_edge = 0u64;
-        for &e in &self.touched {
-            let bits = self.edge_bits[e as usize];
-            max_edge = max_edge.max(bits);
-            self.edge_bits[e as usize] = 0;
-        }
-        self.touched.clear();
-        self.current.max_edge_bits = max_edge;
+        self.current.max_edge_bits = self.edges.take_max();
         self.per_round.push(self.current);
     }
 
@@ -391,17 +440,18 @@ mod tests {
     fn recorder_tracks_rounds_and_congestion() {
         let mut rec = MetricsRecorder::new(3, 2);
         rec.start_round(4, &[0, 2]);
-        rec.on_send(0, 5);
-        rec.on_send(0, 5);
-        rec.on_send(1, 3);
-        rec.on_delivered();
-        rec.on_delivered();
-        rec.on_lost();
+        rec.edges().charge(0, 5);
+        rec.edges().charge(0, 5);
+        rec.edges().charge(1, 3);
+        rec.add_traffic(3, 13, 2, 0, 1, 0);
         rec.finish_round();
         rec.start_round(9, &[2]);
-        rec.on_send(1, 7);
-        rec.on_delivered();
-        rec.on_dup_delivered();
+        // A second lane's load on the same edge folds into the round's.
+        let mut lane = EdgeLoad::new(2);
+        rec.edges().charge(1, 4);
+        lane.charge(1, 3);
+        rec.edges().absorb(&mut lane);
+        rec.add_traffic(1, 7, 2, 1, 0, 0);
         rec.set_energy(13);
         rec.finish_round();
         let m = rec.into_metrics();
@@ -478,13 +528,8 @@ mod tests {
     fn conservation_identity_holds_per_report() {
         let mut rec = MetricsRecorder::new(2, 1);
         rec.start_round(1, &[0, 1]);
-        rec.on_send(0, 4);
-        rec.on_dropped();
-        rec.on_send(0, 4);
-        rec.on_delivered();
-        rec.on_dup_delivered();
-        rec.on_send(0, 4);
-        rec.on_lost();
+        // One dropped, one delivered twice (duplicated), one lost.
+        rec.add_traffic(3, 12, 2, 1, 1, 1);
         rec.finish_round();
         let m = rec.into_metrics();
         let r = &m.per_round[0];

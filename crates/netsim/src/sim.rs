@@ -36,7 +36,8 @@ pub struct SimConfig {
     pub executor: Executor,
     /// Worker shards for the send half-step. `1` (the default) runs
     /// fully serial; `K > 1` lets the kernel partition wide rounds'
-    /// awake sets across `K` scoped worker threads. Outcomes — stats,
+    /// awake sets across `K` send lanes, one on the calling thread and
+    /// the rest on scoped worker threads. Outcomes — stats,
     /// trace, metrics, final states, every fingerprint — are
     /// bit-identical for every shard count (the cross-shard differential
     /// proptests pin this); shards trade wall-clock for cores, nothing

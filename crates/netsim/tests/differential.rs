@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 
-use graphlib::{generators, GraphBuilder, NodeId};
+use graphlib::{generators, GraphBuilder, NodeId, Port};
 use netsim::{
     engine, EnergyModel, Envelope, Executor, ExecutorScratch, FaultPlan, NextWake, NodeCtx, Outbox,
     Payload, PortWeights, Protocol, Round, RunOutcome, SimConfig, SimError, Simulator, WakePolicy,
@@ -724,10 +724,7 @@ fn whole_network_exhaustion_mid_broadcast_is_identical_across_drivers_and_shards
     let model = EnergyModel::default()
         .with_round_cost(1000)
         .with_budget(2500);
-    let factory = |_: &NodeCtx| WideWave {
-        left: 10,
-        digest: 0,
-    };
+    let factory = |_: &NodeCtx| WideWave::new(10);
     let mut verdicts = Vec::new();
     for executor in [Executor::Calendar, Executor::Sync, Executor::Naive] {
         for shards in [1u32, 2, 4] {
@@ -819,6 +816,31 @@ fn duty_cycle_rounds_are_on_cycle_under_every_driver() {
 struct WideWave {
     left: u32,
     digest: u64,
+    /// Rounds between wakes: 1 = lockstep, 2 = every other round, so the
+    /// lockstep nodes' messages to this one are lost in between.
+    stride: u64,
+}
+
+impl WideWave {
+    /// A lockstep node that wakes `rounds` times.
+    fn new(rounds: u32) -> Self {
+        WideWave {
+            left: rounds,
+            digest: 0,
+            stride: 1,
+        }
+    }
+
+    /// Like [`WideWave::new`], except that a third of the nodes, drawn
+    /// from `seed`, wake only every other round.
+    fn skipping(ctx: &NodeCtx, rounds: u32, seed: u64) -> Self {
+        let mut draw =
+            SplitMix64(seed ^ u64::from(ctx.node.raw()).wrapping_mul(0xff51_afd7_ed55_8ccd));
+        WideWave {
+            stride: if draw.next().is_multiple_of(3) { 2 } else { 1 },
+            ..WideWave::new(rounds)
+        }
+    }
 }
 
 impl Protocol for WideWave {
@@ -845,7 +867,7 @@ impl Protocol for WideWave {
         if self.left == 0 {
             NextWake::Halt
         } else {
-            NextWake::At(round + 1)
+            NextWake::At(round + self.stride)
         }
     }
 }
@@ -854,24 +876,39 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Sharding the send half-step must be observationally invisible on
-    /// the rounds it actually parallelizes: wide lockstep rounds on the
+    /// the rounds it actually parallelizes: wide rounds on the
     /// chorded-cycle family (every node awake at once, far past the
     /// wide-round gate) yield the serial baseline's stats, metrics, and
     /// states at every shard count — across fault plans (drops exercise
-    /// the per-shard verdict replay, duplicates the arena clone order)
-    /// and with metrics recording toggled both ways.
+    /// the lanes' fault verdicts, duplicates the arena clone order), with
+    /// metrics recording toggled both ways, under an energy model whose
+    /// four costs differ (the lanes' transmit ledger windows, the
+    /// inbox-derived receive charge, idle listening), and with a seeded
+    /// third of the nodes waking only every other round, so the rounds in
+    /// between — still wide — lose messages to sleeping receivers.
     #[test]
     fn shard_counts_agree_on_wide_rounds(
-        n in 150usize..280,
+        n in 240usize..400,
         master_seed in 0u64..500,
         rounds in 2u32..6,
         metrics in any::<bool>(),
+        priced in any::<bool>(),
+        skip_seed in proptest::option::of(0u64..1000),
         faults in proptest::option::of((0u64..1000, 0u32..400_000, 0u32..400_000)),
     ) {
         let g = generators::chorded_cycle(n, 2, 7).unwrap();
         let mut config = SimConfig::default().with_seed(master_seed);
         if metrics {
             config = config.with_metrics();
+        }
+        if priced {
+            config = config.with_energy(EnergyModel {
+                round_cost: 1000,
+                tx_bit_cost: 3,
+                rx_bit_cost: 5,
+                idle_cost: 70,
+                budget: None,
+            });
         }
         if let Some((fault_seed, drop_ppm, dup_ppm)) = faults {
             config = config.with_faults(
@@ -880,11 +917,20 @@ proptest! {
                     .with_duplicate_ppm(dup_ppm),
             );
         }
-        let factory = |_: &NodeCtx| WideWave { left: rounds, digest: 0 };
+        let factory = |ctx: &NodeCtx| match skip_seed {
+            Some(seed) => WideWave::skipping(ctx, rounds, seed),
+            None => WideWave::new(rounds),
+        };
         let serial = Simulator::new(&g, config.clone().with_shards(1))
             .run(factory)
             .unwrap();
         prop_assert!(serial.stats.messages_delivered > 0);
+        if skip_seed.is_some() {
+            prop_assert!(serial.stats.messages_lost > 0);
+        }
+        if priced {
+            prop_assert!(serial.stats.energy_total() > 0);
+        }
         for shards in [2u32, 7] {
             let sharded = Simulator::new(&g, config.clone().with_shards(shards))
                 .run(factory)
@@ -1085,7 +1131,7 @@ proptest! {
 }
 
 /// A serial round too large to group in place (over a megabyte of
-/// envelopes) takes the gather path, like sharded rounds always do. Its
+/// envelopes) takes the scatter path, like sharded rounds always do. Its
 /// inboxes pass the protocol's own order and routing checks and match
 /// the sharded runs and the naive oracle.
 #[test]
@@ -1169,7 +1215,7 @@ fn reused_scratch_refills_contexts_and_weights_for_each_graph() {
 
     let mut scratch = ExecutorScratch::new();
     for g in [&a, &b, &c] {
-        let wave = |_: &NodeCtx| WideWave { left: 2, digest: 0 };
+        let wave = |_: &NodeCtx| WideWave::new(2);
         let reused = Simulator::new(g, config.clone())
             .run_with_scratch(&mut scratch, wave)
             .unwrap();
@@ -1206,6 +1252,106 @@ fn reused_scratch_refills_contexts_and_weights_for_each_graph() {
                 .map(|e| e.weight)
                 .collect();
             assert_eq!(state.weights.as_slice(), expected.as_slice());
+        }
+    }
+}
+
+/// A lockstep wave like [`WideWave`] that breaks in round 2: the `bad`
+/// node also sends through a port it does not have.
+#[derive(Debug)]
+struct Doomed {
+    bad: bool,
+}
+
+impl Protocol for Doomed {
+    type Msg = u64;
+
+    fn init(&mut self, _ctx: &NodeCtx) -> NextWake {
+        NextWake::At(1)
+    }
+
+    fn send(&mut self, ctx: &NodeCtx, round: Round, outbox: &mut Outbox<u64>) {
+        for p in ctx.ports() {
+            outbox.push(p, round);
+        }
+        if self.bad && round == 2 {
+            outbox.push(Port::new(ctx.degree() as u32), round);
+        }
+    }
+
+    fn deliver(&mut self, _ctx: &NodeCtx, round: Round, _inbox: &[Envelope<u64>]) -> NextWake {
+        if round < 3 {
+            NextWake::At(round + 1)
+        } else {
+            NextWake::Halt
+        }
+    }
+}
+
+/// A run that fails mid-way leaves charges in the scratch: the send
+/// lanes past the first keep private per-edge tables (run totals and,
+/// with metrics, the round's load) that only a successful run folds into
+/// its stats. A wide lockstep run charges edges in every lane in round 1
+/// and then fails in round 2 — through a port out of range in the last
+/// lane, or by exhausting every node's energy budget — and the next,
+/// clean run on the same scratch must equal a run on a fresh one.
+#[test]
+fn scratch_reused_after_a_failed_sharded_run_matches_a_fresh_one() {
+    let g = generators::chorded_cycle(300, 2, 7).unwrap();
+    let last = NodeId::new(g.node_count() as u32 - 1);
+    let clean = |_: &NodeCtx| WideWave::new(3);
+    for shards in [2u32, 4] {
+        let base = SimConfig::default()
+            .with_seed(5)
+            .with_metrics()
+            .with_shards(shards);
+        let budgeted = base.clone().with_energy(
+            EnergyModel::default()
+                .with_round_cost(1000)
+                .with_budget(1500),
+        );
+        let failures = [
+            (
+                true,
+                base.clone(),
+                SimError::PortOutOfRange {
+                    node: last,
+                    port: Port::new(g.degree(last) as u32),
+                    round: 2,
+                },
+            ),
+            (
+                false,
+                budgeted,
+                SimError::EnergyExhausted {
+                    node: NodeId::new(0),
+                    round: 2,
+                },
+            ),
+        ];
+        let fresh = Simulator::new(&g, base.clone()).run(clean).unwrap();
+        for (bad_port, failing, expected) in failures {
+            let doomed = |ctx: &NodeCtx| Doomed {
+                bad: bad_port && ctx.node == last,
+            };
+            let mut scratch = ExecutorScratch::new();
+            let err = Simulator::new(&g, failing)
+                .run_with_scratch(&mut scratch, doomed)
+                .unwrap_err();
+            assert_eq!(err, expected, "shards={shards}");
+            let reused = Simulator::new(&g, base.clone())
+                .run_with_scratch(&mut scratch, clean)
+                .unwrap();
+            let label = format!("shards={shards}, after {expected}");
+            assert_eq!(
+                reused.stats.bits_by_edge, fresh.stats.bits_by_edge,
+                "{label}"
+            );
+            assert_eq!(reused.stats, fresh.stats, "{label}");
+            assert_eq!(reused.metrics, fresh.metrics, "{label}");
+            for (x, y) in reused.states.iter().zip(&fresh.states) {
+                assert_eq!(x.digest, y.digest, "{label}");
+            }
         }
     }
 }

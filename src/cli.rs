@@ -87,10 +87,7 @@ fn parse_crash(s: &str) -> Result<(u32, u64), String> {
     let round = round
         .parse()
         .map_err(|_| format!("'{round}' is not a round"))?;
-    if round == 0 {
-        return Err("crash round must be >= 1 (rounds start at 1)".into());
-    }
-    Ok((node, round))
+    Ok((node, wire::crash_round(round)?))
 }
 
 /// Renders an outcome as a human-readable report.
