@@ -82,6 +82,11 @@ fn main() {
             t.max_awake,
             if ok { "ok" } else { "MISMATCH" }
         );
+        assert!(
+            ok,
+            "n={}: the MST did not decode set disjointness (Lemma 8)",
+            grc.n()
+        );
     }
     println!(
         "\nShape: every product/n stays ≥ 1 (the trade-off lower bound); the\n\

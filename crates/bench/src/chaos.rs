@@ -6,9 +6,9 @@
 //! [`AlgorithmSpec::run_with_options`](mst_core::registry::AlgorithmSpec::run_with_options)
 //! and lands in exactly one bucket:
 //!
-//! * [`Outcome::Correct`] — the run completed and the output is exactly
-//!   the reference answer (Kruskal's MST for `produces_mst` algorithms, a
-//!   spanning tree for the spanning-tree variant);
+//! * [`Outcome::Correct`] — the run completed and the output passes
+//!   [`AlgorithmSpec::verify`] (Kruskal's MST for `produces_mst`
+//!   algorithms, a spanning forest for the spanning-tree variant);
 //! * [`Outcome::TypedFailure`] — the run degraded, but *legibly*: a typed
 //!   [`RunError`] (watchdog cutoff, inconsistent collection, captured
 //!   protocol panic, …). Under injected faults this is acceptable
@@ -21,10 +21,12 @@
 //! Everything derives from the spec seed through fixed per-trial mixing,
 //! so a report is byte-identical across runs and machines.
 
-use graphlib::{generators, mst, UnionFind, WeightedGraph};
+use graphlib::{generators, WeightedGraph};
 use mst_core::registry::{AlgorithmSpec, ALGORITHMS};
 use mst_core::{ExecOptions, MstScratch, RunError};
 use netsim::{EnergyModel, Executor, FaultPlan};
+
+use crate::harness::Invalid;
 
 /// Fault-intensity ladder, mildest first. Intensities are per-message /
 /// per-wake probabilities in ppm (see [`netsim::faults`]); `crash` adds a
@@ -35,7 +37,8 @@ pub const LEVELS: &[&str] = &["none", "light", "moderate", "heavy", "crash"];
 pub const FAMILIES: &[&str] = &["ring", "random", "complete"];
 
 /// What to sweep: the master seed, the family sizes, and how many trial
-/// seeds to draw per (algorithm, family, level, n) cell.
+/// seeds to draw per (algorithm, family, level, n) cell — the `chaos`
+/// request of the CLI and the daemon alike.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosSpec {
     /// Master seed; every per-trial seed and fault plan derives from it.
@@ -57,6 +60,19 @@ pub struct ChaosSpec {
     /// report's energy column; a budgeted model adds the
     /// `energy` typed-failure bucket when nodes starve.
     pub energy: Option<EnergyModel>,
+}
+
+impl ChaosSpec {
+    /// The campaign's validity rules: non-empty sizes and at least one
+    /// trial per cell.
+    ///
+    /// # Errors
+    ///
+    /// The first broken rule.
+    pub fn validate(&self) -> Result<(), Invalid> {
+        Invalid::check(!self.sizes.is_empty(), "sizes", "needs at least one size")?;
+        Invalid::check(self.trials >= 1, "trials", "needs at least one trial")
+    }
 }
 
 impl Default for ChaosSpec {
@@ -188,50 +204,6 @@ fn build_graph(family: &str, n: usize, seed: u64) -> Result<WeightedGraph, Strin
     }
 }
 
-/// Checks a completed run's output against the reference answer.
-fn classify_output(
-    spec: &AlgorithmSpec,
-    graph: &WeightedGraph,
-    edges: &[graphlib::EdgeId],
-) -> Outcome {
-    let n = graph.node_count();
-    if spec.produces_mst {
-        let reference = mst::kruskal(graph).edges;
-        if edges == reference.as_slice() {
-            Outcome::Correct
-        } else {
-            Outcome::WrongOutput(format!(
-                "claimed MST has {} edges, reference has {} (or edge sets differ)",
-                edges.len(),
-                reference.len()
-            ))
-        }
-    } else {
-        // Spanning-tree variant: any spanning forest of the graph's
-        // components is correct; minimality is not promised.
-        let mut uf = UnionFind::new(n);
-        for &e in edges {
-            let edge = graph.edge(e);
-            if !uf.union(edge.u.index(), edge.v.index()) {
-                return Outcome::WrongOutput(format!("cycle through edge {e}"));
-            }
-        }
-        let mut components = UnionFind::new(n);
-        for e in graph.edges() {
-            components.union(e.u.index(), e.v.index());
-        }
-        if uf.set_count() == components.set_count() {
-            Outcome::Correct
-        } else {
-            Outcome::WrongOutput(format!(
-                "output has {} trees, graph has {} components",
-                uf.set_count(),
-                components.set_count()
-            ))
-        }
-    }
-}
-
 /// Runs the full chaos grid: algorithms outermost, then families, levels,
 /// sizes, trial indices — a fixed order, so reports are byte-stable.
 pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
@@ -307,7 +279,10 @@ fn run_trial(
             trial.crashed_nodes = out.stats.crashed_nodes;
             trial.rounds = out.stats.rounds;
             trial.energy_total = out.stats.energy_total();
-            trial.outcome = classify_output(algo, &graph, &out.edges);
+            trial.outcome = match algo.verify(&graph, &out.edges) {
+                Ok(()) => Outcome::Correct,
+                Err(detail) => Outcome::WrongOutput(detail),
+            };
         }
         Err(e) => {
             trial.outcome = Outcome::TypedFailure(error_kind(&e));

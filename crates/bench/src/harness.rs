@@ -11,11 +11,15 @@
 //! Algorithms come from the [`mst_core::registry`] table by default;
 //! ablation-style sweeps can wrap a closure with [`Sweep::algorithm_fn`]
 //! to run configuration variants under their own label.
+//!
+//! [`SweepSpec`] is the plain-data template sweep behind the `sweep`
+//! request of both the CLI and the daemon; [`Invalid`] is how it — and the
+//! `report` and `chaos` specs — name a broken validity rule.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use graphlib::WeightedGraph;
+use graphlib::{generators, WeightedGraph};
 use mst_core::registry::AlgorithmSpec;
 use mst_core::{ExecOptions, MstOutcome, MstScratch, RunError};
 use netsim::{EnergyModel, Executor, RunStats};
@@ -96,6 +100,9 @@ pub struct Sweep<'a> {
     sizes: Vec<usize>,
     seeds: Vec<u64>,
     threads: usize,
+    /// Driver, shard count and energy model for registry trials (set by
+    /// [`SweepSpec::run`]); custom [`Sweep::algorithm_fn`] runners build
+    /// their own options and ignore them.
     executor: Option<Executor>,
     shards: Option<u32>,
     energy: Option<EnergyModel>,
@@ -157,36 +164,6 @@ impl<'a> Sweep<'a> {
     /// available parallelism. Results do not depend on this value.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Pins the time driver for registry trials (default: the calendar
-    /// driver). Every driver is bit-identical, so results do not depend
-    /// on this value either; it only changes wall-clock cost. Custom [`Sweep::algorithm_fn`]
-    /// runners build their own options and ignore this knob.
-    pub fn executor(mut self, executor: Executor) -> Self {
-        self.executor = Some(executor);
-        self
-    }
-
-    /// Pins the send-half-step shard count for registry trials. Like the
-    /// driver choice, shard counts are bit-identical — the cross-shard
-    /// sweep test pins it — so results do not depend on this value; it
-    /// only trades wall-clock for cores within each trial.
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
-    /// Prices every registry trial under `model` (see
-    /// [`netsim::EnergyModel`]). Charging happens inside the one
-    /// execution kernel, so the resulting per-node ledgers are
-    /// bit-identical across drivers, shard counts, and thread counts
-    /// like every other stat. A model with a budget can make trials fail
-    /// with the typed [`mst_core::RunError::EnergyExhausted`]. Custom
-    /// [`Sweep::algorithm_fn`] runners ignore this knob.
-    pub fn energy(mut self, model: EnergyModel) -> Self {
-        self.energy = Some(model);
         self
     }
 
@@ -290,6 +267,109 @@ impl<'a> Sweep<'a> {
             phases: out.phases,
             stats: out.stats,
         })
+    }
+}
+
+/// A batch spec that breaks one of its validity rules: the field at
+/// fault, by its serve name, and what the rule requires. Each surface
+/// words it in its own terms — serve names the field, the CLI the flag.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Invalid {
+    /// The spec field: `algs`, `template`, `sizes`, `seeds` or `trials`.
+    pub field: &'static str,
+    /// What the rule requires of it.
+    pub reason: String,
+}
+
+impl Invalid {
+    /// `Ok` when `holds`, else the broken rule on `field`.
+    pub(crate) fn check(holds: bool, field: &'static str, reason: &str) -> Result<(), Invalid> {
+        holds.then_some(()).ok_or_else(|| Invalid {
+            field,
+            reason: reason.to_string(),
+        })
+    }
+}
+
+impl std::fmt::Display for Invalid {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "field '{}': {}", self.field, self.reason)
+    }
+}
+
+/// A template sweep as plain data — the `sweep` request of the CLI and
+/// the daemon alike: registry algorithms × sizes × seeds over the graph
+/// family `template` (a graph spec with `{n}` in place of the size).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepSpec {
+    /// Registry algorithms, in request order.
+    pub algs: Vec<&'static AlgorithmSpec>,
+    /// Graph spec template containing the literal `{n}`.
+    pub template: String,
+    /// Family sizes substituted for `{n}`.
+    pub sizes: Vec<usize>,
+    /// Trial seeds (graph weights and algorithm coins).
+    pub seeds: Vec<u64>,
+    /// Time driver for every trial (`None` = the calendar driver). All
+    /// drivers are bit-identical, so results do not depend on it.
+    pub executor: Option<Executor>,
+    /// Send-half-step shard count per trial (`None` = serial). Shard
+    /// counts are bit-identical too.
+    pub shards: Option<u32>,
+    /// Energy pricing model charged on every trial (`None` = no
+    /// charging); a budgeted model can fail trials with the typed
+    /// [`mst_core::RunError::EnergyExhausted`].
+    pub energy: Option<EnergyModel>,
+}
+
+impl SweepSpec {
+    /// The sweep's validity rules: at least one algorithm, a template
+    /// containing `{n}`, and non-empty sizes and seeds.
+    ///
+    /// # Errors
+    ///
+    /// The first broken rule.
+    pub fn validate(&self) -> Result<(), Invalid> {
+        Invalid::check(
+            !self.algs.is_empty(),
+            "algs",
+            "needs at least one algorithm",
+        )?;
+        Invalid::check(
+            self.template.contains("{n}"),
+            "template",
+            &format!(
+                "must contain the literal {{n}} (e.g. ring:{{n}} or random:{{n}}:0.1), got '{}'",
+                self.template
+            ),
+        )?;
+        Invalid::check(!self.sizes.is_empty(), "sizes", "needs at least one size")?;
+        Invalid::check(!self.seeds.is_empty(), "seeds", "needs at least one seed")
+    }
+
+    /// Runs the grid on `threads` workers (`0` = all available cores);
+    /// results are in grid order and do not depend on `threads`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Sweep::run`].
+    pub fn run(&self, threads: usize) -> Result<Vec<TrialResult>, String> {
+        let family = |n: usize, seed: u64| {
+            generators::from_spec(&self.template.replace("{n}", &n.to_string()), seed)
+        };
+        let mut sweep = Sweep {
+            sizes: self.sizes.clone(),
+            seeds: self.seeds.clone(),
+            threads,
+            executor: self.executor,
+            shards: self.shards,
+            energy: self.energy,
+            ..Sweep::new(&family)
+        };
+        for &alg in &self.algs {
+            sweep = sweep.algorithm(alg);
+        }
+        sweep.run()
     }
 }
 
@@ -497,18 +577,27 @@ mod tests {
         assert_eq!(json.matches("\"algorithm\"").count(), 4);
     }
 
+    fn ring_sweep(algs: &[&str]) -> SweepSpec {
+        SweepSpec {
+            algs: algs.iter().map(|a| registry::find(a).unwrap()).collect(),
+            template: "ring:{n}".into(),
+            sizes: vec![8, 16],
+            seeds: vec![0, 1],
+            executor: None,
+            shards: None,
+            energy: None,
+        }
+    }
+
     #[test]
     fn sweep_is_bit_identical_across_executors() {
         let build = |executor| {
-            Sweep::new(&ring_family)
-                .algorithm(registry::find("randomized").unwrap())
-                .algorithm(registry::find("deterministic").unwrap())
-                .sizes([8, 16])
-                .seeds(0..2)
-                .threads(1)
-                .executor(executor)
-                .run()
-                .unwrap()
+            SweepSpec {
+                executor: Some(executor),
+                ..ring_sweep(&["randomized", "deterministic"])
+            }
+            .run(1)
+            .unwrap()
         };
         let calendar = build(Executor::Calendar);
         for executor in [Executor::Sync, Executor::Naive] {
@@ -526,14 +615,12 @@ mod tests {
     #[test]
     fn sweep_is_bit_identical_across_shard_counts() {
         let build = |shards| {
-            Sweep::new(&ring_family)
-                .algorithm(registry::find("randomized").unwrap())
-                .sizes([8, 16])
-                .seeds(0..2)
-                .threads(1)
-                .shards(shards)
-                .run()
-                .unwrap()
+            SweepSpec {
+                shards: Some(shards),
+                ..ring_sweep(&["randomized"])
+            }
+            .run(1)
+            .unwrap()
         };
         let serial = build(1);
         for shards in [2, 4] {

@@ -28,7 +28,7 @@ pub use chaos::{run_chaos, ChaosReport, ChaosSpec, ChaosTrial, Outcome};
 pub use engine_panel::{
     render_engine_panel_json, run_engine_panel, EnginePanelRow, EnginePanelSpec,
 };
-pub use harness::{aggregate, Cell, Sweep, TrialResult};
+pub use harness::{aggregate, Cell, Invalid, Sweep, SweepSpec, TrialResult};
 pub use report::{generate, Report, ReportSpec};
 
 /// Renders one markdown table row; the binaries print it themselves

@@ -18,8 +18,11 @@ use mst_core::registry::{self, AlgorithmSpec};
 use mst_core::{ExecOptions, MstScratch};
 use netsim::{EnergyModel, Executor, Metrics, RunStats};
 
-/// The report panel: sizes, seeds, and the backing time driver.
-#[derive(Debug, Clone)]
+use crate::harness::Invalid;
+
+/// The report panel: sizes, seeds, and the backing time driver — the
+/// `report` request of the CLI and the daemon alike.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReportSpec {
     /// Graph sizes swept per family.
     pub sizes: Vec<usize>,
@@ -34,6 +37,18 @@ pub struct ReportSpec {
     /// The ledger is deterministic, so it is part of the pinned report
     /// bytes.
     pub energy: EnergyModel,
+}
+
+impl ReportSpec {
+    /// The panel's validity rules: non-empty sizes and seeds.
+    ///
+    /// # Errors
+    ///
+    /// The first broken rule.
+    pub fn validate(&self) -> Result<(), Invalid> {
+        Invalid::check(!self.sizes.is_empty(), "sizes", "needs at least one size")?;
+        Invalid::check(!self.seeds.is_empty(), "seeds", "needs at least one seed")
+    }
 }
 
 impl Default for ReportSpec {
@@ -213,12 +228,10 @@ fn fitted_exponent(points: &[(usize, f64)]) -> f64 {
 ///
 /// # Errors
 ///
-/// Stringified graph-construction or run errors with their grid
-/// coordinates.
+/// A broken [`ReportSpec::validate`] rule, or stringified
+/// graph-construction or run errors with their grid coordinates.
 pub fn generate(spec: &ReportSpec) -> Result<Report, String> {
-    if spec.sizes.is_empty() || spec.seeds.is_empty() {
-        return Err("report panel needs at least one size and one seed".to_string());
-    }
+    spec.validate().map_err(|e| e.to_string())?;
     let breakdown_n = spec.sizes.iter().copied().max().unwrap_or(0);
     let breakdown_seed = spec.seeds[0];
     let mut scratch = MstScratch::new();

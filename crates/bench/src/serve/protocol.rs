@@ -52,6 +52,10 @@ use mst_core::wire::{self, fnv64, RunRequest};
 use mst_core::{AlgorithmSpec, MstOutcome};
 use netsim::{EnergyModel, FaultPlan};
 
+use crate::chaos::ChaosSpec;
+use crate::harness::{Invalid, SweepSpec};
+use crate::report::ReportSpec;
+
 /// Typed serve-plane error codes (the `run.*` / `sim.*` families come
 /// from [`mst_core::runner::RUN_ERROR_CODES`] and
 /// [`netsim::SIM_ERROR_CODES`]). Frozen spellings: responses embed
@@ -310,38 +314,19 @@ pub fn json_escape(s: &str) -> String {
 // Requests
 // ---------------------------------------------------------------------------
 
-/// A parsed, validated request.
+/// A parsed, validated request. The batch kinds carry the `bench` spec
+/// types themselves — the same values the CLI's `sweep`, `report` and
+/// `chaos` parse to.
 #[derive(Debug, Clone)]
 pub enum Request {
     /// Execute (or serve from cache) one run.
     Run(RunRequest),
-    /// A full benchmark sweep over a size × seed grid.
-    Sweep {
-        /// Resolved algorithms, in request order.
-        algs: Vec<&'static AlgorithmSpec>,
-        /// Graph template containing `{n}`.
-        template: String,
-        /// Graph sizes.
-        sizes: Vec<usize>,
-        /// Seeds per size.
-        seeds: Vec<u64>,
-    },
-    /// The EXPERIMENTS-style scaling report.
-    Report {
-        /// Graph sizes.
-        sizes: Vec<usize>,
-        /// Seeds per size.
-        seeds: Vec<u64>,
-    },
+    /// A template sweep over an algorithm × size × seed grid.
+    Sweep(SweepSpec),
+    /// The "Table 1, measured" report panel.
+    Report(ReportSpec),
     /// A chaos (fault-sweep) campaign.
-    Chaos {
-        /// Campaign master seed.
-        seed: u64,
-        /// Graph sizes.
-        sizes: Vec<usize>,
-        /// Trials per cell.
-        trials: u64,
-    },
+    Chaos(ChaosSpec),
     /// Counter snapshot (control plane, never cached, never shed).
     Stats,
     /// Begin graceful drain (control plane).
@@ -429,11 +414,9 @@ impl<'a> Fields<'a> {
         })
     }
 
-    /// A size list: present means non-empty.
     fn sizes(&self) -> Result<Option<Vec<usize>>, String> {
-        self.get("sizes", "a non-empty array of sizes", |v| {
-            let items = v.as_arr().filter(|items| !items.is_empty())?;
-            items
+        self.get("sizes", "an array of sizes", |v| {
+            v.as_arr()?
                 .iter()
                 .map(|n| n.as_u64().and_then(|n| usize::try_from(n).ok()))
                 .collect()
@@ -448,6 +431,20 @@ struct Refusal(&'static str, String);
 impl From<String> for Refusal {
     fn from(message: String) -> Refusal {
         Refusal(codes::PARSE, message)
+    }
+}
+
+/// A broken batch-spec rule keeps the typed code of its field: an empty
+/// algorithm list and a template without `{n}` have their own codes,
+/// the rest are `request.parse` refusals naming the field.
+impl From<Invalid> for Refusal {
+    fn from(invalid: Invalid) -> Refusal {
+        let code = match invalid.field {
+            "algs" => codes::BAD_ALGORITHM,
+            "template" => codes::BAD_TEMPLATE,
+            _ => codes::PARSE,
+        };
+        Refusal(code, invalid.to_string())
     }
 }
 
@@ -500,41 +497,34 @@ fn parse_command(top: &Fields<'_>) -> Result<Request, Refusal> {
                 .map(wire::parse_algorithm)
                 .collect::<Result<Vec<_>, String>>()
                 .map_err(|e| Refusal(codes::BAD_ALGORITHM, e))?;
-            if algs.is_empty() {
-                return Err(Refusal(codes::BAD_ALGORITHM, "empty algorithm list".into()));
-            }
-            let template = doc.str("template")?.unwrap_or("ring:{n}").to_string();
-            if !template.contains("{n}") {
-                return Err(Refusal(
-                    codes::BAD_TEMPLATE,
-                    format!("template '{template}' has no {{n}} placeholder"),
-                ));
-            }
-            Request::Sweep {
+            let spec = SweepSpec {
                 algs,
-                template,
+                template: doc.str("template")?.unwrap_or("ring:{n}").to_string(),
                 sizes: doc.sizes()?.unwrap_or(vec![16, 32]),
                 seeds: doc.u64_list("seeds")?.unwrap_or(vec![0]),
-            }
+                executor: None,
+                shards: None,
+                energy: None,
+            };
+            spec.validate()?;
+            Request::Sweep(spec)
         }
         "report" => {
             let doc = fields(&["id", "cmd", "sizes", "seeds"])?;
-            Request::Report {
-                sizes: doc.sizes()?.unwrap_or(vec![8, 12, 16, 24]),
-                seeds: doc.u64_list("seeds")?.unwrap_or(vec![0, 1]),
-            }
+            let mut spec = ReportSpec::default();
+            spec.sizes = doc.sizes()?.unwrap_or(spec.sizes);
+            spec.seeds = doc.u64_list("seeds")?.unwrap_or(spec.seeds);
+            spec.validate()?;
+            Request::Report(spec)
         }
         "chaos" => {
             let doc = fields(&["id", "cmd", "seed", "sizes", "trials"])?;
-            Request::Chaos {
-                seed: doc.u64("seed")?.unwrap_or(0),
-                sizes: doc.sizes()?.unwrap_or(vec![8, 12]),
-                trials: doc
-                    .get("trials", "a trial count (>= 1)", |v| {
-                        v.as_u64().filter(|&t| t >= 1)
-                    })?
-                    .unwrap_or(2),
-            }
+            let mut spec = ChaosSpec::default();
+            spec.seed = doc.u64("seed")?.unwrap_or(spec.seed);
+            spec.sizes = doc.sizes()?.unwrap_or(spec.sizes);
+            spec.trials = doc.u64("trials")?.unwrap_or(spec.trials);
+            spec.validate()?;
+            Request::Chaos(spec)
         }
         "stats" => {
             fields(&["id", "cmd"])?;
@@ -625,40 +615,35 @@ impl Request {
     /// The canonical cache-key string for cacheable requests (`None` for
     /// the control plane). Run keys come from
     /// [`RunRequest::cache_key`]; batch keys spell out every grid
-    /// parameter. Executor knobs never appear — results are
-    /// driver-independent by the bit-identity proofs.
+    /// parameter a serve line can set. Executor knobs never appear —
+    /// results are driver-independent by the bit-identity proofs — and a
+    /// batch line sets no energy model, so the spec's default is implied.
     pub fn cache_key(&self) -> Option<String> {
         fn join<T: std::fmt::Display>(items: &[T]) -> String {
             items.iter().map(T::to_string).collect::<Vec<_>>().join(",")
         }
         match self {
             Request::Run(run) => Some(run.cache_key()),
-            Request::Sweep {
-                algs,
-                template,
-                sizes,
-                seeds,
-            } => {
-                let names: Vec<&str> = algs.iter().map(|a| a.name).collect();
+            Request::Sweep(spec) => {
+                let names: Vec<&str> = spec.algs.iter().map(|a| a.name).collect();
                 Some(format!(
-                    "sweep|algs={}|template={template}|sizes={}|seeds={}",
+                    "sweep|algs={}|template={}|sizes={}|seeds={}",
                     names.join(","),
-                    join(sizes),
-                    join(seeds)
+                    spec.template,
+                    join(&spec.sizes),
+                    join(&spec.seeds)
                 ))
             }
-            Request::Report { sizes, seeds } => Some(format!(
+            Request::Report(spec) => Some(format!(
                 "report|sizes={}|seeds={}",
-                join(sizes),
-                join(seeds)
+                join(&spec.sizes),
+                join(&spec.seeds)
             )),
-            Request::Chaos {
-                seed,
-                sizes,
-                trials,
-            } => Some(format!(
-                "chaos|seed={seed}|sizes={}|trials={trials}",
-                join(sizes)
+            Request::Chaos(spec) => Some(format!(
+                "chaos|seed={}|sizes={}|trials={}",
+                spec.seed,
+                join(&spec.sizes),
+                spec.trials
             )),
             Request::Stats | Request::Shutdown => None,
         }
@@ -943,6 +928,13 @@ mod tests {
             (chaos, r#""sizes":[]"#, "sizes"),
             (sweep, r#""sizes":[]"#, "sizes"),
             (r#""cmd":"report""#, r#""sizes":[]"#, "sizes"),
+            // Empty seed lists: never run (or cached) as an empty grid.
+            (r#""cmd":"report","sizes":[8]"#, r#""seeds":[]"#, "seeds"),
+            (
+                r#""cmd":"sweep","algs":"prim","template":"ring:{n}","sizes":[8]"#,
+                r#""seeds":[]"#,
+                "seeds",
+            ),
             // Unknown: a field the command does not read.
             (run, r#""wake_polcy":"duty:2""#, "wake_polcy"),
             (run, r#""faults":{"drop":5}"#, "faults.drop"),

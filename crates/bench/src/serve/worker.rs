@@ -19,7 +19,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use graphlib::generators;
 use mst_core::MstScratch;
 
-use crate::harness::{self, Sweep};
+use crate::harness;
 use crate::serve::admission::TokenBucket;
 use crate::serve::cache::ResultCache;
 use crate::serve::protocol::{
@@ -258,48 +258,14 @@ pub(crate) fn execute_job(
                 .map_err(|e| (e.to_json_code(), e.to_string()))?;
             Ok(render_run(run, &graph, &out, None))
         }
-        Request::Sweep {
-            algs,
-            template,
-            sizes,
-            seeds,
-        } => {
-            let template = template.clone();
-            let family = move |n: usize, seed: u64| {
-                generators::from_spec(&template.replace("{n}", &n.to_string()), seed)
-            };
-            let mut sweep = Sweep::new(&family)
-                .sizes(sizes.iter().copied())
-                .seeds(seeds.iter().copied())
-                .threads(1);
-            for alg in algs {
-                sweep = sweep.algorithm(alg);
-            }
-            let results = sweep.run().map_err(|e| (codes::BAD_GRAPH, e))?;
+        Request::Sweep(spec) => {
+            let results = spec.run(1).map_err(|e| (codes::BAD_GRAPH, e))?;
             Ok(harness::render_json(&results))
         }
-        Request::Report { sizes, seeds } => {
-            let spec = report::ReportSpec {
-                sizes: sizes.clone(),
-                seeds: seeds.clone(),
-                ..report::ReportSpec::default()
-            };
-            let report = report::generate(&spec).map_err(|e| (codes::INTERNAL, e))?;
-            Ok(report.to_json())
-        }
-        Request::Chaos {
-            seed,
-            sizes,
-            trials,
-        } => {
-            let spec = chaos::ChaosSpec {
-                seed: *seed,
-                sizes: sizes.clone(),
-                trials: *trials,
-                ..chaos::ChaosSpec::default()
-            };
-            Ok(chaos::run_chaos(&spec).to_json())
-        }
+        Request::Report(spec) => report::generate(spec)
+            .map(|report| report.to_json())
+            .map_err(|e| (codes::INTERNAL, e)),
+        Request::Chaos(spec) => Ok(chaos::run_chaos(spec).to_json()),
         Request::Stats | Request::Shutdown => Err((
             codes::INTERNAL,
             "control requests are answered before submission".to_string(),

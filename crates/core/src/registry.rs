@@ -19,7 +19,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use graphlib::WeightedGraph;
+use graphlib::{mst, EdgeId, UnionFind, WeightedGraph};
 use netsim::{Metrics, NodeCtx, PhaseSpan, PhaseTotals, Round};
 
 use crate::baseline::{ghs_always_awake, GhsAlwaysAwake};
@@ -283,6 +283,51 @@ impl AlgorithmSpec {
             outcome,
         })
     }
+
+    /// Checks an output edge set against the reference answer: Kruskal's
+    /// minimum spanning forest when the row
+    /// [`produces_mst`](AlgorithmSpec::produces_mst), otherwise any
+    /// spanning forest with one tree per component of `graph`.
+    ///
+    /// # Errors
+    ///
+    /// Describes how `edges` differs from the reference.
+    pub fn verify(&self, graph: &WeightedGraph, edges: &[EdgeId]) -> Result<(), String> {
+        let n = graph.node_count();
+        if self.produces_mst {
+            let reference = mst::kruskal(graph);
+            if edges == reference.edges.as_slice() {
+                return Ok(());
+            }
+            return Err(format!(
+                "edge set differs from the reference MST ({} vs {} edges, weight {} vs {})",
+                edges.len(),
+                reference.edges.len(),
+                graph.total_weight(edges.iter().copied()),
+                reference.total_weight
+            ));
+        }
+        let mut forest = UnionFind::new(n);
+        for &e in edges {
+            let edge = graph.edge(e);
+            if !forest.union(edge.u.index(), edge.v.index()) {
+                return Err(format!("edge {e} closes a cycle"));
+            }
+        }
+        let mut components = UnionFind::new(n);
+        for e in graph.edges() {
+            components.union(e.u.index(), e.v.index());
+        }
+        if forest.set_count() == components.set_count() {
+            Ok(())
+        } else {
+            Err(format!(
+                "output has {} trees, graph has {} components",
+                forest.set_count(),
+                components.set_count()
+            ))
+        }
+    }
 }
 
 /// The report of a passed conformance check (a failed one is a
@@ -394,7 +439,7 @@ pub fn names() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphlib::{generators, mst};
+    use graphlib::{generators, GraphBuilder};
 
     #[test]
     fn registry_has_all_six_unique_names() {
@@ -409,6 +454,48 @@ mod tests {
         assert_eq!(find("prim").unwrap().name, "prim");
         assert!(find("prim").unwrap().needs_connected);
         assert!(find("bogus").is_none());
+    }
+
+    #[test]
+    fn verify_accepts_real_outputs_and_rejects_wrong_ones() {
+        let g = generators::random_connected(14, 0.25, 6).unwrap();
+        for spec in ALGORITHMS {
+            let out = spec.run(&g, 3).unwrap();
+            spec.verify(&g, &out.edges)
+                .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+        }
+        let mst_alg = find("randomized").unwrap();
+        let tree_alg = find("spanning-tree").unwrap();
+        let tree = mst::kruskal(&g).edges;
+        let spare = (0..g.edge_count() as u32)
+            .map(EdgeId::new)
+            .find(|e| !tree.contains(e))
+            .expect("a non-tree edge");
+
+        // An MST with one edge swapped for a non-tree edge.
+        let mut swapped = tree.clone();
+        swapped[0] = spare;
+        swapped.sort_unstable();
+        let err = mst_alg.verify(&g, &swapped).unwrap_err();
+        assert!(err.contains("reference MST"), "{err}");
+
+        // A spanning-tree output that closes a cycle.
+        let mut cyclic = tree.clone();
+        cyclic.push(spare);
+        let err = tree_alg.verify(&g, &cyclic).unwrap_err();
+        assert!(err.contains("closes a cycle"), "{err}");
+
+        // A forest that misses one of the graph's two components.
+        let two = GraphBuilder::new(4)
+            .edge(0, 1, 1)
+            .edge(2, 3, 2)
+            .build()
+            .unwrap();
+        tree_alg
+            .verify(&two, &[EdgeId::new(0), EdgeId::new(1)])
+            .unwrap();
+        let err = tree_alg.verify(&two, &[EdgeId::new(0)]).unwrap_err();
+        assert!(err.contains("3 trees, graph has 2 components"), "{err}");
     }
 
     #[test]

@@ -5,10 +5,15 @@
 //! Algorithms are resolved through [`mst_core::registry`] — the CLI holds
 //! no algorithm table of its own — and the `sweep` subcommand drives the
 //! shared experiment harness ([`bench::harness`]) over an
-//! (algorithm × n × seed) grid on all available cores.
+//! (algorithm × n × seed) grid on all available cores. `run`, `sweep`,
+//! `report` and `chaos` parse to the same request values a serve line
+//! does ([`RunRequest`], [`SweepSpec`], [`ReportSpec`], [`ChaosSpec`]),
+//! checked by the same validity rules.
 //!
-//! The interface is deliberately dependency-free; graph and algorithm
-//! specs are tiny colon-separated strings:
+//! Each subcommand reads only its own flags (the `FLAGS` table, which the
+//! usage synopsis mirrors); any other flag is refused, naming the flag
+//! and the command. The interface is deliberately dependency-free; graph
+//! and algorithm specs are tiny colon-separated strings:
 //!
 //! ```text
 //! sleeping-mst run --alg randomized --graph ring:64 --seed 7
@@ -19,38 +24,16 @@
 //!     --sizes 16,32,64 --seeds 0..3
 //! ```
 
+use bench::chaos::{self, ChaosSpec};
+use bench::harness::{self, Invalid, SweepSpec};
+use bench::report::{self, ReportSpec};
 use bench::serve::protocol::render_run;
-use bench::{chaos, engine_panel, harness, report, serve};
-use graphlib::{generators, mst, traversal, WeightedGraph};
+use bench::{engine_panel, serve};
+use graphlib::{generators, traversal, WeightedGraph};
 use mst_core::registry::{self, AlgorithmSpec};
 use mst_core::wire::{self, RunRequest};
 use mst_core::{MstOutcome, MstScratch};
 use netsim::{EnergyModel, Executor, FaultPlan, WakePolicy};
-
-/// Builds a graph from a spec string like `ring:64`, `random:48:0.1`,
-/// `grid:4x8`, `barbell:6:3`, `caterpillar:5:2`, `bintree:31`,
-/// `complete:12`, `path:20`, `star:16`, or `scale:1000000:2` (the
-/// streaming chorded-cycle family — O(E) memory at build time, the spec
-/// for million-node campaigns).
-///
-/// # Errors
-///
-/// Returns a human-readable message on malformed specs or invalid sizes.
-pub fn build_graph(spec: &str, seed: u64) -> Result<WeightedGraph, String> {
-    generators::from_spec(spec, seed)
-}
-
-/// Runs `alg` on `graph`.
-///
-/// # Errors
-///
-/// Propagates run failures — simulator errors, inconsistent MST output
-/// ([`mst_core::MstCollectError`]), disconnected input for algorithms that
-/// require connectivity — as readable strings (the binary maps them to a
-/// non-zero exit).
-pub fn run(alg: &AlgorithmSpec, graph: &WeightedGraph, seed: u64) -> Result<MstOutcome, String> {
-    alg.run(graph, seed).map_err(|e| e.to_string())
-}
 
 /// This process's peak resident set size in bytes (Linux `VmHWM`), or 0
 /// where `/proc/self/status` is unavailable. Deliberately *not* part of
@@ -178,43 +161,6 @@ pub fn render_bench_report(
     )
 }
 
-/// Verifies an outcome against Kruskal (for MST algorithms) or against
-/// the spanning-tree property.
-///
-/// # Errors
-///
-/// Returns a description of the mismatch.
-pub fn verify(alg: &AlgorithmSpec, graph: &WeightedGraph, out: &MstOutcome) -> Result<(), String> {
-    if alg.produces_mst {
-        let reference = mst::kruskal(graph);
-        if out.edges != reference.edges {
-            return Err(format!(
-                "edge set differs from the reference MST ({} vs {} edges, weight {} vs {})",
-                out.edges.len(),
-                reference.edges.len(),
-                graph.total_weight(out.edges.iter().copied()),
-                reference.total_weight
-            ));
-        }
-    } else {
-        if out.edges.len() + 1 != graph.node_count() {
-            return Err(format!(
-                "expected {} spanning edges, got {}",
-                graph.node_count() - 1,
-                out.edges.len()
-            ));
-        }
-        let mut uf = graphlib::UnionFind::new(graph.node_count());
-        for &e in &out.edges {
-            let edge = graph.edge(e);
-            if !uf.union(edge.u.index(), edge.v.index()) {
-                return Err(format!("edge {e} closes a cycle"));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -262,14 +208,8 @@ pub enum Command {
     /// `sweep`: run an (algorithm × n × seed) grid through the shared
     /// harness, in parallel, and print aggregated metrics.
     Sweep {
-        /// Algorithms to sweep.
-        algs: Vec<&'static AlgorithmSpec>,
-        /// Graph spec template containing the literal `{n}`.
-        template: String,
-        /// Family sizes substituted for `{n}`.
-        sizes: Vec<usize>,
-        /// Trial seeds (graph weights and algorithm coins).
-        seeds: Vec<u64>,
+        /// The grid — the same [`SweepSpec`] a serve `sweep` line parses to.
+        spec: SweepSpec,
         /// Worker threads (0 = all available cores).
         threads: usize,
         /// Emit raw per-trial JSON instead of the aggregated table.
@@ -277,14 +217,6 @@ pub enum Command {
         /// Write executor-throughput metrics (runs/sec, messages/sec,
         /// rounds/sec over the whole grid) to this file as JSON.
         bench_out: Option<String>,
-        /// Time driver for every trial (`None` = the calendar driver).
-        executor: Option<Executor>,
-        /// Send-half-step shard count per trial (`None` = serial;
-        /// bit-identical for every value).
-        shards: Option<u32>,
-        /// Energy pricing model applied to every trial (`None` = no
-        /// charging).
-        energy: Option<EnergyModel>,
     },
     /// `report`: generate the "Table 1, measured" artifact
     /// ([`bench::report`]) — every registry algorithm swept across graph
@@ -293,46 +225,27 @@ pub enum Command {
     /// per-phase awake breakdowns. Byte-deterministic: the same panel
     /// always renders identical bytes.
     Report {
-        /// Family sizes swept.
-        sizes: Vec<usize>,
-        /// Trial seeds per cell.
-        seeds: Vec<u64>,
-        /// Time driver backing the runs (the artifact bytes must not
-        /// change whichever driver runs it).
-        executor: Executor,
+        /// The panel — the same [`ReportSpec`] a serve `report` line
+        /// parses to.
+        spec: ReportSpec,
         /// Print JSON instead of markdown.
         json: bool,
         /// Also write the JSON artifact to this file.
         out: Option<String>,
         /// Also write the markdown artifact to this file.
         md_out: Option<String>,
-        /// Energy pricing model for the panel's energy columns (`None`
-        /// keeps the spec default, the budget-free reference model).
-        energy: Option<EnergyModel>,
     },
     /// `chaos`: sweep every registry algorithm × graph family × fault
     /// level ([`bench::chaos`]), classify each trial, and print the
     /// fault-tolerance matrix. Exits non-zero on any wrong-output trial.
     Chaos {
-        /// Master seed for trial seeds and fault streams.
-        seed: u64,
-        /// Family sizes.
-        sizes: Vec<usize>,
-        /// Trials per (algorithm, family, level, n) cell.
-        trials: u64,
+        /// The campaign — the same [`ChaosSpec`] a serve `chaos` line
+        /// parses to.
+        spec: ChaosSpec,
         /// Print the full byte-stable JSON matrix instead of the table.
         json: bool,
         /// Also write the JSON matrix to this file.
         out: Option<String>,
-        /// Time driver every trial runs under (matrix bytes must not
-        /// depend on it).
-        executor: Executor,
-        /// Send-half-step shard count per trial (matrix bytes must not
-        /// depend on it either — the CI energy leg `cmp`s legs).
-        shards: Option<u32>,
-        /// Energy pricing model charged on every trial; stamped into the
-        /// matrix header and the per-cell `energy_total` column.
-        energy: Option<EnergyModel>,
     },
     /// `bench-engine`: time the drivers themselves on the sparse-wake
     /// panel ([`bench::engine_panel`]) — few wakes per node, huge gaps —
@@ -403,6 +316,50 @@ fn parse_seeds(s: &str) -> Result<Vec<u64>, String> {
     }
 }
 
+/// The flags each subcommand reads, in usage order; any other flag is
+/// refused (`help` reads none).
+const FLAGS: &[(&str, &str)] = &[
+    (
+        "run",
+        "--alg --graph --seed --json --executor --shards --energy-model --budget \
+         --wake-policy --profile --fault-seed --drop-ppm --dup-ppm --sleep-ppm --jitter --crash",
+    ),
+    ("verify", "--alg --graph --seed"),
+    ("info", "--graph --seed"),
+    ("check", "--graph --alg --seed"),
+    (
+        "sweep",
+        "--alg --graph --sizes --seeds --seed --threads --json --bench-out --executor \
+         --shards --energy-model --budget",
+    ),
+    (
+        "report",
+        "--sizes --seeds --executor --energy-model --budget --json --out --md-out",
+    ),
+    (
+        "chaos",
+        "--seed --sizes --trials --json --out --executor --shards --energy-model --budget",
+    ),
+    (
+        "bench-engine",
+        "--sizes --seed --out --executors --executor --wave-sizes --shards",
+    ),
+    (
+        "serve",
+        "--socket --workers --cache-capacity --bucket-capacity --refill-per-sec",
+    ),
+];
+
+/// Words a broken spec rule in CLI terms: the flag that sets the field.
+fn invalid_flag(invalid: Invalid) -> String {
+    let flag = match invalid.field {
+        "algs" => "alg",
+        "template" => "graph",
+        field => field,
+    };
+    format!("--{flag} {}", invalid.reason)
+}
+
 /// Parses raw arguments (without the program name).
 ///
 /// # Errors
@@ -414,6 +371,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         None | Some("help") | Some("--help") | Some("-h") => return Ok(Command::Help),
         Some(c) => c,
     };
+    let Some(&(_, known)) = FLAGS.iter().find(|(name, _)| *name == cmd) else {
+        let names: Vec<&str> = FLAGS.iter().map(|(name, _)| *name).collect();
+        return Err(format!(
+            "unknown command '{cmd}' ({}, help)",
+            names.join(", ")
+        ));
+    };
     let mut algs: Vec<&'static AlgorithmSpec> = Vec::new();
     let mut graph = None;
     let mut seed = 0u64;
@@ -423,7 +387,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut json = false;
     let mut profile = false;
     let mut bench_out: Option<String> = None;
-    let mut trials = 2u64;
+    let mut trials: Option<u64> = None;
     let mut out: Option<String> = None;
     let mut md_out: Option<String> = None;
     let mut executor: Option<Executor> = None;
@@ -440,6 +404,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut bucket_capacity = 4096u64;
     let mut refill_per_sec = 4096u64;
     while let Some(flag) = it.next() {
+        if !known.split_whitespace().any(|k| k == flag) {
+            return Err(format!("'{cmd}' does not take '{flag}' (it takes {known})"));
+        }
         match flag.as_str() {
             "--alg" => {
                 let v = it.next().ok_or("--alg needs a value")?;
@@ -473,9 +440,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             "--trials" => {
                 let v = it.next().ok_or("--trials needs a value")?;
-                trials = v
-                    .parse()
-                    .map_err(|_| format!("'{v}' is not a trial count"))?;
+                trials = Some(
+                    v.parse()
+                        .map_err(|_| format!("'{v}' is not a trial count"))?,
+                );
             }
             "--out" => out = Some(it.next().ok_or("--out needs a file path")?.clone()),
             "--md-out" => md_out = Some(it.next().ok_or("--md-out needs a file path")?.clone()),
@@ -582,7 +550,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     .parse()
                     .map_err(|_| format!("'{v}' is not a refill rate"))?;
             }
-            other => return Err(format!("unknown flag '{other}'")),
+            other => unreachable!("'{other}' is in FLAGS but has no parser"),
         }
     }
     let energy = wire::budgeted(energy, budget);
@@ -595,31 +563,103 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             ),
         }
     };
-    if cmd == "report" {
-        return Ok(Command::Report {
-            sizes: sizes.unwrap_or_else(|| vec![8, 12, 16, 24]),
-            seeds: seeds.unwrap_or_else(|| vec![0, 1]),
-            executor: executor.unwrap_or_default(),
-            json,
-            out,
-            md_out,
-            energy,
-        });
-    }
-    if cmd == "chaos" {
-        return Ok(Command::Chaos {
+    let graph = || graph.clone().ok_or("--graph is required");
+    let single_alg = |algs: &[&'static AlgorithmSpec]| -> Result<&'static AlgorithmSpec, String> {
+        match algs {
+            [one] => Ok(one),
+            [] => Err("--alg is required".to_string()),
+            _ => Err("this command takes exactly one --alg".to_string()),
+        }
+    };
+    Ok(match cmd {
+        "run" => {
+            if profile && json {
+                return Err(
+                    "--profile appends a wall-clock table to the text report of 'run'; \
+                     it takes no --json"
+                        .into(),
+                );
+            }
+            Command::Run {
+                request: RunRequest {
+                    executor,
+                    shards: single_shards(&shards)?,
+                    faults: Some(faults),
+                    energy,
+                    wake_policy,
+                    ..RunRequest::new(single_alg(&algs)?, graph()?, seed)
+                }
+                .normalized(),
+                json,
+                profile,
+            }
+        }
+        "verify" => Command::Verify {
+            graph: graph()?,
+            alg: single_alg(&algs)?,
             seed,
-            sizes: sizes.unwrap_or_else(|| vec![8, 12]),
-            trials,
-            json,
-            out,
-            executor: executor.unwrap_or_default(),
-            shards: single_shards(&shards)?,
-            energy,
-        });
-    }
-    if cmd == "bench-engine" {
-        return Ok(Command::BenchEngine {
+        },
+        "info" => Command::Info {
+            graph: graph()?,
+            seed,
+        },
+        "check" => Command::Check {
+            graph: graph()?,
+            algs,
+            seed,
+        },
+        "sweep" => {
+            let template = graph()?;
+            if algs.is_empty() {
+                return Err("--alg is required for 'sweep' (comma-separate for several)".into());
+            }
+            let spec = SweepSpec {
+                algs,
+                template,
+                sizes: sizes.ok_or("--sizes is required for 'sweep'")?,
+                seeds: seeds.unwrap_or_else(|| vec![seed]),
+                executor,
+                shards: single_shards(&shards)?,
+                energy,
+            };
+            spec.validate().map_err(invalid_flag)?;
+            Command::Sweep {
+                spec,
+                threads,
+                json,
+                bench_out,
+            }
+        }
+        "report" => {
+            let mut spec = ReportSpec {
+                executor: executor.unwrap_or_default(),
+                ..ReportSpec::default()
+            };
+            spec.sizes = sizes.unwrap_or(spec.sizes);
+            spec.seeds = seeds.unwrap_or(spec.seeds);
+            spec.energy = energy.unwrap_or(spec.energy);
+            spec.validate().map_err(invalid_flag)?;
+            Command::Report {
+                spec,
+                json,
+                out,
+                md_out,
+            }
+        }
+        "chaos" => {
+            let mut spec = ChaosSpec {
+                seed,
+                executor: executor.unwrap_or_default(),
+                shards: single_shards(&shards)?,
+                energy,
+                ..ChaosSpec::default()
+            };
+            spec.sizes = sizes.unwrap_or(spec.sizes);
+            spec.trials = trials.unwrap_or(spec.trials);
+            spec.validate().map_err(invalid_flag)?;
+            Command::Chaos { spec, json, out }
+        }
+        "bench-engine" => Command::BenchEngine {
             sizes: sizes.unwrap_or_else(|| vec![1 << 14]),
             seed,
             executors: executors.unwrap_or_else(|| {
@@ -628,81 +668,16 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             wave_sizes: wave_sizes.unwrap_or_default(),
             shards: shards.unwrap_or_else(|| vec![1]),
             out,
-        });
-    }
-    if cmd == "serve" {
-        return Ok(Command::Serve {
+        },
+        "serve" => Command::Serve {
             socket: socket.ok_or("--socket is required for 'serve'")?,
             workers,
             cache_capacity,
             bucket_capacity,
             refill_per_sec,
-        });
-    }
-    if profile && (cmd != "run" || json) {
-        return Err(
-            "--profile appends a wall-clock table to the text report of 'run'; \
-             it takes no other command and no --json"
-                .into(),
-        );
-    }
-    let graph = graph.ok_or("--graph is required")?;
-    let single_alg = |algs: &[&'static AlgorithmSpec]| -> Result<&'static AlgorithmSpec, String> {
-        match algs {
-            [one] => Ok(one),
-            [] => Err("--alg is required".to_string()),
-            _ => Err("this command takes exactly one --alg".to_string()),
-        }
-    };
-    match cmd {
-        "run" => Ok(Command::Run {
-            request: RunRequest {
-                executor,
-                shards: single_shards(&shards)?,
-                faults: Some(faults),
-                energy,
-                wake_policy,
-                ..RunRequest::new(single_alg(&algs)?, graph, seed)
-            }
-            .normalized(),
-            json,
-            profile,
-        }),
-        "verify" => Ok(Command::Verify {
-            alg: single_alg(&algs)?,
-            graph,
-            seed,
-        }),
-        "info" => Ok(Command::Info { graph, seed }),
-        "check" => Ok(Command::Check { algs, graph, seed }),
-        "sweep" => {
-            if algs.is_empty() {
-                return Err("--alg is required for 'sweep' (comma-separate for several)".into());
-            }
-            if !graph.contains("{n}") {
-                return Err(format!(
-                    "sweep graph template '{graph}' must contain the literal {{n}} \
-                     (e.g. ring:{{n}} or random:{{n}}:0.1)"
-                ));
-            }
-            Ok(Command::Sweep {
-                algs,
-                template: graph,
-                sizes: sizes.ok_or("--sizes is required for 'sweep'")?,
-                seeds: seeds.unwrap_or_else(|| vec![seed]),
-                threads,
-                json,
-                bench_out,
-                executor,
-                shards: single_shards(&shards)?,
-                energy,
-            })
-        }
-        other => Err(format!(
-            "unknown command '{other}' (run, verify, info, check, sweep, report, \
-             chaos, bench-engine, serve, help)"
-        )),
-    }
+        },
+        other => unreachable!("'{other}' is in FLAGS but has no command"),
+    })
 }
 
 /// The usage text, with the algorithm list generated from the registry.
@@ -726,7 +701,8 @@ USAGE:
     sleeping-mst info   --graph <SPEC> [--seed S]
     sleeping-mst check  --graph <SPEC> [--alg <ALG[,ALG…]>] [--seed S]
     sleeping-mst sweep  --alg <ALG[,ALG…]> --graph <TEMPLATE with {{n}}>
-                        --sizes <N,N,…> [--seeds A..B|A,B,…] [--threads T] [--json]
+                        --sizes <N,N,…> [--seeds A..B|A,B,… | --seed S]
+                        [--threads T] [--json]
                         [--bench-out FILE] [--executor sync|calendar|naive]
                         [--shards K] [--energy-model M] [--budget B]
     sleeping-mst report [--sizes N,N,…] [--seeds A..B|A,B,…]
@@ -737,7 +713,7 @@ USAGE:
                         [--out FILE] [--executor sync|calendar|naive]
                         [--shards K] [--energy-model M] [--budget B]
     sleeping-mst bench-engine [--sizes N,N,…] [--seed S] [--out FILE]
-                        [--executors calendar,sync[,naive]]
+                        [--executors calendar,sync[,naive] | --executor E]
                         [--wave-sizes N,N,…] [--shards K,K,…]
     sleeping-mst serve  --socket PATH [--workers W] [--cache-capacity C]
                         [--bucket-capacity B] [--refill-per-sec R]
@@ -894,7 +870,7 @@ pub fn execute(cmd: &Command) -> (i32, String) {
                 ),
             }
         }
-        Command::Info { graph, seed } => match build_graph(graph, *seed) {
+        Command::Info { graph, seed } => match generators::from_spec(graph, *seed) {
             Err(e) => (2, format!("error: {e}\n")),
             Ok(g) => (
                 0,
@@ -913,7 +889,7 @@ pub fn execute(cmd: &Command) -> (i32, String) {
             request,
             json,
             profile,
-        } => match build_graph(&request.graph, request.seed) {
+        } => match generators::from_spec(&request.graph, request.seed) {
             Err(e) => (2, format!("error: {e}\n")),
             Ok(g) => {
                 let mut scratch = MstScratch::new();
@@ -957,64 +933,33 @@ pub fn execute(cmd: &Command) -> (i32, String) {
             }
         },
         Command::Report {
-            sizes,
-            seeds,
-            executor,
+            spec,
             json,
             out,
             md_out,
-            energy,
-        } => {
-            let mut spec = report::ReportSpec {
-                sizes: sizes.clone(),
-                seeds: seeds.clone(),
-                executor: *executor,
-                ..report::ReportSpec::default()
-            };
-            if let Some(model) = energy {
-                spec.energy = *model;
-            }
-            match report::generate(&spec) {
-                Err(e) => (1, format!("error: {e}\n")),
-                Ok(rep) => {
-                    if let Some(path) = out {
-                        if let Err(e) = std::fs::write(path, rep.to_json()) {
-                            return (1, format!("error: cannot write {path}: {e}\n"));
-                        }
+        } => match report::generate(spec) {
+            Err(e) => (1, format!("error: {e}\n")),
+            Ok(rep) => {
+                if let Some(path) = out {
+                    if let Err(e) = std::fs::write(path, rep.to_json()) {
+                        return (1, format!("error: cannot write {path}: {e}\n"));
                     }
-                    if let Some(path) = md_out {
-                        if let Err(e) = std::fs::write(path, rep.to_markdown()) {
-                            return (1, format!("error: cannot write {path}: {e}\n"));
-                        }
-                    }
-                    let text = if *json {
-                        rep.to_json() + "\n"
-                    } else {
-                        rep.to_markdown()
-                    };
-                    (0, text)
                 }
+                if let Some(path) = md_out {
+                    if let Err(e) = std::fs::write(path, rep.to_markdown()) {
+                        return (1, format!("error: cannot write {path}: {e}\n"));
+                    }
+                }
+                let text = if *json {
+                    rep.to_json() + "\n"
+                } else {
+                    rep.to_markdown()
+                };
+                (0, text)
             }
-        }
-        Command::Chaos {
-            seed,
-            sizes,
-            trials,
-            json,
-            out,
-            executor,
-            shards,
-            energy,
-        } => {
-            let spec = chaos::ChaosSpec {
-                seed: *seed,
-                sizes: sizes.clone(),
-                trials: *trials,
-                executor: *executor,
-                shards: *shards,
-                energy: *energy,
-            };
-            let report = chaos::run_chaos(&spec);
+        },
+        Command::Chaos { spec, json, out } => {
+            let report = chaos::run_chaos(spec);
             let mut text = if *json {
                 report.to_json() + "\n"
             } else {
@@ -1045,17 +990,17 @@ pub fn execute(cmd: &Command) -> (i32, String) {
                 (1, text)
             }
         }
-        Command::Verify { alg, graph, seed } => match build_graph(graph, *seed) {
+        Command::Verify { alg, graph, seed } => match generators::from_spec(graph, *seed) {
             Err(e) => (2, format!("error: {e}\n")),
-            Ok(g) => match run(alg, &g, *seed) {
+            Ok(g) => match alg.run(&g, *seed) {
                 Err(e) => (1, format!("error: {e}\n")),
-                Ok(out) => match verify(alg, &g, &out) {
+                Ok(out) => match alg.verify(&g, &out.edges) {
                     Ok(()) => (0, format!("ok: {} output verified on {graph}\n", alg.name)),
                     Err(e) => (1, format!("MISMATCH: {e}\n")),
                 },
             },
         },
-        Command::Check { algs, graph, seed } => match build_graph(graph, *seed) {
+        Command::Check { algs, graph, seed } => match generators::from_spec(graph, *seed) {
             Err(e) => (2, format!("error: {e}\n")),
             Ok(g) => {
                 let specs: Vec<&'static AlgorithmSpec> = if algs.is_empty() {
@@ -1096,43 +1041,19 @@ pub fn execute(cmd: &Command) -> (i32, String) {
             }
         },
         Command::Sweep {
-            algs,
-            template,
-            sizes,
-            seeds,
+            spec,
             threads,
             json,
             bench_out,
-            executor,
-            shards,
-            energy,
         } => {
-            let family =
-                |n: usize, seed: u64| build_graph(&template.replace("{n}", &n.to_string()), seed);
-            let mut sweep = bench::Sweep::new(&family)
-                .sizes(sizes.iter().copied())
-                .seeds(seeds.iter().copied())
-                .threads(*threads);
-            if let Some(executor) = executor {
-                sweep = sweep.executor(*executor);
-            }
-            if let Some(shards) = shards {
-                sweep = sweep.shards(*shards);
-            }
-            if let Some(model) = energy {
-                sweep = sweep.energy(*model);
-            }
-            for &alg in algs {
-                sweep = sweep.algorithm(alg);
-            }
             // lint:allow(wall-clock) -- sweep timing is reporting, not simulation input
             let start = std::time::Instant::now();
-            match sweep.run() {
+            match spec.run(*threads) {
                 Err(e) => (1, format!("error: {e}\n")),
                 Ok(results) => {
                     let wall = start.elapsed();
                     if let Some(path) = bench_out {
-                        let report = render_bench_report(template, *threads, &results, wall);
+                        let report = render_bench_report(&spec.template, *threads, &results, wall);
                         if let Err(e) = std::fs::write(path, report) {
                             return (1, format!("error: cannot write {path}: {e}\n"));
                         }
@@ -1321,21 +1242,21 @@ mod tests {
             "radio",
         ]))
         .unwrap();
-        let Command::Sweep { energy, .. } = cmd else {
+        let Command::Sweep { spec, .. } = cmd else {
             unreachable!("expected sweep command");
         };
-        assert_eq!(energy, Some(EnergyModel::radio_default()));
+        assert_eq!(spec.energy, Some(EnergyModel::radio_default()));
         let cmd = parse_args(&args(&["chaos", "--budget", "7", "--shards", "2"])).unwrap();
-        let Command::Chaos { energy, shards, .. } = cmd else {
+        let Command::Chaos { spec, .. } = cmd else {
             unreachable!("expected chaos command");
         };
-        assert_eq!(energy, Some(EnergyModel::reference().with_budget(7)));
-        assert_eq!(shards, Some(2));
+        assert_eq!(spec.energy, Some(EnergyModel::reference().with_budget(7)));
+        assert_eq!(spec.shards, Some(2));
         let cmd = parse_args(&args(&["report", "--energy-model", "radio"])).unwrap();
-        let Command::Report { energy, .. } = cmd else {
+        let Command::Report { spec, .. } = cmd else {
             unreachable!("expected report command");
         };
-        assert_eq!(energy, Some(EnergyModel::radio_default()));
+        assert_eq!(spec.energy, EnergyModel::radio_default());
     }
 
     #[test]
@@ -1367,10 +1288,10 @@ mod tests {
             "2",
         ]))
         .unwrap();
-        let Command::Sweep { shards, .. } = cmd else {
+        let Command::Sweep { spec, .. } = cmd else {
             unreachable!("expected sweep command");
         };
-        assert_eq!(shards, Some(2));
+        assert_eq!(spec.shards, Some(2));
 
         // run/sweep take exactly one value; bench-engine takes a list.
         assert!(parse_args(&args(&[
@@ -1484,19 +1405,21 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Sweep {
-                algs: vec![
-                    registry::find("randomized").unwrap(),
-                    registry::find("always-awake").unwrap(),
-                ],
-                template: "ring:{n}".into(),
-                sizes: vec![8, 16],
-                seeds: vec![0, 1, 2],
+                spec: SweepSpec {
+                    algs: vec![
+                        registry::find("randomized").unwrap(),
+                        registry::find("always-awake").unwrap(),
+                    ],
+                    template: "ring:{n}".into(),
+                    sizes: vec![8, 16],
+                    seeds: vec![0, 1, 2],
+                    executor: None,
+                    shards: None,
+                    energy: None,
+                },
                 threads: 2,
                 json: false,
                 bench_out: None,
-                executor: None,
-                shards: None,
-                energy: None,
             }
         );
         assert!(parse_args(&args(&[
@@ -1536,6 +1459,106 @@ mod tests {
             let err = parse_args(&args(&argv)).unwrap_err();
             assert!(err.contains("'--naive'"), "{cmd}: {err}");
         }
+        // A flag another command reads is refused, not silently dropped.
+        for (cmd, flag) in [
+            (
+                "sweep --alg randomized --graph ring:{n} --sizes 16 --wake-policy duty:2 \
+                 --drop-ppm 500000 --json",
+                "'--wake-policy'",
+            ),
+            (
+                "verify --alg randomized --graph ring:16 --energy-model radio --budget 1",
+                "'--energy-model'",
+            ),
+            ("report --shards 4", "'--shards'"),
+        ] {
+            let argv: Vec<&str> = cmd.split_whitespace().collect();
+            let err = parse_args(&args(&argv)).unwrap_err();
+            assert!(err.contains(flag), "{cmd}: {err}");
+            assert!(err.contains(&format!("'{}'", argv[0])), "{cmd}: {err}");
+        }
+        // The chaos campaign's rules hold on the CLI as they do in serve.
+        let err =
+            parse_args(&args(&["chaos", "--sizes", "8", "--trials", "0", "--json"])).unwrap_err();
+        assert!(err.contains("--trials"), "{err}");
+    }
+
+    /// The usage synopsis and the per-command flag lists name the same
+    /// flags: each one listed parses for its command, and a flag only
+    /// other commands read is refused.
+    #[test]
+    fn usage_synopsis_matches_each_commands_flags() {
+        let usage = usage();
+        let synopsis = &usage[usage.find("USAGE:").unwrap()..usage.find("ALGORITHMS:").unwrap()];
+        let mut listed: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in synopsis.lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("sleeping-mst ") {
+                listed.push((rest.split_whitespace().next().unwrap(), Vec::new()));
+            }
+            if let Some((_, flags)) = listed.last_mut() {
+                flags.extend(
+                    line.split(['[', ']', ' ', '|'])
+                        .filter(|w| w.starts_with("--")),
+                );
+            }
+        }
+        // The minimal argv of each command, and a value for each flag.
+        let required = |cmd: &str| -> Vec<&str> {
+            match cmd {
+                "run" | "verify" => vec!["--alg", "--graph"],
+                "info" | "check" => vec!["--graph"],
+                "sweep" => vec!["--alg", "--graph", "--sizes"],
+                "serve" => vec!["--socket"],
+                _ => vec![],
+            }
+        };
+        let with_value = |flag: &str| -> Vec<String> {
+            let value = match flag {
+                "--json" | "--profile" => return vec![flag.into()],
+                "--alg" => "prim",
+                "--graph" => "ring:{n}",
+                "--crash" => "1@5",
+                "--executor" | "--executors" => "sync",
+                "--energy-model" => "radio",
+                "--wake-policy" => "duty:2",
+                "--socket" | "--out" | "--md-out" | "--bench-out" => "file",
+                _ => "2",
+            };
+            vec![flag.into(), value.into()]
+        };
+        let argv = |cmd: &str, extra: &str| -> Vec<String> {
+            let mut argv = vec![cmd.to_string()];
+            for flag in required(cmd).into_iter().filter(|&f| f != extra) {
+                argv.extend(with_value(flag));
+            }
+            argv.extend(with_value(extra));
+            argv
+        };
+        let names: Vec<&str> = FLAGS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            listed.iter().map(|(name, _)| *name).collect::<Vec<_>>(),
+            names
+        );
+        for ((cmd, usage_flags), (_, known)) in listed.iter().zip(FLAGS) {
+            let known: Vec<&str> = known.split_whitespace().collect();
+            assert_eq!(usage_flags, &known, "usage of '{cmd}'");
+            for flag in &known {
+                let argv = argv(cmd, flag);
+                parse_args(&argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+            }
+            let foreign = FLAGS
+                .iter()
+                .flat_map(|(_, flags)| flags.split_whitespace())
+                .filter(|flag| !known.contains(flag));
+            for flag in foreign {
+                let argv = argv(cmd, flag);
+                let err = parse_args(&argv).unwrap_err();
+                assert!(
+                    err.contains(&format!("'{cmd}' does not take '{flag}'")),
+                    "{argv:?}: {err}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1552,31 +1575,34 @@ mod tests {
             "caterpillar:4:2",
             "scale:64:3",
         ] {
-            let g = build_graph(spec, 1).unwrap_or_else(|e| panic!("{spec}: {e}"));
+            let g = generators::from_spec(spec, 1).unwrap_or_else(|e| panic!("{spec}: {e}"));
             assert!(g.node_count() > 0, "{spec}");
         }
-        assert!(build_graph("ring:2", 0).is_err());
-        assert!(build_graph("mystery:3", 0).is_err());
-        assert!(build_graph("grid:3", 0).is_err());
-        assert!(build_graph("random:5:nope", 0).is_err());
-        assert!(build_graph("scale:4:1", 0).is_err());
-        assert!(build_graph("scale:9:9", 0).is_err());
+        assert!(generators::from_spec("ring:2", 0).is_err());
+        assert!(generators::from_spec("mystery:3", 0).is_err());
+        assert!(generators::from_spec("grid:3", 0).is_err());
+        assert!(generators::from_spec("random:5:nope", 0).is_err());
+        assert!(generators::from_spec("scale:4:1", 0).is_err());
+        assert!(generators::from_spec("scale:9:9", 0).is_err());
     }
 
     #[test]
     fn run_and_verify_all_algorithms() {
-        let g = build_graph("random:14:0.2", 3).unwrap();
+        let g = generators::from_spec("random:14:0.2", 3).unwrap();
         for alg in registry::ALGORITHMS {
-            let out = run(alg, &g, 5).unwrap_or_else(|e| panic!("{}: {e}", alg.name));
-            verify(alg, &g, &out).unwrap_or_else(|e| panic!("{}: {e}", alg.name));
+            let out = alg
+                .run(&g, 5)
+                .unwrap_or_else(|e| panic!("{}: {e}", alg.name));
+            alg.verify(&g, &out.edges)
+                .unwrap_or_else(|e| panic!("{}: {e}", alg.name));
         }
     }
 
     #[test]
     fn json_rendering_is_well_formed_enough() {
-        let g = build_graph("ring:8", 1).unwrap();
+        let g = generators::from_spec("ring:8", 1).unwrap();
         let alg = registry::find("randomized").unwrap();
-        let out = run(alg, &g, 1).unwrap();
+        let out = alg.run(&g, 1).unwrap();
         let json = render_run(&RunRequest::new(alg, "ring:8", 1), &g, &out, Some(0));
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"awake_max\":"));
@@ -1711,14 +1737,16 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Chaos {
-                seed: 5,
-                sizes: vec![6],
-                trials: 1,
+                spec: ChaosSpec {
+                    seed: 5,
+                    sizes: vec![6],
+                    trials: 1,
+                    executor: Executor::Calendar,
+                    shards: None,
+                    energy: None,
+                },
                 json: false,
                 out: Some(path_str.clone()),
-                executor: Executor::Calendar,
-                shards: None,
-                energy: None,
             }
         );
         let (code_a, text_a) = execute(&cmd);
@@ -1739,13 +1767,15 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Report {
-                sizes: vec![8, 12, 16, 24],
-                seeds: vec![0, 1],
-                executor: Executor::Calendar,
+                spec: ReportSpec {
+                    sizes: vec![8, 12, 16, 24],
+                    seeds: vec![0, 1],
+                    executor: Executor::Calendar,
+                    energy: EnergyModel::reference(),
+                },
                 json: false,
                 out: None,
                 md_out: None,
-                energy: None,
             }
         );
         let cmd = parse_args(&args(&[
@@ -1762,13 +1792,15 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Report {
-                sizes: vec![6, 8],
-                seeds: vec![0, 1],
-                executor: Executor::Naive,
+                spec: ReportSpec {
+                    sizes: vec![6, 8],
+                    seeds: vec![0, 1],
+                    executor: Executor::Naive,
+                    energy: EnergyModel::reference(),
+                },
                 json: true,
                 out: None,
                 md_out: None,
-                energy: None,
             }
         );
     }
@@ -1904,33 +1936,34 @@ mod tests {
 
     #[test]
     fn execute_sweep_text_and_json() {
-        let cmd = Command::Sweep {
+        let spec = SweepSpec {
             algs: vec![registry::find("randomized").unwrap()],
             template: "ring:{n}".into(),
             sizes: vec![8, 12],
             seeds: vec![0, 1],
-            threads: 2,
-            json: false,
-            bench_out: None,
             executor: None,
             shards: None,
             energy: None,
+        };
+        let cmd = Command::Sweep {
+            spec: spec.clone(),
+            threads: 2,
+            json: false,
+            bench_out: None,
         };
         let (code, text) = execute(&cmd);
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("| randomized | 8 | 2 |"), "{text}");
 
         let cmd_json = Command::Sweep {
-            algs: vec![registry::find("randomized").unwrap()],
-            template: "ring:{n}".into(),
-            sizes: vec![8],
-            seeds: vec![0],
+            spec: SweepSpec {
+                sizes: vec![8],
+                seeds: vec![0],
+                ..spec
+            },
             threads: 1,
             json: true,
             bench_out: None,
-            executor: None,
-            shards: None,
-            energy: None,
         };
         let (code, text) = execute(&cmd_json);
         assert_eq!(code, 0, "{text}");
@@ -1981,14 +2014,17 @@ mod tests {
 
     #[test]
     fn bench_report_aggregates_deterministic_totals() {
-        let family = |n: usize, seed: u64| build_graph(&format!("ring:{n}"), seed);
-        let results = bench::Sweep::new(&family)
-            .algorithm(registry::find("randomized").unwrap())
-            .sizes([8])
-            .seeds([0, 1])
-            .threads(1)
-            .run()
-            .unwrap();
+        let results = SweepSpec {
+            algs: vec![registry::find("randomized").unwrap()],
+            template: "ring:{n}".into(),
+            sizes: vec![8],
+            seeds: vec![0, 1],
+            executor: None,
+            shards: None,
+            energy: None,
+        }
+        .run(1)
+        .unwrap();
         let report =
             render_bench_report("ring:{n}", 1, &results, std::time::Duration::from_secs(2));
         let messages: u64 = results.iter().map(|r| r.stats.messages_delivered).sum();
@@ -2153,7 +2189,11 @@ mod tests {
             .edge(2, 3, 2)
             .build()
             .unwrap();
-        let err = run(registry::find("prim").unwrap(), &g, 0).unwrap_err();
+        let err = registry::find("prim")
+            .unwrap()
+            .run(&g, 0)
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("connected"), "{err}");
     }
 }

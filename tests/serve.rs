@@ -3,9 +3,9 @@
 //! cold direct execution), the admission controller must shed with a
 //! typed error, the front-door counters must reconcile exactly, and the
 //! loadgen artifact must be byte-deterministic modulo its wall-clock
-//! group. One contract ties the daemon to the CLI: a run spelled as
-//! `sleeping-mst run` argv and as an NDJSON line is the same request,
-//! rendered to the same bytes.
+//! group. One contract ties the daemon to the CLI: a run, sweep, report
+//! or chaos request spelled as `sleeping-mst` argv and as an NDJSON line
+//! is the same request, rendered to the same bytes.
 
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -382,6 +382,12 @@ fn malformed_requests_are_rejected_with_typed_errors() {
             "{\"id\":10,\"cmd\":\"run\",\"alg\":\"prim\",\"graph\":\"ring:8\",\"executor\":\"warp\"}",
             codes::BAD_EXECUTOR,
         ),
+        // Empty grids are refused, never executed or cached.
+        ("{\"id\":11,\"cmd\":\"report\",\"sizes\":[8],\"seeds\":[]}", codes::PARSE),
+        (
+            "{\"id\":12,\"cmd\":\"sweep\",\"algs\":\"prim\",\"template\":\"ring:{n}\",\"sizes\":[8],\"seeds\":[]}",
+            codes::PARSE,
+        ),
     ] {
         let resp = client.request(line);
         assert!(!resp.ok, "{resp:?}");
@@ -393,7 +399,7 @@ fn malformed_requests_are_rejected_with_typed_errors() {
     }
 
     let s = stats(&mut client);
-    assert_eq!((s.received, s.rejected), (0, 5));
+    assert_eq!((s.received, s.rejected), (0, 7));
 
     server.begin_shutdown();
     server.join().unwrap();
@@ -758,6 +764,58 @@ proptest! {
         server.begin_shutdown();
         server.join().unwrap();
     }
+}
+
+/// The batch commands' cross-surface contract: each argv and NDJSON
+/// spelling below parses to one spec, and `--json` prints the daemon's
+/// `result` bytes plus a newline.
+#[test]
+fn cli_and_daemon_agree_on_batch_requests() {
+    let server = Server::start(ServeConfig::new(test_socket("batch-contract"))).unwrap();
+    let mut client = Client::connect(&server);
+    for (i, (argv, fields)) in [
+        (
+            "sweep --alg prim,randomized --graph ring:{n} --sizes 8,12 --seeds 0,1 --json",
+            r#""cmd":"sweep","algs":"prim,randomized","template":"ring:{n}","sizes":[8,12],"seeds":[0,1]"#,
+        ),
+        (
+            "sweep --alg logstar --graph random:{n}:0.3 --sizes 10 --seeds 0..3 --json",
+            r#""cmd":"sweep","algs":"logstar","template":"random:{n}:0.3","sizes":[10],"seeds":[0,1,2]"#,
+        ),
+        (
+            "report --sizes 6 --seeds 0 --json",
+            r#""cmd":"report","sizes":[6],"seeds":[0]"#,
+        ),
+        (
+            "chaos --seed 2 --sizes 6 --trials 1 --json",
+            r#""cmd":"chaos","seed":2,"sizes":[6],"trials":1"#,
+        ),
+        (
+            "chaos --sizes 6 --trials 1 --json",
+            r#""cmd":"chaos","sizes":[6],"trials":1"#,
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let argv: Vec<String> = argv.split_whitespace().map(String::from).collect();
+        let line = format!("{{\"id\":{},{fields}}}", i + 1);
+        let cmd = cli::parse_args(&argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+        let request = protocol::parse_request(&line)
+            .unwrap_or_else(|e| panic!("{line}: {}", e.message))
+            .request;
+        match (&cmd, &request) {
+            (Command::Sweep { spec, .. }, Request::Sweep(wire)) => assert_eq!(spec, wire),
+            (Command::Report { spec, .. }, Request::Report(wire)) => assert_eq!(spec, wire),
+            (Command::Chaos { spec, .. }, Request::Chaos(wire)) => assert_eq!(spec, wire),
+            _ => panic!("{argv:?} and {line} are different commands"),
+        }
+        let resp = client.request(&line);
+        assert!(resp.ok, "{line}: {resp:?}");
+        assert_eq!(cli::execute(&cmd), (0, format!("{}\n", resp.fragment)), "{line}");
+    }
+    server.begin_shutdown();
+    server.join().unwrap();
 }
 
 /// Batch request kinds (sweep/report/chaos) execute and cache like runs.
