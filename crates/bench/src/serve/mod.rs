@@ -97,8 +97,8 @@ struct ServerInner {
     shutdown: AtomicBool,
     socket: PathBuf,
     workers: usize,
-    /// Write-half clones of every accepted connection, for forced
-    /// close during teardown.
+    /// Clones of every accepted connection, whose read halves teardown
+    /// shuts to end the reader loops.
     conns: Mutex<Vec<UnixStream>>,
     /// Per-connection reader threads (each joins its own writer).
     readers: Mutex<Vec<JoinHandle<()>>>,
@@ -212,8 +212,13 @@ impl Server {
         for worker in self.workers.drain(..) {
             worker.join().map_err(|_| "worker panicked")?;
         }
+        // Shut only the read halves: each reader loop then ends, and its
+        // connection joins its writer, which flushes every queued reply
+        // (the `shutdown` request's own among them) before the socket
+        // closes. Shutting the write halves too could cut a reply that
+        // was queued but not yet written.
         for conn in self.inner.conns.lock().expect("conns lock").drain(..) {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
+            let _ = conn.shutdown(std::net::Shutdown::Read);
         }
         let readers: Vec<JoinHandle<()>> = self
             .inner

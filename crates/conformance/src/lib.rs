@@ -31,13 +31,13 @@
 //! | `stale-pragma` | everywhere | a well-formed `lint:allow` that suppresses nothing: the code it covered is gone, so the waiver must go too |
 //!
 //! **Lane-executed code** is everything a shard worker can run during
-//! the parallel send half-step: all of `netsim` (the kernel, drivers,
-//! and executor machinery), `mst-core` except the orchestration layer
-//! above the kernel (`exec.rs`, `runner.rs`, `registry.rs`), and the
-//! body of *any* `impl … Protocol for …` block wherever it lives
-//! (protocol `send` runs inside shard workers — the scope tracker marks
-//! these blocks, so a bench workload protocol is held to the same rule
-//! as a netsim one).
+//! the parallel send and receive half-steps: all of `netsim` (the
+//! kernel, drivers, and executor machinery), `mst-core` except the
+//! orchestration layer above the kernel (`exec.rs`, `runner.rs`,
+//! `registry.rs`), and the body of *any* `impl … Protocol for …` block
+//! wherever it lives (protocol `send` and `deliver` run inside shard
+//! workers — the scope tracker marks these blocks, so a bench workload
+//! protocol is held to the same rule as a netsim one).
 //!
 //! `graphlib` is deliberately outside the `hash-container` scope: its
 //! hash sets back membership-only rejection sampling (insert/contains,

@@ -33,27 +33,31 @@
 //! cross-driver proptests.
 //!
 //! A round with `k` awake nodes and `M` delivered messages costs
-//! `O(k + M)` mostly sequential work. The send half-step runs in *send
-//! lanes*, one function for every round: a serial round is one lane on
-//! the calling thread, a wide sharded round splits its ascending awake
-//! set into contiguous chunks, one lane each. A lane is the only place a
-//! message is sent, routed (through the back ports precomputed by
-//! [`graphlib::GraphBuilder::build`] — no adjacency scan), adjudicated
-//! (one 4-byte slot-table lookup per message answers whether the
-//! receiver is awake and where its inbox goes) and accounted: it charges
-//! its senders' transmit energy into its own window of the ledger, edge
-//! bits into the run's table (lane 0) or a private one folded in at run
-//! end (lanes 1..), and keeps its counters, which the kernel sums in
-//! lane order — serial node order — so every shard count produces the
-//! same bits. Nothing is logged per message and replayed. Grouping
-//! counts each slot's envelopes in one pass over the lanes' receiver
-//! keys, then permutes a cache-sized round in place or scatters a larger
-//! one straight out of the lanes; receive accounting is the sum over
-//! each inbox at deliver time. All per-run and per-round state (node
-//! contexts, the weight table, send lanes, the slot table, the flat
-//! inbox arena, its grouping scratch) lives in an [`ExecutorScratch`]
-//! that is reused across rounds *and across runs*, so the steady-state
-//! hot path performs no allocations.
+//! `O(k + M)` work, split into *lanes*, one function per half-step for
+//! every round: a serial round is one lane on the calling thread, a wide
+//! sharded round splits its ascending awake set into contiguous chunks,
+//! one lane each, lanes 1.. on scoped threads. In the send half-step a
+//! lane is the only place a message is sent, routed (through the back
+//! ports precomputed by [`graphlib::GraphBuilder::build`] — no adjacency
+//! scan), adjudicated (one 4-byte slot-table lookup per message answers
+//! whether the receiver is awake and where its inbox goes) and
+//! accounted: it charges its senders' transmit energy into its own
+//! window of the ledger, edge bits into the run's table (lane 0) or a
+//! private one folded in at run end (lanes 1..), and drops each
+//! delivered envelope into the bucket of the receiver's lane. In the
+//! receive half-step the same chunks are the lanes: each groups the
+//! buckets addressed to it, in send-lane order, into its own window of
+//! one flat inbox arena (counting its slots, then scattering — or, for a
+//! one-lane round that fits in cache, permuting in place), sorts each
+//! inbox by port and runs its nodes' deliveries on its own windows of
+//! the per-node tables. Every lane keeps its own counters and its first
+//! error, and lanes 1.. record their wake decisions; the kernel folds
+//! them in lane order — serial node order — so every shard count
+//! produces the same bits. Nothing is logged per message and replayed.
+//! All per-run and per-round state (node contexts, the weight table,
+//! lanes and their buckets, the slot table, the inbox arena) lives in an
+//! [`ExecutorScratch`] that is reused across rounds *and across runs*,
+//! so the steady-state hot path performs no allocations.
 
 use std::num::NonZeroU64;
 use std::sync::Arc;
@@ -67,17 +71,17 @@ use crate::{
     Round, RunOutcome, RunStats, SimConfig, SimError, Trace, TraceEvent, WakePolicy,
 };
 
-/// Rounds with fewer awake nodes than this run the send half-step as
-/// one lane even when [`SimConfig::shards`] asks for more shards: below
-/// it, the per-round cost of spawning scoped worker threads dwarfs the
-/// send work itself (the paper's token-passing phases wake one or two
-/// nodes per round). The outcome is bit-identical either way — the
-/// threshold only picks how many lanes compute it.
+/// Rounds with fewer awake nodes than this run as one lane even when
+/// [`SimConfig::shards`] asks for more shards: below it, the per-round
+/// cost of spawning scoped worker threads dwarfs the round's work itself
+/// (the paper's token-passing phases wake one or two nodes per round).
+/// The outcome is bit-identical either way — the threshold only picks
+/// how many lanes compute it.
 const SHARD_MIN_AWAKE: usize = 128;
 
-/// Rounds whose delivered envelopes fit in this many bytes are grouped
-/// into inboxes in place, in the send buffer; larger rounds are
-/// scattered into a second buffer. In cache, walking the grouping
+/// One-lane rounds whose delivered envelopes fit in this many bytes are
+/// grouped into inboxes in place, in the send buffer; larger rounds, and
+/// every sharded round, are scattered into a second buffer. In cache, walking the grouping
 /// permutation's cycles is cheap and the second buffer would be memory
 /// for nothing; out of cache, every swap of the walk waits on the
 /// previous one's miss, while a scatter issues independent stores. The
@@ -85,10 +89,10 @@ const SHARD_MIN_AWAKE: usize = 128;
 const IN_PLACE_GROUPING_BYTES: usize = 1 << 20;
 
 /// The shard-engagement decision, as a pure function: `Some(chunk_len)`
-/// when the send half-step of a round with `awake_len` awake nodes runs
-/// sharded (the ascending awake set is split into contiguous chunks of
-/// `chunk_len`, one lane per chunk), `None` when it runs as one lane on
-/// the calling thread.
+/// when a round with `awake_len` awake nodes runs sharded (the ascending
+/// awake set is split into contiguous chunks of `chunk_len`, one lane
+/// per chunk, for the send and the receive half-step alike), `None` when
+/// it runs as one lane on the calling thread.
 ///
 /// This is the *entire* input surface of the decision — the awake set's
 /// size, the configured shard count, and whether the run is traced
@@ -273,25 +277,85 @@ struct LaneTally {
     tx_energy: u64,
 }
 
-/// One send lane: the working buffers of one contiguous chunk of a
-/// round's awake set, reused across rounds (and runs) like every other
-/// executor buffer. A serial round is lane 0 alone, on the calling
-/// thread; a wide sharded round adds lanes 1.. on scoped threads. Every
-/// lane sends, routes, adjudicates and accounts its own messages; the
-/// kernel folds the lanes' outputs in lane order, which is serial node
-/// order.
+/// A receive lane's tallies for one round, summed into the stats and the
+/// metrics in lane order once every lane is done.
+#[derive(Debug, Clone, Copy, Default)]
+struct ReceiveTally {
+    /// Awake nodes whose inbox was empty.
+    idle: u64,
+    /// Receive and idle-listening energy charged to the lane's nodes.
+    energy: u64,
+    /// Nodes over their energy budget after their deliver.
+    exhausted: u64,
+    /// The lane's lowest exhausted node.
+    first_exhausted: Option<NodeId>,
+}
+
+/// What the kernel does with a delivered node's wake request, decided by
+/// its receive lane and applied to the [`TimeDriver`] by the calling
+/// thread.
+#[derive(Debug, Clone, Copy)]
+enum Wake {
+    /// Wake in this round (fault jitter and wake policy already applied).
+    At(Round),
+    /// The protocol halted.
+    Halt,
+    /// Over budget: forced asleep for good, like a crash, whatever the
+    /// protocol asked for.
+    Exhausted,
+}
+
+/// The delivered envelopes one send lane routed to one receive lane, in
+/// send order.
 #[derive(Debug)]
-struct ShardScratch<M> {
-    outbox: Outbox<M>,
-    /// Delivered envelopes of this lane's nodes, in send order. Grouping
-    /// scatters them into the round's inboxes, or permutes lane 0's in
-    /// place.
+struct Bucket<M> {
     arena: Vec<Envelope<M>>,
     /// `keys[i]` = receiver slot of `arena[i]`.
     keys: Vec<u32>,
+}
+
+impl<M> Default for Bucket<M> {
+    fn default() -> Self {
+        Bucket {
+            arena: Vec::new(),
+            keys: Vec::new(),
+        }
+    }
+}
+
+/// One lane: the working buffers of one contiguous chunk of a round's
+/// awake set, reused across rounds (and runs) like every other executor
+/// buffer. A serial round is lane 0 alone, on the calling thread; a wide
+/// sharded round adds lanes 1.. on scoped threads. In the send half-step
+/// every lane sends, routes, adjudicates and accounts its own chunk's
+/// messages; in the receive half-step every lane groups the envelopes
+/// addressed to its chunk and runs its chunk's deliveries. The kernel
+/// folds the lanes' outputs in lane order, which is serial node order.
+#[derive(Debug)]
+struct ShardScratch<M> {
+    outbox: Outbox<M>,
+    /// `buckets[r]`: delivered envelopes of this lane's senders whose
+    /// receiver is in lane `r`'s chunk. A serial round fills bucket 0
+    /// only.
+    buckets: Vec<Bucket<M>>,
+    /// Receive half of a wide round: bucket `s` is send lane `s`'s bucket
+    /// for this lane, moved here after the send half-step and back after
+    /// the receive half-step.
+    incoming: Vec<Bucket<M>>,
+    /// Per-slot grouping cursor of this lane's chunk: after the scatter,
+    /// `cursor[i]` is where the chunk's `i`-th slot's inbox ends.
+    cursor: Vec<u32>,
+    /// The in-place grouping's permutation from send order to inbox
+    /// order.
+    order: Vec<u32>,
+    /// Lanes 1..: the chunk's wake decisions, in slot order, applied to
+    /// the driver by the calling thread (lane 0 applies its own as it
+    /// delivers).
+    wakes: Vec<Wake>,
     tally: LaneTally,
-    /// First validation error hit by this lane, if any; the lane stops at
-    /// it, exactly where a serial send would abort.
+    received: ReceiveTally,
+    /// First error hit by this lane in the current half-step, if any; the
+    /// lane stops at it, exactly where a serial round would abort.
     error: Option<SimError>,
     /// Lanes 1..: bits per edge over the run, folded into the stats at
     /// run end (lane 0 charges the stats' table directly). Emptied on
@@ -307,33 +371,46 @@ impl<M> ShardScratch<M> {
     fn new() -> Self {
         ShardScratch {
             outbox: Outbox::new(),
-            arena: Vec::new(),
-            keys: Vec::new(),
+            buckets: Vec::new(),
+            incoming: Vec::new(),
+            cursor: Vec::new(),
+            order: Vec::new(),
+            wakes: Vec::new(),
             tally: LaneTally::default(),
+            received: ReceiveTally::default(),
             error: None,
             edge_bits: Vec::new(),
             congestion: EdgeLoad::default(),
         }
     }
 
-    /// Forgets everything a previous run left, keeping the storage.
+    /// Forgets everything a previous run left, keeping the storage — but
+    /// `incoming`, which is empty between rounds unless a protocol
+    /// panicked inside a receive lane, drops whatever buckets it holds.
     fn reset(&mut self) {
         self.outbox.clear();
-        self.arena.clear();
-        self.keys.clear();
+        for bucket in &mut self.buckets {
+            bucket.arena.clear();
+            bucket.keys.clear();
+        }
+        self.incoming.clear();
+        self.wakes.clear();
         self.error = None;
         self.edge_bits.clear();
         self.congestion.clear();
     }
 }
 
-/// The round-wide inputs every lane reads.
+/// The round-wide inputs every send lane reads.
 #[derive(Clone, Copy)]
 struct RoundEnv<'a> {
     graph: &'a WeightedGraph,
     ctxs: &'a [NodeCtx],
     /// Receiver slot by node; [`ASLEEP`] for nodes not awake this round.
     slot_of: &'a [u32],
+    /// Slots per lane: a delivered envelope goes to bucket
+    /// `slot / chunk_len`.
+    chunk_len: u32,
     bit_limit: Option<usize>,
     faults: Option<&'a FaultPlan>,
     /// Transmit cost per bit, when an energy model is active.
@@ -359,7 +436,8 @@ struct RunLedgers<'a> {
 /// which starts at node `part_base`) and adjudicates every envelope:
 /// validation, routing via the precomputed back port, fault verdicts
 /// (pure functions of the plan's seed, so every lane reaches the serial
-/// verdicts) and the awake check against the slot table. Stops at the
+/// verdicts) and the awake check against the slot table. A delivered
+/// envelope lands in the bucket of its receiver's lane. Stops at the
 /// first validation error, as a serial send would.
 ///
 /// Sender-side costs are charged as the lane goes: edge bits and
@@ -367,12 +445,14 @@ struct RunLedgers<'a> {
 /// 1..), transmit energy to `energy`, the lane's window of
 /// `energy_spent_by_node` (the same `split_at_mut` window as `part`).
 /// Counts go to the lane's tally.
+#[allow(clippy::too_many_arguments)]
 fn send_lane<P: Protocol>(
     env: RoundEnv<'_>,
     part: &mut [P],
     part_base: usize,
     chunk: &[u32],
     energy: &mut [u64],
+    lanes: usize,
     lane: &mut ShardScratch<P::Msg>,
     run: Option<RunLedgers<'_>>,
 ) -> Result<(), SimError> {
@@ -380,6 +460,7 @@ fn send_lane<P: Protocol>(
         graph,
         ctxs,
         slot_of,
+        chunk_len,
         bit_limit,
         faults,
         tx_bit_cost,
@@ -388,8 +469,7 @@ fn send_lane<P: Protocol>(
     } = env;
     let ShardScratch {
         outbox,
-        arena,
-        keys,
+        buckets,
         tally: lane_tally,
         edge_bits: own_edge_bits,
         congestion: own_congestion,
@@ -412,8 +492,14 @@ fn send_lane<P: Protocol>(
             )
         }
     };
-    arena.clear();
-    keys.clear();
+    if buckets.len() < lanes {
+        buckets.resize_with(lanes, Bucket::default);
+    }
+    let buckets = &mut buckets[..lanes];
+    for bucket in buckets.iter_mut() {
+        bucket.arena.clear();
+        bucket.keys.clear();
+    }
     let mut tally = LaneTally::default();
     for &v in chunk {
         let node = NodeId::new(v);
@@ -481,12 +567,18 @@ fn send_lane<P: Protocol>(
                     record_delivered(trace, round, v, to, entry.back_port, bits, &msg);
                 }
             }
+            let bucket = match buckets {
+                [only] => only,
+                _ => &mut buckets[(slot / chunk_len) as usize],
+            };
             if copies == 2 {
-                keys.push(slot);
-                arena.push(Envelope::new(entry.back_port, msg.clone()));
+                bucket.keys.push(slot);
+                bucket
+                    .arena
+                    .push(Envelope::new(entry.back_port, msg.clone()));
             }
-            keys.push(slot);
-            arena.push(Envelope::new(entry.back_port, msg));
+            bucket.keys.push(slot);
+            bucket.arena.push(Envelope::new(entry.back_port, msg));
         }
         tally.bits += node_bits;
         if let Some(cost) = tx_bit_cost {
@@ -499,6 +591,224 @@ fn send_lane<P: Protocol>(
     Ok(())
 }
 
+/// The round-wide inputs every receive lane reads.
+#[derive(Clone, Copy)]
+struct DeliverEnv<'a> {
+    ctxs: &'a [NodeCtx],
+    energy: Option<&'a EnergyModel>,
+    faults: Option<&'a FaultPlan>,
+    policy: Option<WakePolicy>,
+    round: Round,
+}
+
+/// One lane's `split_at_mut` windows of the per-node tables its deliver
+/// half writes; every window starts at node `base`.
+struct DeliverWindows<'a, P> {
+    base: usize,
+    states: &'a mut [P],
+    bits_received: &'a mut [u64],
+    energy: &'a mut [u64],
+    slot_of: &'a mut [u32],
+}
+
+/// Groups one lane's delivered envelopes into per-receiver inboxes and
+/// returns them; afterwards `cursor[i]` is where the inbox of the lane's
+/// `i`-th slot (slot `base + i`) ends.
+///
+/// One counting pass over the sources' keys sizes every slot's inbox,
+/// whose range starts where the previous one ends, and each envelope
+/// takes the next position of its slot's range in source order — the
+/// sources come in send-lane order, which is serial send order, so
+/// within a slot the inbox keeps send order. With `in_place`, the one
+/// source is permuted within its own arena by walking the permutation's
+/// cycles; otherwise every envelope moves out of the sources into
+/// `window`, which holds exactly this lane's envelopes.
+fn group_lane<'a, M>(
+    sources: &'a mut [Bucket<M>],
+    base: u32,
+    slots: usize,
+    window: &'a mut [Envelope<M>],
+    in_place: bool,
+    cursor: &mut Vec<u32>,
+    order: &mut Vec<u32>,
+) -> &'a mut [Envelope<M>] {
+    cursor.clear();
+    cursor.resize(slots, 0);
+    for bucket in sources.iter() {
+        for &slot in &bucket.keys {
+            cursor[(slot - base) as usize] += 1;
+        }
+    }
+    let mut start = 0u32;
+    for at in cursor.iter_mut() {
+        let count = *at;
+        *at = start;
+        start += count;
+    }
+    if in_place {
+        // A cache-resident round is permuted where it was sent: no
+        // second buffer.
+        let Bucket { arena: sent, keys } = &mut sources[0];
+        order.clear();
+        order.extend(keys.iter().map(|&slot| {
+            let at = &mut cursor[(slot - base) as usize];
+            *at += 1;
+            *at - 1
+        }));
+        for i in 0..order.len() {
+            while order[i] != i as u32 {
+                let j = order[i] as usize;
+                sent.swap(i, j);
+                order.swap(i, j);
+            }
+        }
+        return sent;
+    }
+    // Out of cache, each cycle-walk swap would wait on the last one's
+    // miss; scattering the envelopes straight out of the sources issues
+    // independent stores instead.
+    for bucket in sources.iter_mut() {
+        for (&slot, envelope) in bucket.keys.iter().zip(bucket.arena.drain(..)) {
+            let at = &mut cursor[(slot - base) as usize];
+            window[*at as usize] = envelope;
+            *at += 1;
+        }
+    }
+    window
+}
+
+/// The deliver half-step of one lane: for each node of `chunk` (its
+/// slots, ascending) it resets the node's slot-table entry, charges
+/// receive or idle-listening costs, sorts the inbox by port, runs
+/// `deliver`, adjudicates the energy budget, and hands the resulting
+/// [`Wake`] to `wake`. `inboxes` and `cursor` are [`group_lane`]'s
+/// output. Stops at the first [`SimError::WakeNotInFuture`], exactly
+/// where a serial round would abort.
+fn deliver_lane<P: Protocol>(
+    env: DeliverEnv<'_>,
+    chunk: &[u32],
+    inboxes: &mut [Envelope<P::Msg>],
+    cursor: &[u32],
+    windows: DeliverWindows<'_, P>,
+    mut wake: impl FnMut(u32, Wake),
+) -> Result<ReceiveTally, SimError> {
+    let DeliverEnv {
+        ctxs,
+        energy,
+        faults,
+        policy,
+        round,
+    } = env;
+    let DeliverWindows {
+        base,
+        states,
+        bits_received,
+        energy: spent,
+        slot_of,
+    } = windows;
+    let mut tally = ReceiveTally::default();
+    let mut start = 0usize;
+    for (&v, &end) in chunk.iter().zip(cursor) {
+        let node = NodeId::new(v);
+        let local = v as usize - base;
+        slot_of[local] = ASLEEP;
+        let end = end as usize;
+        let inbox = &mut inboxes[start..end];
+        start = end;
+        if inbox.is_empty() {
+            // An awake round that delivered nothing is idle listening.
+            // Counted whether or not an energy model is active, so an
+            // inert model stays bit-identical to no model.
+            tally.idle += 1;
+            if let Some(em) = energy {
+                spent[local] += em.idle_cost;
+                tally.energy += em.idle_cost;
+            }
+        } else {
+            // Receive accounting, once per receiver: the bits of its
+            // inbox (duplicates included), charged before the budget
+            // check.
+            let bits: u64 = inbox.iter().map(|e| e.msg.bit_size() as u64).sum();
+            bits_received[local] += bits;
+            if let Some(em) = energy {
+                let rx = em.rx_bit_cost * bits;
+                spent[local] += rx;
+                tally.energy += rx;
+            }
+        }
+        if inbox.len() > 1 {
+            inbox.sort_by_key(|e| e.port);
+        }
+        let next = states[local].deliver(&ctxs[v as usize], round, inbox);
+        // Budget adjudication: by deliver time every charge of the
+        // node's round (round, tx, rx, idle) has accrued, so the verdict
+        // is final — and reached in serial node order under every driver
+        // and shard count.
+        let exhausted = energy
+            .and_then(|em| em.budget)
+            .is_some_and(|b| spent[local] > b);
+        if exhausted {
+            tally.exhausted += 1;
+            tally.first_exhausted.get_or_insert(node);
+        }
+        let decision = match next {
+            NextWake::At(r) if r <= round => {
+                return Err(SimError::WakeNotInFuture {
+                    node,
+                    round,
+                    requested: r,
+                });
+            }
+            // Forced asleep permanently — the crash machinery: the
+            // requested wake is discarded and messages to the node are
+            // lost from here on.
+            NextWake::At(_) if exhausted => Wake::Exhausted,
+            NextWake::At(r) => {
+                let r = match faults {
+                    Some(plan) => plan.jittered(v, r),
+                    None => r,
+                };
+                Wake::At(match policy {
+                    Some(p) => p.applied(v, r),
+                    None => r,
+                })
+            }
+            NextWake::Halt => Wake::Halt,
+        };
+        wake(v, decision);
+    }
+    Ok(tally)
+}
+
+/// Applies one node's [`Wake`] to the driver; a protocol halt is traced
+/// when the run records a trace.
+fn apply_wake<D: TimeDriver>(
+    driver: &mut D,
+    running: &mut usize,
+    trace: Option<&mut Trace>,
+    round: Round,
+    v: u32,
+    wake: Wake,
+) {
+    match wake {
+        Wake::At(r) => driver.schedule(v, r),
+        Wake::Halt => {
+            driver.halt(v);
+            *running -= 1;
+            if let Some(trace) = trace {
+                trace.push(TraceEvent::Halted {
+                    round,
+                    node: NodeId::new(v),
+                });
+            }
+        }
+        Wake::Exhausted => {
+            driver.halt(v);
+            *running -= 1;
+        }
+    }
+}
+
 /// Splits the next `hi + 1 - base` entries (nodes `base..=hi`) off the
 /// front of `rest`: one lane's window of a per-node table.
 fn take_window<'a, T>(rest: &mut &'a mut [T], base: usize, hi: u32) -> &'a mut [T] {
@@ -506,6 +816,44 @@ fn take_window<'a, T>(rest: &mut &'a mut [T], base: usize, hi: u32) -> &'a mut [
     let (window, tail) = std::mem::take(rest).split_at_mut(len);
     *rest = tail;
     window
+}
+
+/// The per-node tables and the inbox arena of a round's receive
+/// half-step, split lane by lane into disjoint windows.
+struct ReceiveSplit<'a, P, M> {
+    /// First node of the next lane's windows.
+    base: usize,
+    states: &'a mut [P],
+    bits_received: &'a mut [u64],
+    energy: &'a mut [u64],
+    slot_of: &'a mut [u32],
+    /// Empty when the round is grouped in place.
+    arena: &'a mut [Envelope<M>],
+}
+
+impl<'a, P, M> ReceiveSplit<'a, P, M> {
+    /// Splits off the windows of the next lane, whose nodes are `chunk`
+    /// and whose inboxes hold `received` envelopes.
+    fn next_lane(
+        &mut self,
+        chunk: &[u32],
+        received: usize,
+    ) -> (DeliverWindows<'a, P>, &'a mut [Envelope<M>]) {
+        let base = self.base;
+        let hi = chunk.last().copied().unwrap_or_default();
+        self.base = hi as usize + 1;
+        let windows = DeliverWindows {
+            base,
+            states: take_window(&mut self.states, base, hi),
+            bits_received: take_window(&mut self.bits_received, base, hi),
+            energy: take_window(&mut self.energy, base, hi),
+            slot_of: take_window(&mut self.slot_of, base, hi),
+        };
+        let len = received.min(self.arena.len());
+        let (window, rest) = std::mem::take(&mut self.arena).split_at_mut(len);
+        self.arena = rest;
+        (windows, window)
+    }
 }
 
 /// Number of [`WakeQueue`] buckets: one for the settled round plus one
@@ -716,9 +1064,8 @@ impl WakeQueue {
 }
 
 /// Reusable executor state: the wake queue, the node contexts and their
-/// shared weight table, the per-round delivery buffers (send lanes, slot
-/// table, flat inbox arena, grouping scratch), and a pool of recycled
-/// [`RunStats`].
+/// shared weight table, the per-round delivery buffers (lanes, slot
+/// table, flat inbox arena), and a pool of recycled [`RunStats`].
 ///
 /// [`Simulator::run_with_scratch`](crate::Simulator::run_with_scratch)
 /// threads one value through many runs — a sweep's worker thread creates
@@ -737,22 +1084,19 @@ pub struct ExecutorScratch<M> {
     slot_of: Vec<u32>,
     /// Flat inbox arena of rounds too large to group in place: every
     /// delivered envelope of the round, scattered out of the send lanes,
-    /// grouped by receiver slot and in send order within each group.
+    /// grouped by receiver slot and in send order within each group. Each
+    /// lane scatters into its own window. It keeps its length between
+    /// rounds and runs — the scatter overwrites every position a round
+    /// reads — so only growth past the high-water mark is filled.
     arena: Vec<Envelope<M>>,
-    /// The in-place grouping's permutation from send order to inbox
-    /// order.
-    order: Vec<u32>,
-    /// Per-slot grouping cursor: after the scatter, `cursor[s]` is where
-    /// slot `s`'s inbox ends.
-    cursor: Vec<u32>,
     /// The run's node contexts, refilled in place every run.
     ctxs: Vec<NodeCtx>,
     /// The run-wide port-weight table every context's
     /// [`PortWeights`] views.
     weights: Arc<[u64]>,
-    /// Send lanes: lane 0 serves every round, and a run with
-    /// `shards > 1` adds one per shard the first time a round is wide
-    /// enough to parallelize.
+    /// Lanes: lane 0 serves every round, and a run with `shards > 1` adds
+    /// one per shard the first time a round is wide enough to
+    /// parallelize.
     shard_lanes: Vec<ShardScratch<M>>,
     stats_pool: Vec<RunStats>,
     /// Per-stage wall-clock profile, accumulated over every run from
@@ -776,8 +1120,6 @@ impl<M> ExecutorScratch<M> {
             awake_now: Vec::new(),
             slot_of: Vec::new(),
             arena: Vec::new(),
-            order: Vec::new(),
-            cursor: Vec::new(),
             ctxs: Vec::new(),
             weights: Arc::default(),
             shard_lanes: Vec::new(),
@@ -816,9 +1158,6 @@ impl<M> ExecutorScratch<M> {
         // clearing them is load-bearing.
         self.slot_of.clear();
         self.slot_of.resize(n, ASLEEP);
-        self.arena.clear();
-        self.order.clear();
-        self.cursor.clear();
         if self.shard_lanes.is_empty() {
             self.shard_lanes.push(ShardScratch::new());
         }
@@ -1059,8 +1398,6 @@ struct KernelBuffers<'a, M> {
     awake_now: &'a mut Vec<u32>,
     slot_of: &'a mut Vec<u32>,
     arena: &'a mut Vec<Envelope<M>>,
-    order: &'a mut Vec<u32>,
-    cursor: &'a mut Vec<u32>,
     ctxs: &'a mut Vec<NodeCtx>,
     weights: &'a mut Arc<[u64]>,
     shard_lanes: &'a mut Vec<ShardScratch<M>>,
@@ -1094,8 +1431,6 @@ where
         awake_now,
         slot_of,
         arena,
-        order,
-        cursor,
         ctxs,
         weights,
         shard_lanes,
@@ -1106,8 +1441,6 @@ where
         awake_now,
         slot_of,
         arena,
-        order,
-        cursor,
         ctxs,
         weights,
         shard_lanes,
@@ -1163,8 +1496,6 @@ where
         awake_now,
         slot_of,
         arena,
-        order,
-        cursor,
         ctxs,
         weights,
         shard_lanes,
@@ -1362,6 +1693,7 @@ where
             graph,
             ctxs,
             slot_of,
+            chunk_len: chunk_len as u32,
             bit_limit: config.bit_limit,
             faults,
             tx_bit_cost: energy.map(|em| em.tx_bit_cost),
@@ -1388,6 +1720,7 @@ where
                 0,
                 first,
                 lane0_energy,
+                lanes_used,
                 lane0,
                 Some(run_ledgers),
             )
@@ -1406,7 +1739,8 @@ where
                     base = hi as usize + 1;
                     scope.spawn(move || {
                         lane.error =
-                            send_lane(env, part, part_base, chunk, energy, lane, None).err();
+                            send_lane(env, part, part_base, chunk, energy, lanes_used, lane, None)
+                                .err();
                     });
                 }
                 run_lane0();
@@ -1436,159 +1770,152 @@ where
                     rec.edges().absorb(&mut lane.congestion);
                 }
             }
-            delivered += lane.keys.len();
+            delivered += t.delivered as usize;
         }
         stats.arena_peak_envelopes = stats.arena_peak_envelopes.max(delivered as u64);
         lap(profile, Stage::SendRoute);
 
-        // --- Grouping ---
-        // Group the round's envelopes by receiver slot in O(M): one
-        // counting pass over the lanes' keys sizes every slot's inbox,
-        // whose range starts where the previous one ends, and each
-        // envelope takes the next position of its slot's range in send
-        // order — so within a slot the grouped arena keeps send order.
-        // Sorting each range by port (in the deliver loop) then
-        // reproduces exactly a per-inbox `sort_by_key(|e| e.port)`:
-        // deliver order is bit-identical under every driver and shard
-        // count.
-        cursor.clear();
-        cursor.resize(k, 0);
-        for lane in lanes.iter() {
-            for &slot in &lane.keys {
-                cursor[slot as usize] += 1;
-            }
-        }
-        let mut start = 0u32;
-        for at in cursor.iter_mut() {
-            let count = *at;
-            *at = start;
-            start += count;
-        }
+        // --- Receive half-step: grouping, then deliver ---
+        // The same chunks are the receive lanes: lane `r` groups the
+        // envelopes addressed to its chunk — bucket `r` of every send
+        // lane, read in lane order, which is serial send order — into
+        // its own window of the arena, then runs its chunk's deliveries
+        // on its windows of the per-node tables. Lane 0 applies its wake
+        // decisions to the driver as it goes; lanes 1.. record theirs,
+        // applied below in lane order, so the driver sees serial node
+        // order.
         let in_place = lanes_used == 1
             && delivered * std::mem::size_of::<Envelope<P::Msg>>() <= IN_PLACE_GROUPING_BYTES;
-        let inboxes: &mut [Envelope<P::Msg>] = if in_place {
-            // A cache-resident round is permuted within lane 0 by
-            // walking the permutation's cycles: no second buffer.
-            let ShardScratch {
-                arena: sent, keys, ..
-            } = &mut lanes[0];
-            order.clear();
-            order.extend(keys.iter().map(|&slot| {
-                let at = &mut cursor[slot as usize];
-                *at += 1;
-                *at - 1
-            }));
-            for i in 0..order.len() {
-                while order[i] != i as u32 {
-                    let j = order[i] as usize;
-                    sent.swap(i, j);
-                    order.swap(i, j);
-                }
-            }
-            sent
-        } else {
-            // Out of cache, each cycle-walk swap would wait on the last
-            // one's miss; scattering the envelopes straight out of the
-            // lanes issues independent stores instead. The arena is
-            // first filled with copies of one envelope, every one of
-            // which the scatter overwrites.
-            arena.clear();
-            if let Some(filler) = lanes.iter().find_map(|lane| lane.arena.first()) {
+        if !in_place && arena.len() < delivered {
+            // Safe code cannot write into uninitialized memory, so growth
+            // is filled with copies of one envelope, every one of which
+            // the scatter overwrites.
+            let filler = lanes
+                .iter()
+                .flat_map(|lane| &lane.buckets[..lanes_used])
+                .find_map(|bucket| bucket.arena.first());
+            if let Some(filler) = filler {
                 arena.resize(delivered, filler.clone());
             }
-            for lane in lanes.iter_mut() {
-                for (&slot, envelope) in lane.keys.iter().zip(lane.arena.drain(..)) {
-                    let at = &mut cursor[slot as usize];
-                    arena[*at as usize] = envelope;
-                    *at += 1;
+        }
+        let sharded = lanes_used > 1;
+        if sharded {
+            for r in 0..lanes_used {
+                for s in 0..lanes_used {
+                    let bucket = std::mem::take(&mut lanes[s].buckets[r]);
+                    lanes[r].incoming.push(bucket);
                 }
             }
-            arena
+        }
+        let env = DeliverEnv {
+            ctxs,
+            energy,
+            faults,
+            policy,
+            round,
         };
-        lap(profile, Stage::Grouping);
-
-        // --- Deliver half-step ---
-        let mut start = 0usize;
-        for (slot, &v) in awake_now.iter().enumerate() {
-            let node = NodeId::new(v);
-            slot_of[v as usize] = ASLEEP;
-            let end = cursor[slot] as usize;
-            let inbox = &mut inboxes[start..end];
-            start = end;
-            if inbox.is_empty() {
-                // An awake round that delivered nothing is idle listening.
-                // Counted whether or not an energy model is active, so an
-                // inert model stays bit-identical to no model.
-                stats.idle_listen_rounds += 1;
-                if let Some(em) = energy {
-                    stats.energy_spent_by_node[v as usize] += em.idle_cost;
-                    round_energy += em.idle_cost;
-                }
+        let mut split = ReceiveSplit {
+            base: 0,
+            states: &mut protocols,
+            bits_received: &mut stats.bits_received_by_node,
+            energy: &mut stats.energy_spent_by_node,
+            slot_of,
+            arena: if in_place { &mut [] } else { &mut arena[..] },
+        };
+        let (lane0, wide) = lanes.split_at_mut(1);
+        let lane0 = &mut lane0[0];
+        let mut chunks = awake_now.chunks(chunk_len);
+        let first = chunks.next().unwrap_or_default();
+        let received = if sharded {
+            lane0.incoming.iter().map(|b| b.keys.len()).sum()
+        } else {
+            delivered
+        };
+        let (windows, window) = split.next_lane(first, received);
+        let receive_lane0 = |driver: &mut D, profile: &mut Option<StageClock>| {
+            let ShardScratch {
+                buckets,
+                incoming,
+                cursor,
+                order,
+                received,
+                error,
+                ..
+            } = lane0;
+            let sources = if sharded {
+                &mut incoming[..]
             } else {
-                // Receive accounting, once per receiver: the bits of its
-                // inbox (duplicates included), charged before the budget
-                // check.
-                let bits: u64 = inbox.iter().map(|e| e.msg.bit_size() as u64).sum();
-                stats.bits_received_by_node[v as usize] += bits;
-                if let Some(em) = energy {
-                    let rx = em.rx_bit_cost * bits;
-                    stats.energy_spent_by_node[v as usize] += rx;
-                    round_energy += rx;
-                }
-            }
-            if inbox.len() > 1 {
-                inbox.sort_by_key(|e| e.port);
-            }
-            let next = protocols[v as usize].deliver(&ctxs[v as usize], round, inbox);
-            // Budget adjudication: by deliver time every charge of the
-            // node's round (round, tx, rx, idle) has accrued, so the
-            // verdict is final — and reached in serial node order under
-            // every driver and shard count.
-            let exhausted = match energy {
-                Some(em) => em
-                    .budget
-                    .is_some_and(|b| stats.energy_spent_by_node[v as usize] > b),
-                None => false,
+                &mut buckets[..1]
             };
-            if exhausted {
-                stats.exhausted_nodes += 1;
-                if first_exhausted.is_none() {
-                    first_exhausted = Some((node, round));
-                }
+            let inboxes = group_lane(sources, 0, first.len(), window, in_place, cursor, order);
+            lap(profile, Stage::Grouping);
+            let apply = |v, wake| {
+                let trace = config.record_trace.then_some(&mut trace);
+                apply_wake(driver, &mut running, trace, round, v, wake);
+            };
+            match deliver_lane(env, first, inboxes, cursor, windows, apply) {
+                Ok(tally) => *received = tally,
+                Err(err) => *error = Some(err),
             }
-            match next {
-                NextWake::At(r) => {
-                    if r <= round {
-                        return Err(SimError::WakeNotInFuture {
-                            node,
-                            round,
-                            requested: r,
-                        });
-                    }
-                    if exhausted {
-                        // Forced asleep permanently — the crash machinery:
-                        // the requested wake is discarded and messages to
-                        // the node are lost from here on.
-                        driver.halt(v);
-                        running -= 1;
-                    } else {
-                        let r = match faults {
-                            Some(plan) => plan.jittered(v, r),
-                            None => r,
-                        };
-                        let r = match policy {
-                            Some(p) => p.applied(v, r),
-                            None => r,
-                        };
-                        driver.schedule(v, r);
-                    }
+        };
+        if sharded {
+            std::thread::scope(|scope| {
+                for (r, (chunk, lane)) in chunks.zip(wide.iter_mut()).enumerate() {
+                    let received = lane.incoming.iter().map(|b| b.keys.len()).sum();
+                    let (windows, window) = split.next_lane(chunk, received);
+                    let base = ((r + 1) * chunk_len) as u32;
+                    scope.spawn(move || {
+                        let ShardScratch {
+                            incoming,
+                            cursor,
+                            order,
+                            wakes,
+                            received,
+                            error,
+                            ..
+                        } = lane;
+                        let inboxes =
+                            group_lane(incoming, base, chunk.len(), window, false, cursor, order);
+                        wakes.clear();
+                        let record = |_, wake| wakes.push(wake);
+                        match deliver_lane(env, chunk, inboxes, cursor, windows, record) {
+                            Ok(tally) => *received = tally,
+                            Err(err) => *error = Some(err),
+                        }
+                    });
                 }
-                NextWake::Halt => {
-                    driver.halt(v);
-                    running -= 1;
-                    if config.record_trace {
-                        trace.push(TraceEvent::Halted { round, node });
-                    }
+                receive_lane0(&mut driver, profile);
+            });
+            // Hand every bucket back to its send lane.
+            for r in 0..lanes_used {
+                let mut incoming = std::mem::take(&mut lanes[r].incoming);
+                for (s, bucket) in incoming.drain(..).enumerate() {
+                    lanes[s].buckets[r] = bucket;
+                }
+                lanes[r].incoming = incoming;
+            }
+        } else {
+            receive_lane0(&mut driver, profile);
+        }
+        // First error in lane order = the error a serial deliver loop
+        // would have stopped at.
+        for lane in lanes.iter_mut() {
+            if let Some(err) = lane.error.take() {
+                return Err(err);
+            }
+        }
+        for (r, (lane, chunk)) in lanes.iter().zip(awake_now.chunks(chunk_len)).enumerate() {
+            let t = lane.received;
+            stats.idle_listen_rounds += t.idle;
+            stats.exhausted_nodes += t.exhausted;
+            round_energy += t.energy;
+            if first_exhausted.is_none() {
+                first_exhausted = t.first_exhausted.map(|node| (node, round));
+            }
+            if r > 0 {
+                for (&v, &wake) in chunk.iter().zip(&lane.wakes) {
+                    let trace = config.record_trace.then_some(&mut trace);
+                    apply_wake(&mut driver, &mut running, trace, round, v, wake);
                 }
             }
         }
@@ -1622,13 +1949,15 @@ where
             *total += bits;
         }
     }
+    let metrics = metrics
+        .map(MetricsRecorder::into_metrics)
+        .unwrap_or_default();
+    lap(profile, Stage::Finish);
     Ok(RunOutcome {
         states: protocols,
         stats,
         trace,
-        metrics: metrics
-            .map(MetricsRecorder::into_metrics)
-            .unwrap_or_default(),
+        metrics,
     })
 }
 
@@ -1834,8 +2163,6 @@ mod tests {
             awake_now,
             slot_of,
             arena,
-            order,
-            cursor,
             ctxs,
             weights,
             shard_lanes,
@@ -1846,8 +2173,6 @@ mod tests {
             awake_now,
             slot_of,
             arena,
-            order,
-            cursor,
             ctxs,
             weights,
             shard_lanes,

@@ -74,7 +74,7 @@ pub enum SimError {
         previous: Round,
     },
     /// The kernel's awake set disagrees with the time driver: a node the
-    /// send lanes treat as awake is listed twice, or is not awake in the
+    /// lanes treat as awake is listed twice, or is not awake in the
     /// round according to the driver. Checked per round under the
     /// `validate` feature.
     AwakeSetMismatch {

@@ -2,7 +2,8 @@
 //!
 //! A [`StageClock`] splits a run's wall time across the kernel's stages:
 //! node setup, the time driver's `next_round`, the send half-step with
-//! routing, inbox grouping, and the deliver half-step. It is switched on
+//! routing, inbox grouping, the deliver half-step, and the run's finish.
+//! It is switched on
 //! per [`ExecutorScratch`](crate::ExecutorScratch) with
 //! [`enable_profile`](crate::ExecutorScratch::enable_profile) and costs
 //! one untaken branch per stage boundary when off. Wall time is not
@@ -29,21 +30,33 @@ pub enum Stage {
     /// Awake accounting, protocol `send`, routing and fault verdicts
     /// (serial or across the shard lanes, with the lane merge).
     SendRoute,
-    /// Grouping the round's envelopes into per-receiver inboxes.
+    /// Grouping the round's envelopes into per-receiver inboxes. On a
+    /// sharded round every lane groups its own receivers concurrently;
+    /// the stage ends when lane 0, on the calling thread, has grouped its
+    /// own, and the other lanes' remaining grouping time is charged to
+    /// [`Stage::Deliver`].
     Grouping,
     /// Per-inbox port sort, protocol `deliver`, receive and energy
-    /// accounting, rescheduling, metrics and the observer.
+    /// accounting and budget verdicts (across the lanes on a sharded
+    /// round), applying the wake decisions to the driver, metrics and the
+    /// observer.
     Deliver,
+    /// After the last round: the driver's final `next_round` (which finds
+    /// nothing pending), the end-of-run checks, folding the lanes'
+    /// private edge tables into the stats and finishing the metrics.
+    /// Charged only by a run that completes.
+    Finish,
 }
 
 impl Stage {
     /// Every stage, in execution order.
-    pub const ALL: [Stage; 5] = [
+    pub const ALL: [Stage; 6] = [
         Stage::Init,
         Stage::NextRound,
         Stage::SendRoute,
         Stage::Grouping,
         Stage::Deliver,
+        Stage::Finish,
     ];
 
     /// Stable stage name, as printed in profile tables.
@@ -54,6 +67,7 @@ impl Stage {
             Stage::SendRoute => "send/route",
             Stage::Grouping => "grouping",
             Stage::Deliver => "deliver",
+            Stage::Finish => "finish",
         }
     }
 }
@@ -134,7 +148,7 @@ mod tests {
     #[test]
     fn laps_accumulate_per_stage_and_render_every_stage() {
         let mut clock = StageClock::new();
-        clock.nanos = [1_500_000, 0, 2_000_000, 250_000, 250_000];
+        clock.nanos = [1_500_000, 0, 2_000_000, 150_000, 250_000, 100_000];
         assert_eq!(clock.total_nanos(), 4_000_000);
         let table = clock.to_string();
         assert!(table.contains("wall-clock"));
@@ -145,8 +159,15 @@ mod tests {
             table.contains("init                  1.500 ms   37%"),
             "{table}"
         );
+        assert!(
+            table.contains("finish                0.100 ms    2%"),
+            "{table}"
+        );
         assert!(table.contains("total                 4.000 ms"), "{table}");
         clock.lap(Stage::Deliver);
         assert!(clock.nanos(Stage::Deliver) >= 250_000);
+        clock.lap(Stage::Finish);
+        assert!(clock.nanos(Stage::Finish) >= 100_000);
+        assert_eq!(clock.nanos(Stage::Grouping), 150_000);
     }
 }

@@ -34,10 +34,10 @@ pub struct SimConfig {
     /// produce bit-identical outcomes; they differ only in wall-clock
     /// cost. Defaults to [`Executor::Calendar`].
     pub executor: Executor,
-    /// Worker shards for the send half-step. `1` (the default) runs
-    /// fully serial; `K > 1` lets the kernel partition wide rounds'
-    /// awake sets across `K` send lanes, one on the calling thread and
-    /// the rest on scoped worker threads. Outcomes — stats,
+    /// Worker shards for wide rounds. `1` (the default) runs fully
+    /// serial; `K > 1` lets the kernel partition wide rounds' awake sets
+    /// across `K` lanes — for the send and the receive half-step alike —
+    /// one on the calling thread and the rest on scoped worker threads. Outcomes — stats,
     /// trace, metrics, final states, every fingerprint — are
     /// bit-identical for every shard count (the cross-shard differential
     /// proptests pin this); shards trade wall-clock for cores, nothing

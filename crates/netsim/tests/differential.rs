@@ -1355,3 +1355,273 @@ fn scratch_reused_after_a_failed_sharded_run_matches_a_fresh_one() {
         }
     }
 }
+
+// --- receive lanes ---------------------------------------------------
+
+/// The receive-lane workload: every node wakes in lockstep `left` times,
+/// but node `v` sends (on every port) only in the rounds `r` with
+/// `(v + r) % 4 == 0`, so receivers that hear nothing — idle listening —
+/// sit next to receivers with full inboxes on both sides of every lane
+/// boundary. A `heavy` node also pushes 40 maximal payloads on port 0 in
+/// round 2, a transmit bill far above everyone else's; a `stale` node
+/// asks to wake in the current round in round 2, which fails the run.
+#[derive(Debug, Clone, Copy)]
+struct Listener {
+    left: u32,
+    heavy: bool,
+    stale: bool,
+    idle: u32,
+    digest: u64,
+}
+
+impl Listener {
+    fn new(rounds: u32) -> Self {
+        Listener {
+            left: rounds,
+            heavy: false,
+            stale: false,
+            idle: 0,
+            digest: 0,
+        }
+    }
+}
+
+impl Protocol for Listener {
+    type Msg = u64;
+
+    fn init(&mut self, _ctx: &NodeCtx) -> NextWake {
+        NextWake::At(1)
+    }
+
+    fn send(&mut self, ctx: &NodeCtx, round: Round, outbox: &mut Outbox<u64>) {
+        if (u64::from(ctx.node.raw()) + round).is_multiple_of(4) {
+            for p in ctx.ports() {
+                outbox.push(p, round ^ ctx.port_weights[p.index()]);
+            }
+        }
+        if self.heavy && round == 2 {
+            for _ in 0..40 {
+                outbox.push(Port::new(0), u64::MAX);
+            }
+        }
+    }
+
+    fn deliver(&mut self, _ctx: &NodeCtx, round: Round, inbox: &[Envelope<u64>]) -> NextWake {
+        if inbox.is_empty() {
+            self.idle += 1;
+        }
+        for e in inbox {
+            self.digest = self
+                .digest
+                .rotate_left(7)
+                .wrapping_add(round ^ u64::from(e.port.raw()).wrapping_mul(e.msg | 1));
+        }
+        self.left -= 1;
+        if self.stale && round == 2 {
+            NextWake::At(round)
+        } else if self.left == 0 {
+            NextWake::Halt
+        } else {
+            NextWake::At(round + 1)
+        }
+    }
+}
+
+/// Nodes on the receive-lane tests' graph: past the wide-round gate, so
+/// every round of the lockstep workload runs as `shards` lanes.
+const LISTENERS: usize = 300;
+
+/// The first node of each lane of a wide round at `shards`.
+fn lane_starts(shards: u32) -> Vec<u32> {
+    let chunk = engine::shard_chunk_len(LISTENERS, shards, false).expect("a wide round");
+    (0..LISTENERS).step_by(chunk).map(|v| v as u32).collect()
+}
+
+/// Runs [`Listener`] with `heavy`/`stale` node sets on `scratch`,
+/// returning the outcome and every round's `(round, digests, idle counts)`
+/// as the observer saw it — which a failed run still reports up to its
+/// last completed round.
+#[allow(clippy::type_complexity)]
+fn listen(
+    g: &graphlib::WeightedGraph,
+    config: &SimConfig,
+    heavy: &[u32],
+    stale: &[u32],
+    scratch: &mut ExecutorScratch<u64>,
+) -> (
+    Result<RunOutcome<Listener>, SimError>,
+    Vec<(Round, Vec<u64>, Vec<u32>)>,
+) {
+    let mut seen = Vec::new();
+    let out = Simulator::new(g, config.clone()).run_with_observer_scratch(
+        scratch,
+        |ctx| Listener {
+            heavy: heavy.contains(&ctx.node.raw()),
+            stale: stale.contains(&ctx.node.raw()),
+            ..Listener::new(4)
+        },
+        |round, states: &[Listener]| {
+            let digests = states.iter().map(|s| s.digest).collect();
+            let idle = states.iter().map(|s| s.idle).collect();
+            seen.push((round, digests, idle));
+        },
+    );
+    (out, seen)
+}
+
+/// Wake requests in the past raised by receive lanes past the first:
+/// the run reports the lowest such node — the one a serial deliver loop
+/// stops at — even while a later lane errs too (at 3 and 4 shards the
+/// two stale nodes sit in lanes 1 and the last, at 2 both sit in lane
+/// 1, the later one first in it), and every round before the failing
+/// one is observed identically.
+#[test]
+fn receive_lane_wake_errors_match_the_serial_run() {
+    let g = generators::chorded_cycle(LISTENERS, 2, 7).unwrap();
+    for shards in [2u32, 3, 4] {
+        let starts = lane_starts(shards);
+        let stale = [starts[1] + 10, starts[starts.len() - 1] + 5];
+        let lowest = stale.iter().copied().min().expect("two stale nodes");
+        let config = SimConfig::default().with_seed(3).with_metrics();
+        let (serial, serial_seen) = listen(&g, &config, &[], &stale, &mut ExecutorScratch::new());
+        let (sharded, sharded_seen) = listen(
+            &g,
+            &config.clone().with_shards(shards),
+            &[],
+            &stale,
+            &mut ExecutorScratch::new(),
+        );
+        let expected = SimError::WakeNotInFuture {
+            node: NodeId::new(lowest),
+            round: 2,
+            requested: 2,
+        };
+        assert_eq!(serial.unwrap_err(), expected, "shards=1");
+        assert_eq!(sharded.unwrap_err(), expected, "shards={shards}");
+        assert_eq!(sharded_seen, serial_seen, "shards={shards}");
+        assert_eq!(serial_seen.len(), 1, "only round 1 completes");
+    }
+}
+
+/// A first budget exhaustion that falls in lane 1's range: lane 0
+/// reports none, and the run's verdict is lane 1's own first even where
+/// the last lane exhausts a node too (at 3 and 4 shards). The run goes
+/// on to the end with the exhausted nodes forced asleep, every observed
+/// round identical to the serial run's.
+#[test]
+fn first_exhaustion_in_lane_one_matches_the_serial_run() {
+    let g = generators::chorded_cycle(LISTENERS, 2, 7).unwrap();
+    let model = EnergyModel::default().with_tx_bit_cost(1).with_budget(1000);
+    for shards in [2u32, 3, 4] {
+        let starts = lane_starts(shards);
+        let lane_one_end = starts.get(2).copied().unwrap_or(LISTENERS as u32);
+        let mut heavy = vec![starts[1] + 3, lane_one_end - 2];
+        if starts.len() > 2 {
+            heavy.push(starts[starts.len() - 1] + 1);
+        }
+        let config = SimConfig::default()
+            .with_seed(4)
+            .with_metrics()
+            .with_energy(model);
+        let (serial, serial_seen) = listen(&g, &config, &heavy, &[], &mut ExecutorScratch::new());
+        let (sharded, sharded_seen) = listen(
+            &g,
+            &config.clone().with_shards(shards),
+            &heavy,
+            &[],
+            &mut ExecutorScratch::new(),
+        );
+        let expected = SimError::EnergyExhausted {
+            node: NodeId::new(heavy[0]),
+            round: 2,
+        };
+        assert_eq!(serial.unwrap_err(), expected, "shards=1");
+        assert_eq!(sharded.unwrap_err(), expected, "shards={shards}");
+        assert_eq!(sharded_seen, serial_seen, "shards={shards}");
+        assert_eq!(serial_seen.len(), 4, "the run continues to its end");
+    }
+}
+
+/// Idle listening and receive energy are charged by the receive lanes on
+/// their own windows of the ledger; under injected duplicates (charged
+/// twice on receipt) every stat, the metrics' per-round energy, and every
+/// state match the serial run at 2, 3 and 4 shards. Every lane has both
+/// idle listeners and receivers, so each lane boundary is crossed both
+/// ways.
+#[test]
+fn idle_and_receive_energy_across_lane_boundaries_match_under_dups() {
+    let g = generators::chorded_cycle(LISTENERS, 2, 7).unwrap();
+    let model = EnergyModel::default()
+        .with_round_cost(3)
+        .with_tx_bit_cost(1)
+        .with_rx_bit_cost(2)
+        .with_idle_cost(5);
+    let config = SimConfig::default()
+        .with_seed(9)
+        .with_metrics()
+        .with_energy(model)
+        .with_faults(FaultPlan::seeded(21).with_duplicate_ppm(300_000));
+    let mut scratch = ExecutorScratch::new();
+    let (serial, serial_seen) = listen(&g, &config, &[], &[], &mut scratch);
+    let serial = serial.expect("serial run");
+    assert!(serial.stats.idle_listen_rounds > 0);
+    assert!(serial.stats.dup_deliveries > 0);
+    for shards in [2u32, 3, 4] {
+        let (sharded, sharded_seen) = listen(
+            &g,
+            &config.clone().with_shards(shards),
+            &[],
+            &[],
+            &mut scratch,
+        );
+        let sharded = sharded.expect("sharded run");
+        let label = format!("shards={shards}");
+        assert_eq!(sharded.stats, serial.stats, "{label}");
+        assert_eq!(sharded.metrics, serial.metrics, "{label}");
+        assert_eq!(sharded_seen, serial_seen, "{label}");
+        let starts = lane_starts(shards);
+        for (lane, &start) in starts.iter().enumerate() {
+            let end = starts.get(lane + 1).map_or(LISTENERS, |&e| e as usize);
+            let states = &sharded.states[start as usize..end];
+            assert!(states.iter().any(|s| s.idle > 0), "{label} lane {lane}");
+            assert!(states.iter().any(|s| s.idle < 4), "{label} lane {lane}");
+        }
+    }
+}
+
+/// A run that fails inside a receive lane leaves that round's state
+/// behind — slot-table entries of the nodes the failing lane never
+/// reached, lanes' recorded wakes and tallies, envelopes in the arena,
+/// private edge tables charged in round 1 — and the next clean run on
+/// the same scratch must equal a run on a fresh one.
+#[test]
+fn scratch_reused_after_a_receive_lane_failure_matches_a_fresh_one() {
+    let g = generators::chorded_cycle(LISTENERS, 2, 7).unwrap();
+    let model = EnergyModel::default()
+        .with_round_cost(3)
+        .with_rx_bit_cost(2)
+        .with_idle_cost(5);
+    for shards in [2u32, 3, 4] {
+        let config = SimConfig::default()
+            .with_seed(6)
+            .with_metrics()
+            .with_energy(model)
+            .with_shards(shards);
+        let starts = lane_starts(shards);
+        let stale = [starts[starts.len() - 1] + 1];
+        let (fresh, fresh_seen) = listen(&g, &config, &[], &[], &mut ExecutorScratch::new());
+        let fresh = fresh.expect("clean run");
+        let mut scratch = ExecutorScratch::new();
+        let (failed, _) = listen(&g, &config, &[], &stale, &mut scratch);
+        assert!(
+            matches!(failed, Err(SimError::WakeNotInFuture { .. })),
+            "shards={shards}"
+        );
+        let (reused, reused_seen) = listen(&g, &config, &[], &[], &mut scratch);
+        let reused = reused.expect("clean run on the reused scratch");
+        let label = format!("shards={shards}");
+        assert_eq!(reused.stats, fresh.stats, "{label}");
+        assert_eq!(reused.metrics, fresh.metrics, "{label}");
+        assert_eq!(reused_seen, fresh_seen, "{label}");
+    }
+}

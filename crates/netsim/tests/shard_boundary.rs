@@ -3,7 +3,11 @@
 //! cases at 127/128/129), the decision and the lane partition are pure
 //! functions of `(awake set, shards, record_trace)` (proptests), and
 //! full runs straddling the threshold are bit-identical across shard
-//! counts (the contract the decision is allowed to exist under).
+//! counts (the contract the decision is allowed to exist under). The
+//! receive half-step engages at the same boundary, with the same lanes,
+//! as the send half-step.
+
+use std::thread::ThreadId;
 
 use proptest::prelude::*;
 
@@ -167,6 +171,74 @@ fn runs_at_127_128_129_awake_are_shard_invariant() {
                 serial.1, sharded.1,
                 "states diverged at n={n} shards={shards}"
             );
+        }
+    }
+}
+
+// --- the receive half engages at the same boundary ---------------------
+
+/// One lockstep round on every port; records the thread that ran the
+/// node's `deliver`.
+struct Witness {
+    delivered_on: Option<ThreadId>,
+}
+
+impl Protocol for Witness {
+    type Msg = u64;
+    fn init(&mut self, _ctx: &NodeCtx) -> NextWake {
+        NextWake::At(1)
+    }
+    fn send(&mut self, ctx: &NodeCtx, round: Round, outbox: &mut Outbox<u64>) {
+        for p in ctx.ports() {
+            outbox.push(p, round);
+        }
+    }
+    fn deliver(&mut self, _ctx: &NodeCtx, _round: Round, _inbox: &[Envelope<u64>]) -> NextWake {
+        self.delivered_on = Some(std::thread::current().id());
+        NextWake::Halt
+    }
+}
+
+/// The thread that ran each node's `deliver`, for a ring of `n` nodes
+/// all awake in one round.
+fn deliver_threads(n: usize, config: SimConfig) -> Vec<ThreadId> {
+    let g = generators::ring(n, 7).expect("ring generator");
+    let out = Simulator::new(&g, config)
+        .run(|_| Witness { delivered_on: None })
+        .expect("witness run");
+    out.states
+        .iter()
+        .map(|s| s.delivered_on.expect("every node delivers"))
+        .collect()
+}
+
+/// At 127 awake every `deliver` runs on the calling thread; at 128 and
+/// 129 the awake set splits into the send half's chunks, lane 0 on the
+/// calling thread and every other lane on a thread of its own. Traced
+/// runs stay on the calling thread.
+#[test]
+fn receive_half_engages_at_exactly_128_awake_with_the_send_lanes() {
+    let caller = std::thread::current().id();
+    for n in [127usize, 128, 129] {
+        for shards in [2u32, 4] {
+            let threads = deliver_threads(n, SimConfig::default().with_shards(shards));
+            let label = format!("n={n} shards={shards}");
+            let Some(chunk_len) = shard_chunk_len(n, shards, false) else {
+                assert_eq!(n, 127, "{label}");
+                assert!(threads.iter().all(|&t| t == caller), "{label}");
+                continue;
+            };
+            let lanes: Vec<&[ThreadId]> = threads.chunks(chunk_len).collect();
+            assert_eq!(lanes.len(), shards as usize, "{label}");
+            for (lane, nodes) in lanes.iter().enumerate() {
+                assert!(nodes.iter().all(|&t| t == nodes[0]), "{label} lane {lane}");
+                assert_eq!(nodes[0] == caller, lane == 0, "{label} lane {lane}");
+                for other in &lanes[..lane] {
+                    assert_ne!(other[0], nodes[0], "{label} lane {lane}");
+                }
+            }
+            let traced = deliver_threads(n, SimConfig::default().with_shards(shards).with_trace());
+            assert!(traced.iter().all(|&t| t == caller), "{label} traced");
         }
     }
 }

@@ -800,8 +800,8 @@ EXECUTORS:
     `bench-engine` measures) and any divergence is a simulator bug.
 
 SHARDS:
-    --shards K splits the per-round send half-step across K worker
-    threads (wide rounds only; narrow rounds stay serial). Shard counts
+    --shards K splits each round's send and receive half-steps across K
+    worker threads (wide rounds only; narrow rounds stay serial). Shard counts
     are bit-identical by construction: every stat, trace, metric, and
     fingerprint matches --shards 1 exactly, so any K can be diffed
     byte-for-byte against the serial baseline. `run --json` reports a

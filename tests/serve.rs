@@ -366,6 +366,23 @@ fn deterministic_errors_are_cached() {
     server.join().unwrap();
 }
 
+/// A client's `shutdown` is answered with `{"draining":true}` every time,
+/// even when the daemon tears the connection down right after queueing
+/// the reply: teardown ends only the reader loops, and each connection
+/// flushes its writer before it closes.
+#[test]
+fn shutdown_reply_survives_teardown_in_every_cycle() {
+    for cycle in 0..60u64 {
+        let server = Server::start(ServeConfig::new(test_socket("drain"))).unwrap();
+        let mut client = Client::connect(&server);
+        client.send(&format!("{{\"id\":{cycle},\"cmd\":\"shutdown\"}}"));
+        server.join().unwrap();
+        let reply = Response::parse(&client.recv());
+        assert!(reply.ok && reply.id == cycle, "cycle {cycle}: {reply:?}");
+        assert_eq!(reply.fragment, "{\"draining\":true}", "cycle {cycle}");
+    }
+}
+
 /// Malformed lines get a typed reject without disturbing the
 /// cacheable-request counters.
 #[test]
