@@ -21,26 +21,21 @@
 //! `BENCH_engine.json`; `EXPERIMENTS.md` tabulates the resulting
 //! calendar-vs-sync wall-clock win across `n`.
 //!
-//! The scale campaign added a second workload: **wave**, in which every
-//! node wakes in the same synchronized rounds (the opposite regime from
-//! sparse wakes — maximally wide rounds on a streaming-built chorded
-//! cycle). Wide rounds are where [`netsim::SimConfig::shards`] can win,
-//! so the wave rows sweep shard counts and the panel asserts
-//! bit-identical [`netsim::RunStats`] across them, exactly as it does
-//! across drivers.
+//! The opposite regime — every node awake in the same maximally wide
+//! rounds, where [`netsim::SimConfig::shards`] can win — is measured by
+//! the repository benchmark's `wide-wave` workload, not here.
 
-use graphlib::{generators, GraphBuilder, Port, WeightedGraph};
+use graphlib::{GraphBuilder, Port, WeightedGraph};
 use netsim::{
     EnergyModel, Executor, NextWake, NodeCtx, Outbox, Protocol, Round, SimConfig, Simulator,
 };
 
-/// What the panel sweeps: sizes × drivers for the sparse workload, sizes
-/// × shard counts for the wave workload, plus the wake-schedule shape.
+/// What the panel sweeps: sizes × drivers, plus the wake-schedule shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnginePanelSpec {
-    /// Node counts to run the sparse workload on (one graph per size).
+    /// Node counts to run (one graph per size).
     pub sizes: Vec<usize>,
-    /// Drivers to time on each sparse size.
+    /// Drivers to time on each size.
     pub executors: Vec<Executor>,
     /// Master seed: graph structure and every node's wake schedule
     /// derive from it, so the simulated work is identical across drivers
@@ -50,14 +45,9 @@ pub struct EnginePanelSpec {
     pub wakes: u32,
     /// Maximum sleep gap between a node's wakes, in units of `n` rounds.
     pub gap_per_node: u64,
-    /// Node counts to run the wave workload on (empty = no wave rows).
-    pub wave_sizes: Vec<usize>,
-    /// Shard counts to time on each wave size; `1` is the serial
-    /// baseline the speedup column is measured against.
-    pub shards: Vec<u32>,
     /// Optional pricing model charged inside the kernel. When set, every
     /// row carries an `energy_total` ledger sum, and the panel's existing
-    /// cross-driver / cross-shard [`netsim::RunStats`] equality check
+    /// cross-driver [`netsim::RunStats`] equality check
     /// extends to the per-node energy ledger for free (the ledger lives
     /// in the stats).
     pub energy: Option<EnergyModel>,
@@ -71,25 +61,18 @@ impl Default for EnginePanelSpec {
             seed: 0,
             wakes: 3,
             gap_per_node: 4096,
-            wave_sizes: Vec::new(),
-            shards: vec![1],
             energy: Some(EnergyModel::reference()),
         }
     }
 }
 
-/// One timed panel cell: a sparse (size, driver) pair at `shards = 1`,
-/// or a wave (size, shard-count) pair under the calendar driver.
+/// One timed panel cell: a (size, driver) pair.
 #[derive(Debug, Clone)]
 pub struct EnginePanelRow {
-    /// Which workload produced the row: `"sparse"` or `"wave"`.
-    pub workload: &'static str,
     /// Node count.
     pub n: usize,
     /// The driver timed.
     pub executor: Executor,
-    /// Send-half-step shard count the row was timed with.
-    pub shards: u32,
     /// Simulated rounds until the last node halted.
     pub rounds: u64,
     /// Messages sent (delivered + lost to sleeping receivers).
@@ -104,8 +87,11 @@ pub struct EnginePanelRow {
     pub energy_total: u64,
     /// Wall-clock seconds for the simulation call.
     pub wall_seconds: f64,
-    /// Simulated rounds per wall-clock second.
-    pub rounds_per_sec: f64,
+    /// Wall-clock nanoseconds per node-awake event. Rounds in which every
+    /// node sleeps cost the calendar driver nothing, so a per-round rate
+    /// would credit it for rounds it skips; a wake is work every driver
+    /// does.
+    pub ns_per_wake: f64,
     /// Messages per wall-clock second.
     pub messages_per_sec: f64,
 }
@@ -173,62 +159,6 @@ impl Protocol for SparseWake {
             NextWake::Halt
         } else {
             NextWake::At(round + self.gap())
-        }
-    }
-}
-
-/// Rounds between the wave workload's synchronized wakes. Large enough
-/// that the calendar driver still exercises its jump path between
-/// waves; irrelevant to the per-wave send cost the shard sweep times.
-const WAVE_GAP: u64 = 64;
-
-/// The wave workload: every node wakes in the same rounds
-/// (`WAVE_GAP, 2·WAVE_GAP, …`), sends one seed-derived message on every
-/// port, and halts after [`EnginePanelSpec::wakes`] waves. Each active
-/// round has all `n` nodes awake — the maximally wide regime where the
-/// sharded send half-step can spread work across cores.
-struct WaveWake {
-    state: u64,
-    remaining: u32,
-}
-
-impl WaveWake {
-    fn new(ctx: &NodeCtx, wakes: u32) -> Self {
-        WaveWake {
-            state: ctx.rng_seed,
-            remaining: wakes,
-        }
-    }
-}
-
-impl Protocol for WaveWake {
-    type Msg = u64;
-
-    fn init(&mut self, _ctx: &NodeCtx) -> NextWake {
-        if self.remaining == 0 {
-            return NextWake::Halt;
-        }
-        NextWake::At(WAVE_GAP)
-    }
-
-    fn send(&mut self, ctx: &NodeCtx, _round: Round, outbox: &mut Outbox<u64>) {
-        for port in ctx.ports() {
-            self.state = mix(self.state);
-            outbox.push(port, self.state);
-        }
-    }
-
-    fn deliver(
-        &mut self,
-        _ctx: &NodeCtx,
-        round: Round,
-        _inbox: &[netsim::Envelope<u64>],
-    ) -> NextWake {
-        self.remaining -= 1;
-        if self.remaining == 0 {
-            NextWake::Halt
-        } else {
-            NextWake::At(round + WAVE_GAP)
         }
     }
 }
@@ -309,67 +239,15 @@ pub fn run_engine_panel(spec: &EnginePanelSpec) -> Result<Vec<EnginePanelRow>, S
             }
             let messages = out.stats.messages_delivered + out.stats.messages_lost;
             rows.push(EnginePanelRow {
-                workload: "sparse",
                 n,
                 executor,
-                shards: 1,
                 rounds: out.stats.rounds,
                 messages,
                 graph_bytes: out.stats.graph_bytes,
                 bytes_per_node: out.stats.graph_bytes as f64 / n.max(1) as f64,
                 energy_total: out.stats.energy_total(),
                 wall_seconds,
-                rounds_per_sec: out.stats.rounds as f64 / wall_seconds,
-                messages_per_sec: messages as f64 / wall_seconds,
-            });
-        }
-    }
-    for &n in &spec.wave_sizes {
-        // Streaming CSR construction: the chorded cycle never
-        // materializes an edge list, so the only O(m) memory is the
-        // graph's own CSR arrays (`graph_bytes` reports them).
-        let graph = generators::chorded_cycle(n.max(8), 2, spec.seed)
-            .map_err(|e| format!("engine panel wave n={n}: {e}"))?;
-        let mut reference: Option<netsim::RunStats> = None;
-        for &shards in &spec.shards {
-            let mut config = SimConfig::default()
-                .with_seed(spec.seed)
-                .with_shards(shards);
-            if let Some(model) = spec.energy {
-                config = config.with_energy(model);
-            }
-            let sim = Simulator::new(&graph, config);
-            // lint:allow(wall-clock) -- the shard sweep times real elapsed time per shard count
-            let started = std::time::Instant::now();
-            let out = sim
-                .run(|ctx| WaveWake::new(ctx, spec.wakes))
-                .map_err(|e| format!("engine panel wave n={n} shards={shards}: {e}"))?;
-            let wall_seconds = started.elapsed().as_secs_f64().max(1e-9);
-            match &reference {
-                None => reference = Some(out.stats.clone()),
-                Some(first) => {
-                    if *first != out.stats {
-                        return Err(format!(
-                            "engine panel wave n={n}: shards={shards} diverged from \
-                             shards={} ({:?} vs {:?})",
-                            spec.shards[0], out.stats, first
-                        ));
-                    }
-                }
-            }
-            let messages = out.stats.messages_delivered + out.stats.messages_lost;
-            rows.push(EnginePanelRow {
-                workload: "wave",
-                n,
-                executor: Executor::Calendar,
-                shards,
-                rounds: out.stats.rounds,
-                messages,
-                graph_bytes: out.stats.graph_bytes,
-                bytes_per_node: out.stats.graph_bytes as f64 / n.max(1) as f64,
-                energy_total: out.stats.energy_total(),
-                wall_seconds,
-                rounds_per_sec: out.stats.rounds as f64 / wall_seconds,
+                ns_per_wake: wall_seconds * 1e9 / out.stats.awake_total().max(1) as f64,
                 messages_per_sec: messages as f64 / wall_seconds,
             });
         }
@@ -385,21 +263,19 @@ pub fn render_engine_panel_json(rows: &[EnginePanelRow]) -> String {
         .iter()
         .map(|r| {
             format!(
-                "{{\"workload\":\"{}\",\"n\":{},\"executor\":\"{}\",\"shards\":{},\
+                "{{\"n\":{},\"executor\":\"{}\",\
                  \"rounds\":{},\"messages\":{},\"graph_bytes\":{},\
                  \"bytes_per_node\":{:.2},\"energy_total\":{},\"wall_seconds\":{:.6},\
-                 \"rounds_per_sec\":{:.1},\"messages_per_sec\":{:.1}}}",
-                r.workload,
+                 \"ns_per_wake\":{:.1},\"messages_per_sec\":{:.1}}}",
                 r.n,
                 r.executor,
-                r.shards,
                 r.rounds,
                 r.messages,
                 r.graph_bytes,
                 r.bytes_per_node,
                 r.energy_total,
                 r.wall_seconds,
-                r.rounds_per_sec,
+                r.ns_per_wake,
                 r.messages_per_sec,
             )
         })
@@ -432,8 +308,6 @@ mod tests {
             seed: 9,
             wakes: 3,
             gap_per_node: 4,
-            wave_sizes: vec![],
-            shards: vec![1],
             energy: Some(EnergyModel::reference()),
         };
         let rows = run_engine_panel(&spec).unwrap();
@@ -452,39 +326,8 @@ mod tests {
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert_eq!(json.matches("\"executor\"").count(), 6);
         assert_eq!(json.matches("\"energy_total\"").count(), 6);
-    }
-
-    /// Wave rows must agree bit-for-bit across shard counts, including
-    /// counts that actually engage the parallel path (n = 256 ≥ the
-    /// kernel's minimum-awake gate) and report the memory columns.
-    #[test]
-    fn wave_rows_agree_across_shard_counts() {
-        let spec = EnginePanelSpec {
-            sizes: vec![],
-            executors: vec![],
-            seed: 5,
-            wakes: 2,
-            gap_per_node: 4,
-            wave_sizes: vec![256],
-            shards: vec![1, 2, 3],
-            energy: Some(EnergyModel::reference()),
-        };
-        let rows = run_engine_panel(&spec).unwrap();
-        assert_eq!(rows.len(), 3);
-        for row in &rows {
-            assert_eq!(row.workload, "wave");
-            assert_eq!(row.rounds, rows[0].rounds);
-            assert_eq!(row.messages, rows[0].messages);
-            assert!(row.energy_total > 0);
-            assert_eq!(row.energy_total, rows[0].energy_total);
-            assert!(row.graph_bytes > 0);
-            assert!(row.bytes_per_node > 0.0);
-        }
-        // Every node awake in every wave: messages = sum of degrees × waves.
-        assert!(rows[0].messages >= 2 * 2 * 256);
-        let json = render_engine_panel_json(&rows);
-        assert_eq!(json.matches("\"workload\":\"wave\"").count(), 3);
-        assert!(json.contains("\"graph_bytes\""));
+        assert_eq!(json.matches("\"ns_per_wake\"").count(), 6);
+        assert!(rows.iter().all(|r| r.ns_per_wake > 0.0));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! (the same trick the sweep harness's worker threads use).
 
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -199,6 +200,18 @@ impl Dispatch {
     /// Worker thread body: pull → execute → publish, until draining and
     /// the queue is empty.
     pub(crate) fn worker_loop(self: &Arc<Self>, scratch: &mut MstScratch) {
+        self.serve_jobs(scratch, execute_job);
+    }
+
+    /// [`Dispatch::worker_loop`] over any job executor. A panicking
+    /// execution is contained: its waiters get `serve.internal`, the
+    /// answer is not cached (the next identical request runs again), and
+    /// the worker continues on a fresh scratch, since the panic may have
+    /// left the old one mid-run.
+    fn serve_jobs<E>(self: &Arc<Self>, scratch: &mut MstScratch, execute: E)
+    where
+        E: Fn(&Request, &mut MstScratch) -> Result<String, (&'static str, String)>,
+    {
         loop {
             let job = {
                 let mut st = self.state.lock().expect("dispatch lock");
@@ -212,14 +225,23 @@ impl Dispatch {
                     st = self.work.wait(st).expect("dispatch lock");
                 }
             };
-            let outcome = execute_job(&job.request, scratch);
-            let (ok, body): (bool, Arc<str>) = match outcome {
-                Ok(body) => (true, Arc::from(body)),
-                Err((code, message)) => (false, Arc::from(render_error_body(code, &message))),
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| execute(&job.request, scratch)));
+            let (ok, body, cacheable): (bool, Arc<str>, bool) = match outcome {
+                Ok(Ok(body)) => (true, Arc::from(body), true),
+                Ok(Err((code, message))) => {
+                    (false, Arc::from(render_error_body(code, &message)), true)
+                }
+                Err(_) => {
+                    *scratch = MstScratch::new();
+                    let body = render_error_body(codes::INTERNAL, "the execution panicked");
+                    (false, Arc::from(body), false)
+                }
             };
             let waiters = {
                 let mut st = self.state.lock().expect("dispatch lock");
-                st.cache.insert(job.fingerprint, ok, Arc::clone(&body));
+                if cacheable {
+                    st.cache.insert(job.fingerprint, ok, Arc::clone(&body));
+                }
                 st.counters.executed += 1;
                 let waiters = st.in_flight.remove(&job.fingerprint).unwrap_or_default();
                 if st.queue.is_empty() && st.in_flight.is_empty() {
@@ -270,5 +292,63 @@ pub(crate) fn execute_job(
             codes::INTERNAL,
             "control requests are answered before submission".to_string(),
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::thread;
+    use std::time::Duration;
+
+    use super::*;
+
+    /// A worker whose first execution panics answers that job's waiter
+    /// with `serve.internal`, caches nothing, keeps serving, and drains —
+    /// instead of dying with the job in flight and hanging shutdown.
+    #[test]
+    fn panicking_execution_is_answered_and_the_worker_survives() {
+        let dispatch = Arc::new(Dispatch::new(8, TokenBucket::new(16, 16)));
+        let worker = {
+            let dispatch = Arc::clone(&dispatch);
+            thread::spawn(move || {
+                let panicked = AtomicBool::new(false);
+                dispatch.serve_jobs(&mut MstScratch::new(), |_, _| {
+                    if !panicked.swap(true, Ordering::SeqCst) {
+                        panic!("injected execution panic");
+                    }
+                    Ok("{}".to_string())
+                })
+            })
+        };
+        let (tx, rx) = mpsc::channel();
+        let timeout = Duration::from_secs(10);
+        // The stub executor ignores the request; any value will do.
+        for (id, fingerprint) in [(1, 7), (2, 8)] {
+            let job = Job {
+                fingerprint,
+                request: Request::Stats,
+            };
+            assert_eq!(dispatch.submit(job, id, tx.clone(), 0), None);
+        }
+        let first = rx
+            .recv_timeout(timeout)
+            .expect("the panicked job is answered");
+        assert!(first.contains(codes::INTERNAL), "{first}");
+        let second = rx.recv_timeout(timeout).expect("the worker survives");
+        assert!(second.contains("\"ok\":true"), "{second}");
+
+        {
+            let mut st = dispatch.state.lock().expect("dispatch lock");
+            assert!(st.in_flight.is_empty());
+            assert_eq!(st.cache.len(), 1, "only the successful answer is cached");
+            let c = st.counters;
+            assert_eq!(c.received, c.shed + c.hits + c.coalesced + c.misses);
+            assert_eq!((c.misses, c.executed), (2, 2));
+            st.draining = true;
+        }
+        dispatch.work.notify_all();
+        worker.join().expect("the worker exits on drain");
     }
 }

@@ -183,8 +183,17 @@ impl RadioProtocol for RadioUpcastMin {
 mod tests {
     use super::*;
     use crate::toolbox::TreeSpec;
-    use graphlib::{generators, mst, GraphBuilder, NodeId};
-    use netsim::radio::{CollisionRule, RadioSimulator};
+    use graphlib::{generators, mst, GraphBuilder, NodeId, WeightedGraph};
+    use netsim::radio::{self, CollisionRule};
+    use netsim::{EnergyModel, SimConfig, Simulator};
+
+    /// A simulator priced by the classic radio model.
+    fn radio_sim(g: &WeightedGraph) -> Simulator<'_> {
+        Simulator::new(
+            g,
+            SimConfig::default().with_energy(EnergyModel::radio_default()),
+        )
+    }
 
     fn tree_specs(graph: &graphlib::WeightedGraph) -> Vec<TreeSpec> {
         let t = mst::kruskal(graph);
@@ -197,15 +206,14 @@ mod tests {
         // model — same schedule, same O(1) energy, everyone informed.
         let g = generators::random_connected(24, 0.15, 5).unwrap();
         let specs = tree_specs(&g);
-        let out = RadioSimulator::new(&g, CollisionRule::Local)
-            .run(|ctx| {
-                let payload = (ctx.node.raw() == 0).then_some(777);
-                RadioBroadcast::new(specs[ctx.node.index()].clone(), payload)
-            })
-            .unwrap();
+        let out = radio::run(&radio_sim(&g), CollisionRule::Local, |ctx| {
+            let payload = (ctx.node.raw() == 0).then_some(777);
+            RadioBroadcast::new(specs[ctx.node.index()].clone(), payload)
+        })
+        .unwrap();
         assert!(out.states.iter().all(|s| s.value == Some(777)));
         assert!(out.stats.energy_max() <= 2);
-        assert!(out.stats.rounds <= 2 * 24 + 1);
+        assert!(out.radio.rounds <= 2 * 24 + 1);
     }
 
     #[test]
@@ -213,14 +221,13 @@ mod tests {
         // On a path every listener has exactly one transmitting neighbor.
         let g = generators::path(12, 3).unwrap();
         let specs = tree_specs(&g);
-        let out = RadioSimulator::new(&g, CollisionRule::Detection)
-            .run(|ctx| {
-                let payload = (ctx.node.raw() == 0).then_some(5);
-                RadioBroadcast::new(specs[ctx.node.index()].clone(), payload)
-            })
-            .unwrap();
+        let out = radio::run(&radio_sim(&g), CollisionRule::Detection, |ctx| {
+            let payload = (ctx.node.raw() == 0).then_some(5);
+            RadioBroadcast::new(specs[ctx.node.index()].clone(), payload)
+        })
+        .unwrap();
         assert!(out.states.iter().all(|s| s.value == Some(5)));
-        assert_eq!(out.stats.collisions, 0);
+        assert_eq!(out.radio.collisions, 0);
     }
 
     /// The diamond-with-cross-edge graph: node 3 neighbors both depth-1
@@ -245,12 +252,11 @@ mod tests {
         let (g, specs) = collision_graph();
         // Node 3 listens while nodes 1 AND 2 (both its neighbors) transmit.
         let run = |rule| {
-            RadioSimulator::new(&g, rule)
-                .run(|ctx: &NodeCtx| {
-                    let payload = (ctx.node.raw() == 0).then_some(9);
-                    RadioBroadcast::new(specs[ctx.node.index()].clone(), payload)
-                })
-                .unwrap()
+            radio::run(&radio_sim(&g), rule, |ctx: &NodeCtx| {
+                let payload = (ctx.node.raw() == 0).then_some(9);
+                RadioBroadcast::new(specs[ctx.node.index()].clone(), payload)
+            })
+            .unwrap()
         };
         let local = run(CollisionRule::Local);
         assert!(
@@ -261,7 +267,7 @@ mod tests {
         let detect = run(CollisionRule::Detection);
         assert!(detect.states[3].collided, "node 3 must hear a collision");
         assert_eq!(detect.states[3].value, None);
-        assert!(detect.stats.collisions >= 1);
+        assert!(detect.radio.collisions >= 1);
 
         let silent = run(CollisionRule::Silence);
         assert_eq!(silent.states[3].value, None, "collision hidden as silence");
@@ -274,11 +280,10 @@ mod tests {
         let specs = tree_specs(&g);
         let values: Vec<u64> = (0..20).map(|i| 500 + (i * 37) % 113).collect();
         let expected = *values.iter().min().unwrap();
-        let out = RadioSimulator::new(&g, CollisionRule::Local)
-            .run(|ctx| {
-                RadioUpcastMin::new(specs[ctx.node.index()].clone(), values[ctx.node.index()])
-            })
-            .unwrap();
+        let out = radio::run(&radio_sim(&g), CollisionRule::Local, |ctx| {
+            RadioUpcastMin::new(specs[ctx.node.index()].clone(), values[ctx.node.index()])
+        })
+        .unwrap();
         assert_eq!(out.states[0].value, expected);
         assert!(out.stats.energy_max() <= 2);
     }
@@ -297,16 +302,90 @@ mod tests {
                 100 + u64::from(ctx.node.raw())
             }
         };
-        let out = RadioSimulator::new(&g, CollisionRule::Detection)
-            .run(|ctx| RadioUpcastMin::new(specs[ctx.node.index()].clone(), value_of(ctx)))
-            .unwrap();
+        let upcast =
+            |ctx: &NodeCtx| RadioUpcastMin::new(specs[ctx.node.index()].clone(), value_of(ctx));
+        let out = radio::run(&radio_sim(&g), CollisionRule::Detection, upcast).unwrap();
         assert!(out.states[0].collided, "hub with 4 children must collide");
         assert_eq!(out.states[0].value, 999, "hub keeps only its own value");
 
         // The Local variant on the same instance is fine.
-        let out = RadioSimulator::new(&g, CollisionRule::Local)
-            .run(|ctx| RadioUpcastMin::new(specs[ctx.node.index()].clone(), value_of(ctx)))
-            .unwrap();
+        let out = radio::run(&radio_sim(&g), CollisionRule::Local, upcast).unwrap();
         assert_eq!(out.states[0].value, 101);
+    }
+
+    /// Checks that a radio run under the Local rule and the classic radio
+    /// pricing is the sleeping run node for node: one unit of energy per
+    /// sleeping-model awake round, the same awake rounds, and the same
+    /// last round.
+    fn assert_same_run<P>(
+        label: &str,
+        sleeping: &netsim::RunStats,
+        radio: &radio::RadioOutcome<P>,
+    ) {
+        assert_eq!(
+            radio.stats.energy_spent_by_node, sleeping.awake_by_node,
+            "{label}: energy"
+        );
+        assert_eq!(
+            radio.stats.awake_by_node, sleeping.awake_by_node,
+            "{label}: awake rounds"
+        );
+        assert_eq!(radio.radio.rounds, sleeping.rounds, "{label}: last round");
+    }
+
+    /// Appendix A as a differential test: the sleeping model is the
+    /// collision-free Local variant of the energy model. On seeded random
+    /// graphs and their MSTs, the radio toolbox under
+    /// [`CollisionRule::Local`] and the sleeping toolbox keep the same
+    /// schedule node for node, and the radio energy ledger equals the
+    /// sleeping awake count. Broadcast ends with the same value at every
+    /// node. Upcast ends with the same minimum at the root; below it a
+    /// radio listener also overhears non-child neighbors that transmit in
+    /// its `Up-Receive` round, so its value can only be smaller.
+    #[test]
+    fn local_variant_is_the_sleeping_model_node_for_node() {
+        use crate::toolbox::{Broadcast, UpcastMin};
+        for seed in 0..24u64 {
+            let n = 8 + (seed as usize % 6) * 5;
+            let g = generators::random_connected(n, 0.2, seed).unwrap();
+            let specs = tree_specs(&g);
+            let sleeping = Simulator::new(&g, SimConfig::default().with_seed(seed));
+            let priced = Simulator::new(
+                &g,
+                SimConfig::default()
+                    .with_seed(seed)
+                    .with_energy(EnergyModel::radio_default()),
+            );
+            let spec = |ctx: &NodeCtx| specs[ctx.node.index()].clone();
+
+            let payload = |ctx: &NodeCtx| (ctx.node.raw() == 0).then_some(1000 + seed);
+            let s = sleeping
+                .run(|ctx| Broadcast::new(spec(ctx), payload(ctx)))
+                .unwrap();
+            let r = radio::run(&priced, CollisionRule::Local, |ctx| {
+                RadioBroadcast::new(spec(ctx), payload(ctx))
+            })
+            .unwrap();
+            let label = format!("broadcast seed {seed}");
+            for (v, (a, b)) in s.states.iter().zip(&r.states).enumerate() {
+                assert_eq!(a.value, b.value, "{label}: value at node {v}");
+            }
+            assert_same_run(&label, &s.stats, &r);
+
+            let value = |ctx: &NodeCtx| (ctx.rng_seed % 997) + 1;
+            let s = sleeping
+                .run(|ctx| UpcastMin::new(spec(ctx), value(ctx)))
+                .unwrap();
+            let r = radio::run(&priced, CollisionRule::Local, |ctx| {
+                RadioUpcastMin::new(spec(ctx), value(ctx))
+            })
+            .unwrap();
+            let label = format!("upcast seed {seed}");
+            assert_eq!(s.states[0].value, r.states[0].value, "{label}: root");
+            for (v, (a, b)) in s.states.iter().zip(&r.states).enumerate() {
+                assert!(b.value <= a.value, "{label}: value at node {v}");
+            }
+            assert_same_run(&label, &s.stats, &r);
+        }
     }
 }

@@ -112,10 +112,10 @@ impl EnergyModel {
         }
     }
 
-    /// The radio-model pricing of Chang et al. as previously hard-coded
-    /// in [`crate::radio`]: one unit per transmitting/listening round,
-    /// idle rounds free. Kept here so the radio executor and the CONGEST
-    /// kernel share exactly one charging vocabulary.
+    /// The radio-model pricing of Chang et al.: one unit per awake round,
+    /// everything else free. Radio protocols ([`crate::radio`]) run on
+    /// the kernel and idle without waking, so under this model the ledger
+    /// is one unit per transmitting or listening round.
     #[must_use]
     pub fn radio_default() -> Self {
         EnergyModel {

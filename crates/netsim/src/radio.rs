@@ -2,7 +2,7 @@
 //! Pettie–Wang–Zhan, which the paper's Appendix A relates to the sleeping
 //! model.
 //!
-//! Differences from the point-to-point CONGEST executor ([`crate::Simulator`]):
+//! Differences from point-to-point CONGEST protocols ([`Protocol`]):
 //!
 //! * a node's per-round action is **broadcast-only**: it either
 //!   [`RadioAction::Transmit`]s one message heard by *all* neighbors,
@@ -21,31 +21,43 @@
 //!   - [`CollisionRule::Silence`] — a collision is indistinguishable from
 //!     silence.
 //!
-//! The executor is event-driven exactly like the CONGEST one: nodes
-//! schedule their next *active* round and the simulator skips quiet
-//! rounds, so `O(nN)`-round schedules with `O(1)` energy are cheap to run.
+//! Radio protocols run on the one execution kernel: [`run`] wraps each
+//! node's [`RadioProtocol`] in a [`RadioAdapter`], a [`Protocol`] that
+//! turns `Transmit` into a message on every port, `Listen` into an awake
+//! round that sends nothing, and `Idle` into local computation the kernel
+//! never sees. The collision rule is applied to the port-sorted inbox at
+//! deliver time. So every [`SimConfig`](crate::SimConfig) knob — seed,
+//! round budget, energy model, time driver, shards, fault plan — reaches
+//! radio runs too, and under [`EnergyModel::radio_default`] the kernel's
+//! energy ledger *is* radio energy: one unit per transmitting or
+//! listening round, idle rounds free. Quiet rounds are skipped exactly as
+//! for CONGEST protocols, so `O(nN)`-round schedules with `O(1)` energy
+//! are cheap to run.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::{
+    Envelope, NextWake, NodeCtx, Outbox, Payload, Protocol, Round, RunStats, SimError, Simulator,
+};
 
-use graphlib::{NodeId, WeightedGraph};
-
-use crate::{EnergyModel, NextWake, NodeCtx, Payload, Round, SimError};
+#[cfg(doc)]
+use crate::EnergyModel;
 
 /// What a node does in a round it scheduled itself active for.
 ///
-/// Costs are set by the simulator's [`EnergyModel`] (default:
-/// [`EnergyModel::radio_default`], the classic one-unit-per-active-round
-/// pricing with free idling).
+/// Costs are set by the run's [`EnergyModel`]; under
+/// [`EnergyModel::radio_default`] a transmitting or listening round costs
+/// one unit and idling is free.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RadioAction<M> {
-    /// Broadcast `M` to all neighbors (costs `round_cost` plus
-    /// `tx_bit_cost` per payload bit).
+    /// Broadcast `M` to all neighbors: an awake round that sends `M` on
+    /// every port (`round_cost`, plus `tx_bit_cost` per bit of every
+    /// copy).
     Transmit(M),
-    /// Listen to the channel (costs `round_cost`, plus `rx_bit_cost` per
-    /// audible bit at the outcome half-step).
+    /// Listen to the channel: an awake round that sends nothing
+    /// (`round_cost`, plus `rx_bit_cost` per received bit, or
+    /// `idle_cost` if nothing arrives).
     Listen,
-    /// Do only local computation (costs `idle_cost`; free by default).
+    /// Do only local computation. The node is not woken, so the round
+    /// costs nothing under any model.
     Idle,
 }
 
@@ -96,36 +108,28 @@ pub trait RadioProtocol {
     fn heard(&mut self, ctx: &NodeCtx, round: Round, outcome: Heard<Self::Msg>) -> NextWake;
 }
 
-/// Metrics of a radio-model run.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct EnergyStats {
-    /// Last active round.
+/// The channel counters of a radio run — what the kernel's
+/// [`RunStats`] does not count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RadioStats {
+    /// Last active round, idle rounds included.
     pub rounds: Round,
-    /// Energy (transmit + listen rounds) per node.
-    pub energy_by_node: Vec<u64>,
-    /// Total transmissions.
+    /// Total transmissions (one per transmitting node-round).
     pub transmissions: u64,
-    /// Messages successfully received by listeners.
+    /// Messages that reached listeners.
     pub receptions: u64,
-    /// Collision events observed by listeners (non-`Local` rules).
+    /// Listener rounds with two or more arrivals under a collision rule
+    /// ([`CollisionRule::Detection`] / [`CollisionRule::Silence`]).
     pub collisions: u64,
 }
 
-impl EnergyStats {
-    /// The worst-case energy complexity (max over nodes).
-    pub fn energy_max(&self) -> u64 {
-        self.energy_by_node.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Node-averaged energy.
-    // lint:allow(determinism) -- reporting-only average, never fed back into simulation state
-    pub fn energy_avg(&self) -> f64 {
-        if self.energy_by_node.is_empty() {
-            0.0 // lint:allow(determinism) -- reporting-only average
-        } else {
-            // lint:allow(determinism) -- reporting-only average, never fed back into simulation state
-            self.energy_by_node.iter().sum::<u64>() as f64 / self.energy_by_node.len() as f64
-        }
+impl RadioStats {
+    /// Folds one node's counters into the run's.
+    fn absorb(&mut self, node: &RadioStats) {
+        self.rounds = self.rounds.max(node.rounds);
+        self.transmissions += node.transmissions;
+        self.receptions += node.receptions;
+        self.collisions += node.collisions;
     }
 }
 
@@ -134,300 +138,187 @@ impl EnergyStats {
 pub struct RadioOutcome<P> {
     /// Final protocol values per node.
     pub states: Vec<P>,
-    /// Energy metrics.
-    pub stats: EnergyStats,
+    /// The kernel's run statistics: awake rounds, messages, and the
+    /// energy ledger ([`RunStats::energy_spent_by_node`]).
+    pub stats: RunStats,
+    /// The channel counters.
+    pub radio: RadioStats,
 }
 
-/// The radio-model executor.
+/// What an adapted node does when the kernel next wakes it.
 #[derive(Debug)]
-pub struct RadioSimulator<'g> {
-    graph: &'g WeightedGraph,
+enum Step<M> {
+    /// Send the message on every port and hear [`Heard::Transmitted`].
+    Transmit(M),
+    /// Send nothing and hear the inbox through the collision rule.
+    Listen,
+    /// Return this wake request to the kernel unchanged: the protocol
+    /// asked for it from an idle round it was not strictly later than,
+    /// and the kernel reports that in the idle round itself.
+    Refuse(Round),
+}
+
+/// A [`RadioProtocol`] as a kernel [`Protocol`].
+///
+/// The adapter asks the protocol for its next active round's action as
+/// soon as `init` or `deliver` returns. `Transmit` and `Listen` are
+/// awake rounds; `Idle` rounds are run on the spot — `act`, then
+/// `heard(Idled)`, until a non-idle round or a halt — so the kernel
+/// never wakes or charges the node for them. The idle loop stops at the
+/// run's round budget and hands the round on, for the kernel to report
+/// [`SimError::MaxRoundsExceeded`]. Built by [`run`].
+#[derive(Debug)]
+pub struct RadioAdapter<P: RadioProtocol> {
+    protocol: P,
     rule: CollisionRule,
     max_rounds: Round,
-    master_seed: u64,
-    /// The charging vocabulary — shared with the CONGEST kernel, so this
-    /// executor carries no private energy constants. Defaults to
-    /// [`EnergyModel::radio_default`] (one unit per transmit/listen
-    /// round, idle free, no budget): the historical pricing this module
-    /// used to hard-code.
-    energy: EnergyModel,
+    step: Step<P::Msg>,
+    counters: RadioStats,
 }
 
-impl<'g> RadioSimulator<'g> {
-    /// Creates an executor over `graph` with the given collision rule.
-    pub fn new(graph: &'g WeightedGraph, rule: CollisionRule) -> Self {
-        RadioSimulator {
-            graph,
-            rule,
-            max_rounds: 1 << 40,
-            master_seed: 0,
-            energy: EnergyModel::radio_default(),
-        }
-    }
-
-    /// Sets the round budget.
-    pub fn with_max_rounds(mut self, rounds: Round) -> Self {
-        self.max_rounds = rounds;
-        self
-    }
-
-    /// Sets the master seed for per-node randomness.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.master_seed = seed;
-        self
-    }
-
-    /// Replaces the default radio pricing with an arbitrary
-    /// [`EnergyModel`]. A model with a budget makes over-spending nodes
-    /// fall silent permanently and the run fail with
-    /// [`SimError::EnergyExhausted`], exactly like the CONGEST kernel.
-    pub fn with_energy(mut self, model: EnergyModel) -> Self {
-        self.energy = model;
-        self
-    }
-
-    /// Runs the protocol to completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::MaxRoundsExceeded`] if the budget runs out, or
-    /// [`SimError::WakeNotInFuture`] on an invalid schedule request.
-    pub fn run<P, F>(&self, mut factory: F) -> Result<RadioOutcome<P>, SimError>
-    where
-        P: RadioProtocol,
-        F: FnMut(&NodeCtx) -> P,
-    {
-        let n = self.graph.node_count();
-        let mut stats = EnergyStats {
-            energy_by_node: vec![0; n],
-            ..EnergyStats::default()
-        };
-
-        let mut ctxs = Vec::with_capacity(n);
-        let mut protocols = Vec::with_capacity(n);
-        let mut next_wake: Vec<Option<Round>> = Vec::with_capacity(n);
-        let mut running = 0usize;
-        let mut queue: BinaryHeap<Reverse<(Round, u32)>> = BinaryHeap::new();
-
-        // Hoisted: `max_external_id` is an O(n) scan, so calling it per
-        // node would make setup O(n²); likewise the flat weight array is
-        // copied once and every context views a window of it instead of
-        // allocating a per-node `Vec`.
-        let max_external_id = self.graph.max_external_id();
-        let weights = self.graph.flat_port_weights();
-        for node in self.graph.nodes() {
-            let ctx = NodeCtx {
-                node,
-                external_id: self.graph.external_id(node),
-                n,
-                max_external_id,
-                port_weights: crate::PortWeights::slice(
-                    std::sync::Arc::clone(&weights),
-                    self.graph.port_base(node),
-                    self.graph.degree(node) as u32,
-                ),
-                rng_seed: self
-                    .master_seed
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(u64::from(node.raw()).wrapping_mul(0xff51_afd7_ed55_8ccd)),
+impl<P: RadioProtocol> RadioAdapter<P> {
+    /// Turns the protocol's wake request `next`, made in round `after`,
+    /// into the kernel's, running idle rounds on the way.
+    fn schedule(&mut self, ctx: &NodeCtx, mut next: NextWake, mut after: Round) -> NextWake {
+        let mut idled = false;
+        loop {
+            let NextWake::At(round) = next else {
+                return NextWake::Halt;
             };
-            let mut protocol = factory(&ctx);
-            match protocol.init(&ctx) {
-                NextWake::At(r) if r >= 1 => {
-                    queue.push(Reverse((r, node.raw())));
-                    next_wake.push(Some(r));
-                    running += 1;
+            if round <= after {
+                if idled {
+                    // Wake the node in the idle round, where the kernel
+                    // rejects the request with `WakeNotInFuture`.
+                    self.step = Step::Refuse(round);
+                    return NextWake::At(after);
                 }
-                NextWake::At(_) => {
-                    return Err(SimError::WakeNotInFuture {
-                        node,
-                        round: 0,
-                        requested: 0,
-                    })
-                }
-                NextWake::Halt => next_wake.push(None),
+                return next;
             }
-            ctxs.push(ctx);
-            protocols.push(protocol);
-        }
-
-        let mut active_stamp: Vec<Round> = vec![0; n];
-        // `listen_stamp[v] == round` marks v listening this round — a
-        // reusable stamp array instead of a per-round listener Vec.
-        let mut listen_stamp: Vec<Round> = vec![0; n];
-        let mut active_now: Vec<u32> = Vec::new();
-        // Transmission of the round per node (None = not transmitting).
-        let mut on_air: Vec<Option<P::Msg>> = (0..n).map(|_| None).collect();
-
-        // First budget exhaustion of the run, adjudicated in ascending
-        // node order like the CONGEST kernel's.
-        let mut first_exhausted: Option<(NodeId, Round)> = None;
-        while let Some(&Reverse((round, _))) = queue.peek() {
             if round > self.max_rounds {
-                if let Some((node, round)) = first_exhausted {
-                    return Err(SimError::EnergyExhausted { node, round });
+                return next;
+            }
+            self.step = match self.protocol.act(ctx, round) {
+                RadioAction::Transmit(msg) => Step::Transmit(msg),
+                RadioAction::Listen => Step::Listen,
+                RadioAction::Idle => {
+                    self.counters.rounds = round;
+                    next = self.protocol.heard(ctx, round, Heard::Idled);
+                    after = round;
+                    idled = true;
+                    continue;
                 }
-                return Err(SimError::MaxRoundsExceeded {
-                    limit: self.max_rounds,
-                    running,
-                });
-            }
-            active_now.clear();
-            while let Some(&Reverse((r, v))) = queue.peek() {
-                if r != round {
-                    break;
-                }
-                queue.pop();
-                if next_wake[v as usize] == Some(r) && active_stamp[v as usize] != round {
-                    active_stamp[v as usize] = round;
-                    active_now.push(v);
-                }
-            }
-            if active_now.is_empty() {
-                continue;
-            }
-            if active_now.len() > 1 {
-                active_now.sort_unstable();
-            }
-            stats.rounds = round;
-
-            // --- action half-step ---
-            // All charging draws from `self.energy`; under the default
-            // radio pricing this is the classic 1/1/0 schedule.
-            for &v in &active_now {
-                match protocols[v as usize].act(&ctxs[v as usize], round) {
-                    RadioAction::Transmit(msg) => {
-                        stats.energy_by_node[v as usize] += self.energy.round_cost
-                            + self.energy.tx_bit_cost * msg.bit_size() as u64;
-                        stats.transmissions += 1;
-                        on_air[v as usize] = Some(msg);
-                    }
-                    RadioAction::Listen => {
-                        stats.energy_by_node[v as usize] += self.energy.round_cost;
-                        listen_stamp[v as usize] = round;
-                    }
-                    RadioAction::Idle => {
-                        stats.energy_by_node[v as usize] += self.energy.idle_cost;
-                    }
-                }
-            }
-
-            // --- outcome half-step ---
-            for &v in &active_now {
-                let node = NodeId::new(v);
-                let outcome = if on_air[v as usize].is_some() {
-                    Heard::Transmitted
-                } else if listen_stamp[v as usize] == round {
-                    // Count the audible transmissions first: only the
-                    // `Local` rule ever needs them gathered into a Vec,
-                    // and silence (the common case) allocates nothing.
-                    let audible = self
-                        .graph
-                        .ports(node)
-                        .iter()
-                        .filter(|e| on_air[e.neighbor.index()].is_some())
-                        .count();
-                    stats.receptions += audible as u64;
-                    if self.energy.rx_bit_cost != 0 {
-                        // Receive energy is paid for every audible bit —
-                        // the radio demodulates the channel whether or
-                        // not the collision rule lets it decode.
-                        let audible_bits: u64 = self
-                            .graph
-                            .ports(node)
-                            .iter()
-                            .filter_map(|e| on_air[e.neighbor.index()].as_ref())
-                            .map(|m| m.bit_size() as u64)
-                            .sum();
-                        stats.energy_by_node[v as usize] += self.energy.rx_bit_cost * audible_bits;
-                    }
-                    match (self.rule, audible) {
-                        (_, 0) => Heard::Silence,
-                        (CollisionRule::Local, _) => Heard::All(
-                            self.graph
-                                .ports(node)
-                                .iter()
-                                .filter_map(|e| on_air[e.neighbor.index()].clone())
-                                .collect(),
-                        ),
-                        (_, 1) => Heard::One(
-                            self.graph
-                                .ports(node)
-                                .iter()
-                                .find_map(|e| on_air[e.neighbor.index()].clone())
-                                .expect("one audible transmission"),
-                        ),
-                        (CollisionRule::Detection, _) => {
-                            stats.collisions += 1;
-                            Heard::Collision
-                        }
-                        (CollisionRule::Silence, _) => {
-                            stats.collisions += 1;
-                            Heard::Silence
-                        }
-                    }
-                } else {
-                    Heard::Idled
-                };
-                let next = protocols[v as usize].heard(&ctxs[v as usize], round, outcome);
-                // Budget adjudication, same semantics as the CONGEST
-                // kernel: an over-budget node falls silent permanently
-                // and the run fails with the typed error at the end.
-                let exhausted = self
-                    .energy
-                    .budget
-                    .is_some_and(|b| stats.energy_by_node[v as usize] > b);
-                if exhausted && first_exhausted.is_none() {
-                    first_exhausted = Some((node, round));
-                }
-                match next {
-                    NextWake::At(r) => {
-                        if r <= round {
-                            return Err(SimError::WakeNotInFuture {
-                                node,
-                                round,
-                                requested: r,
-                            });
-                        }
-                        if exhausted {
-                            next_wake[v as usize] = None;
-                            running -= 1;
-                        } else {
-                            next_wake[v as usize] = Some(r);
-                            queue.push(Reverse((r, v)));
-                        }
-                    }
-                    NextWake::Halt => {
-                        next_wake[v as usize] = None;
-                        running -= 1;
-                    }
-                }
-            }
-            for &v in &active_now {
-                on_air[v as usize] = None;
-            }
+            };
+            return next;
         }
-
-        if let Some((node, round)) = first_exhausted {
-            return Err(SimError::EnergyExhausted { node, round });
-        }
-        if running > 0 {
-            return Err(SimError::Stalled {
-                running,
-                round: stats.rounds,
-            });
-        }
-        Ok(RadioOutcome {
-            states: protocols,
-            stats,
-        })
     }
+
+    /// Applies the collision rule to a listener's port-sorted inbox.
+    fn hear(&mut self, inbox: &[Envelope<P::Msg>]) -> Heard<P::Msg> {
+        self.counters.receptions += inbox.len() as u64;
+        match (self.rule, inbox) {
+            (_, []) => Heard::Silence,
+            (CollisionRule::Local, _) => Heard::All(inbox.iter().map(|e| e.msg.clone()).collect()),
+            (_, [one]) => Heard::One(one.msg.clone()),
+            (CollisionRule::Detection, _) => {
+                self.counters.collisions += 1;
+                Heard::Collision
+            }
+            (CollisionRule::Silence, _) => {
+                self.counters.collisions += 1;
+                Heard::Silence
+            }
+        }
+    }
+}
+
+impl<P: RadioProtocol + Send> Protocol for RadioAdapter<P> {
+    type Msg = P::Msg;
+
+    fn init(&mut self, ctx: &NodeCtx) -> NextWake {
+        let next = self.protocol.init(ctx);
+        self.schedule(ctx, next, 0)
+    }
+
+    fn send(&mut self, ctx: &NodeCtx, _round: Round, outbox: &mut Outbox<P::Msg>) {
+        if let Step::Transmit(msg) = &self.step {
+            self.counters.transmissions += 1;
+            for port in ctx.ports() {
+                outbox.push(port, msg.clone());
+            }
+        }
+    }
+
+    fn deliver(&mut self, ctx: &NodeCtx, round: Round, inbox: &[Envelope<P::Msg>]) -> NextWake {
+        self.counters.rounds = round;
+        let outcome = match self.step {
+            // Half-duplex: a transmitter's inbox is discarded.
+            Step::Transmit(_) => Heard::Transmitted,
+            Step::Listen => self.hear(inbox),
+            Step::Refuse(requested) => return NextWake::At(requested),
+        };
+        let next = self.protocol.heard(ctx, round, outcome);
+        self.schedule(ctx, next, round)
+    }
+}
+
+/// Runs `factory`-created radio protocols under `rule` on the
+/// simulator's graph and configuration.
+///
+/// Pricing comes only from [`SimConfig::energy`](crate::SimConfig): pass
+/// [`EnergyModel::radio_default`] for the classic one unit per
+/// transmitting or listening round. Transmit bits are charged per copy
+/// sent and receive bits per copy delivered, exactly as for CONGEST
+/// protocols.
+///
+/// # Errors
+///
+/// Any [`SimError`] of the kernel: [`SimError::MaxRoundsExceeded`] if the
+/// round budget runs out (idle rounds included),
+/// [`SimError::WakeNotInFuture`] on an invalid schedule request,
+/// [`SimError::EnergyExhausted`] under a budgeted model.
+pub fn run<P, F>(
+    sim: &Simulator<'_>,
+    rule: CollisionRule,
+    mut factory: F,
+) -> Result<RadioOutcome<P>, SimError>
+where
+    P: RadioProtocol + Send,
+    F: FnMut(&NodeCtx) -> P,
+{
+    let max_rounds = sim.config().max_rounds;
+    let out = sim.run(|ctx| RadioAdapter {
+        protocol: factory(ctx),
+        rule,
+        max_rounds,
+        step: Step::Listen,
+        counters: RadioStats::default(),
+    })?;
+    let mut radio = RadioStats::default();
+    let mut states = Vec::with_capacity(out.states.len());
+    for adapter in out.states {
+        radio.absorb(&adapter.counters);
+        states.push(adapter.protocol);
+    }
+    Ok(RadioOutcome {
+        states,
+        stats: out.stats,
+        radio,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphlib::generators;
+    use crate::{EnergyModel, SimConfig};
+    use graphlib::{generators, NodeId, WeightedGraph};
+
+    /// A simulator priced by the classic radio model.
+    fn radio_sim(g: &WeightedGraph) -> Simulator<'_> {
+        Simulator::new(
+            g,
+            SimConfig::default().with_energy(EnergyModel::radio_default()),
+        )
+    }
 
     /// Everyone transmits its id in round `r`, listens in round `r + 1`.
     #[derive(Debug)]
@@ -466,16 +357,15 @@ mod tests {
         // Everyone transmits in round 1 and listens in round 2: round 2 is
         // silent, so all nodes hear silence.
         let g = generators::ring(5, 0).unwrap();
-        let out = RadioSimulator::new(&g, CollisionRule::Local)
-            .run(|_| PingAll {
-                when: 1,
-                heard: None,
-            })
-            .unwrap();
+        let out = run(&radio_sim(&g), CollisionRule::Local, |_| PingAll {
+            when: 1,
+            heard: None,
+        })
+        .unwrap();
         assert!(out.states.iter().all(|s| s.heard == Some(Heard::Silence)));
-        assert_eq!(out.stats.energy_by_node, vec![2; 5]);
-        assert_eq!(out.stats.transmissions, 5);
-        assert_eq!(out.stats.receptions, 0);
+        assert_eq!(out.stats.energy_spent_by_node, vec![2; 5]);
+        assert_eq!(out.radio.transmissions, 5);
+        assert_eq!(out.radio.receptions, 0);
     }
 
     /// One designated transmitter per round; others listen.
@@ -514,12 +404,11 @@ mod tests {
             CollisionRule::Detection,
             CollisionRule::Silence,
         ] {
-            let out = RadioSimulator::new(&g, rule)
-                .run(|ctx| OneSpeaks {
-                    speaker: ctx.node.raw() == 0,
-                    heard: None,
-                })
-                .unwrap();
+            let out = run(&radio_sim(&g), rule, |ctx| OneSpeaks {
+                speaker: ctx.node.raw() == 0,
+                heard: None,
+            })
+            .unwrap();
             for leaf in 1..5 {
                 match (&rule, out.states[leaf].heard.as_ref().unwrap()) {
                     (CollisionRule::Local, Heard::All(v)) => assert_eq!(v, &vec![1]),
@@ -540,12 +429,11 @@ mod tests {
             (CollisionRule::Detection, true, false),
             (CollisionRule::Silence, false, false),
         ] {
-            let out = RadioSimulator::new(&g, rule)
-                .run(|ctx| OneSpeaks {
-                    speaker: ctx.node.raw() != 0,
-                    heard: None,
-                })
-                .unwrap();
+            let out = run(&radio_sim(&g), rule, |ctx| OneSpeaks {
+                speaker: ctx.node.raw() != 0,
+                heard: None,
+            })
+            .unwrap();
             let hub = out.states[0].heard.clone().unwrap();
             match hub {
                 Heard::All(v) => {
@@ -559,7 +447,7 @@ mod tests {
                 other => panic!("unexpected hub outcome: {other:?}"),
             }
             if !matches!(rule, CollisionRule::Local) {
-                assert_eq!(out.stats.collisions, 1);
+                assert_eq!(out.radio.collisions, 1);
             }
         }
     }
@@ -586,16 +474,15 @@ mod tests {
             }
         }
         let g = generators::ring(3, 0).unwrap();
-        let out = RadioSimulator::new(&g, CollisionRule::Local)
-            .run(|_| Idler)
-            .unwrap();
+        let out = run(&radio_sim(&g), CollisionRule::Local, |_| Idler).unwrap();
         assert_eq!(out.stats.energy_max(), 0);
-        assert_eq!(out.stats.rounds, 10);
+        assert_eq!(out.radio.rounds, 10);
         assert_eq!(out.stats.energy_avg(), 0.0);
     }
 
-    /// The unified [`EnergyModel`] charging path: custom per-bit and idle
-    /// pricing replaces the historical hard-coded 1/1/0 schedule.
+    /// Radio runs are priced by the kernel's rules: transmit bits per
+    /// copy sent, receive bits per copy delivered, and the idle cost on
+    /// an awake round that receives nothing.
     #[test]
     fn custom_energy_model_prices_bits_and_idling() {
         // Star: the hub (node 0) transmits its 1-bit external id; leaves
@@ -608,34 +495,22 @@ mod tests {
             idle_cost: 7,
             budget: None,
         };
-        let out = RadioSimulator::new(&g, CollisionRule::Local)
-            .with_energy(model)
-            .run(|ctx| OneSpeaks {
-                speaker: ctx.node.raw() == 0,
-                heard: None,
-            })
-            .unwrap();
-        // Hub external id is 1 → bit_size 1: transmit = 10 + 3·1.
-        assert_eq!(out.stats.energy_by_node[0], 13);
-        // Each leaf listens (10) and hears the 1-bit message (2·1).
-        assert_eq!(out.stats.energy_by_node[1..], [12, 12, 12, 12]);
+        let speaks = |ctx: &NodeCtx| OneSpeaks {
+            speaker: ctx.node.raw() == 0,
+            heard: None,
+        };
+        let sim = Simulator::new(&g, SimConfig::default().with_energy(model));
+        let out = run(&sim, CollisionRule::Local, speaks).unwrap();
+        // Hub external id is 1 → bit_size 1: the round (10), four 1-bit
+        // copies (3·4·1), and an empty inbox (7).
+        assert_eq!(out.stats.energy_spent_by_node[0], 29);
+        // Each leaf listens (10) and receives the 1-bit message (2·1).
+        assert_eq!(out.stats.energy_spent_by_node[1..], [12, 12, 12, 12]);
 
-        // The default pricing is exactly EnergyModel::radio_default().
-        let classic = RadioSimulator::new(&g, CollisionRule::Local)
-            .run(|ctx| OneSpeaks {
-                speaker: ctx.node.raw() == 0,
-                heard: None,
-            })
-            .unwrap();
-        let explicit = RadioSimulator::new(&g, CollisionRule::Local)
-            .with_energy(EnergyModel::radio_default())
-            .run(|ctx| OneSpeaks {
-                speaker: ctx.node.raw() == 0,
-                heard: None,
-            })
-            .unwrap();
-        assert_eq!(classic.stats, explicit.stats);
-        assert_eq!(classic.stats.energy_by_node, vec![1; 5]);
+        // The classic pricing: one unit per transmitting or listening
+        // round.
+        let classic = run(&radio_sim(&g), CollisionRule::Local, speaks).unwrap();
+        assert_eq!(classic.stats.energy_spent_by_node, vec![1; 5]);
     }
 
     /// A budgeted model makes over-spending nodes fall silent and the
@@ -643,19 +518,18 @@ mod tests {
     #[test]
     fn energy_budget_exhaustion_is_typed() {
         // Everyone transmits in round 1 and would listen in round 2, but
-        // a 1 nJ budget is exhausted by the first transmission (round
-        // cost 1 + 1 bit · 1 nJ = 2 > 1).
+        // a 1 nJ budget is exhausted by the first transmission (node 0:
+        // round cost 1 + two 1-bit copies · 1 nJ = 3 > 1).
         let g = generators::ring(5, 0).unwrap();
         let model = EnergyModel::radio_default()
             .with_tx_bit_cost(1)
             .with_budget(1);
-        let err = RadioSimulator::new(&g, CollisionRule::Local)
-            .with_energy(model)
-            .run(|_| PingAll {
-                when: 1,
-                heard: None,
-            })
-            .unwrap_err();
+        let sim = Simulator::new(&g, SimConfig::default().with_energy(model));
+        let err = run(&sim, CollisionRule::Local, |_| PingAll {
+            when: 1,
+            heard: None,
+        })
+        .unwrap_err();
         assert!(
             matches!(
                 err,
@@ -685,10 +559,44 @@ mod tests {
             }
         }
         let g = generators::ring(3, 0).unwrap();
-        let err = RadioSimulator::new(&g, CollisionRule::Local)
-            .with_max_rounds(20)
-            .run(|_| Forever)
-            .unwrap_err();
+        let sim = Simulator::new(&g, SimConfig::default().with_max_rounds(20));
+        let err = run(&sim, CollisionRule::Local, |_| Forever).unwrap_err();
         assert!(matches!(err, SimError::MaxRoundsExceeded { limit: 20, .. }));
+    }
+
+    /// A wake request made in an idle round must be strictly later than
+    /// that round; the kernel rejects it in the idle round itself.
+    #[test]
+    fn idle_round_wake_not_in_future_is_rejected() {
+        #[derive(Debug)]
+        struct StuckIdler;
+        impl RadioProtocol for StuckIdler {
+            type Msg = u64;
+            fn init(&mut self, _: &NodeCtx) -> NextWake {
+                NextWake::At(2)
+            }
+            fn act(&mut self, _: &NodeCtx, round: Round) -> RadioAction<u64> {
+                if round == 2 {
+                    RadioAction::Listen
+                } else {
+                    RadioAction::Idle
+                }
+            }
+            fn heard(&mut self, _: &NodeCtx, _: Round, _: Heard<u64>) -> NextWake {
+                // Listen in round 2, idle in round 5, then ask for round 5
+                // again.
+                NextWake::At(5)
+            }
+        }
+        let g = generators::ring(3, 0).unwrap();
+        let err = run(&radio_sim(&g), CollisionRule::Local, |_| StuckIdler).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::WakeNotInFuture {
+                node: NodeId::new(0),
+                round: 5,
+                requested: 5,
+            }
+        );
     }
 }

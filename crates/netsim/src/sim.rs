@@ -177,6 +177,11 @@ impl<'g> Simulator<'g> {
         self.graph
     }
 
+    /// The run configuration.
+    pub fn config(&self) -> &SimConfig {
+        &self.config
+    }
+
     /// Runs `factory`-created protocol instances to completion.
     ///
     /// # Errors

@@ -18,19 +18,20 @@
 use sleeping_mst::graphlib::{generators, mst, NodeId};
 use sleeping_mst::mst_core::radio_toolbox::{RadioBroadcast, RadioUpcastMin};
 use sleeping_mst::mst_core::toolbox::TreeSpec;
-use sleeping_mst::netsim::radio::{CollisionRule, RadioSimulator};
-use sleeping_mst::netsim::EnergyModel;
+use sleeping_mst::netsim::radio::{self, CollisionRule};
+use sleeping_mst::netsim::{EnergyModel, SimConfig, Simulator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 32;
     let graph = generators::random_connected(n, 0.12, 9)?;
     let tree = mst::kruskal(&graph);
     let specs = TreeSpec::from_tree_edges(&graph, &tree.edges, NodeId::new(0));
-    // The radio executor charges through the same `EnergyModel` as the
-    // sleeping-model kernel; `radio_default()` is the classic
+    // Radio protocols run on the sleeping-model kernel and are charged by
+    // its `EnergyModel`; `radio_default()` is the classic
     // one-unit-per-active-round accounting of the energy-complexity
     // literature (round:1, everything else free).
     let model = EnergyModel::radio_default();
+    let sim = Simulator::new(&graph, SimConfig::default().with_energy(model));
     println!(
         "network: {n} nodes; broadcasting over its MST in the radio model\n\
          energy model: {}\n",
@@ -44,19 +45,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         CollisionRule::Detection,
         CollisionRule::Silence,
     ] {
-        let out = RadioSimulator::new(&graph, rule)
-            .with_energy(model)
-            .run(|ctx| {
-                let payload = (ctx.node.raw() == 0).then_some(42);
-                RadioBroadcast::new(specs[ctx.node.index()].clone(), payload)
-            })?;
+        let out = radio::run(&sim, rule, |ctx| {
+            let payload = (ctx.node.raw() == 0).then_some(42);
+            RadioBroadcast::new(specs[ctx.node.index()].clone(), payload)
+        })?;
         let informed = out.states.iter().filter(|s| s.value == Some(42)).count();
         println!(
             "| {:<9} | {informed:>5}/{n:<2} | {:>10} | {:>10.2} | {:>10} |",
             format!("{rule:?}"),
             out.stats.energy_max(),
             out.stats.energy_avg(),
-            out.stats.collisions,
+            out.radio.collisions,
         );
     }
 
@@ -70,17 +69,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         CollisionRule::Detection,
         CollisionRule::Silence,
     ] {
-        let out = RadioSimulator::new(&graph, rule)
-            .with_energy(model)
-            .run(|ctx| {
-                RadioUpcastMin::new(specs[ctx.node.index()].clone(), values[ctx.node.index()])
-            })?;
+        let out = radio::run(&sim, rule, |ctx| {
+            RadioUpcastMin::new(specs[ctx.node.index()].clone(), values[ctx.node.index()])
+        })?;
         println!(
             "| {:<9} | {:>12} | {:>10} | {:>10} |",
             format!("{rule:?}"),
             out.states[0].value == expected,
             out.stats.energy_max(),
-            out.stats.collisions,
+            out.radio.collisions,
         );
     }
     println!(

@@ -259,13 +259,6 @@ pub enum Command {
         /// Drivers to time (the naive oracle is `O(rounds · n)` — only
         /// ask for it at small sizes).
         executors: Vec<Executor>,
-        /// Node counts for the wide-wave workload rows (every node awake
-        /// every round — the regime sharding accelerates). Empty skips
-        /// the wave panel.
-        wave_sizes: Vec<usize>,
-        /// Shard counts swept on the wave rows (the panel asserts the
-        /// run stats agree across all of them).
-        shards: Vec<u32>,
         /// Also write the JSON rows to this file.
         out: Option<String>,
     },
@@ -342,7 +335,7 @@ const FLAGS: &[(&str, &str)] = &[
     ),
     (
         "bench-engine",
-        "--sizes --seed --out --executors --executor --wave-sizes --shards",
+        "--sizes --seed --out --executors --executor",
     ),
     (
         "serve",
@@ -392,8 +385,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut md_out: Option<String> = None;
     let mut executor: Option<Executor> = None;
     let mut executors: Option<Vec<Executor>> = None;
-    let mut shards: Option<Vec<u32>> = None;
-    let mut wave_sizes: Option<Vec<usize>> = None;
+    let mut shards: Option<u32> = None;
     let mut faults = FaultPlan::default();
     let mut energy: Option<EnergyModel> = None;
     let mut budget: Option<u64> = None;
@@ -464,20 +456,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             "--shards" => {
                 let v = it.next().ok_or("--shards needs a value")?;
                 shards = Some(
-                    v.split(',')
-                        .map(|x| {
-                            x.trim()
-                                .parse::<u32>()
-                                .ok()
-                                .filter(|&s| s >= 1)
-                                .ok_or_else(|| format!("'{x}' is not a shard count (>= 1)"))
-                        })
-                        .collect::<Result<Vec<u32>, String>>()?,
+                    v.parse::<u32>()
+                        .ok()
+                        .filter(|&s| s >= 1)
+                        .ok_or_else(|| format!("'{v}' is not a shard count (>= 1)"))?,
                 );
-            }
-            "--wave-sizes" => {
-                let v = it.next().ok_or("--wave-sizes needs a value")?;
-                wave_sizes = Some(parse_usize_list(v, "wave size")?);
             }
             "--fault-seed" => {
                 let v = it.next().ok_or("--fault-seed needs a value")?;
@@ -554,15 +537,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         }
     }
     let energy = wire::budgeted(energy, budget);
-    let single_shards = |shards: &Option<Vec<u32>>| -> Result<Option<u32>, String> {
-        match shards.as_deref() {
-            None => Ok(None),
-            Some([one]) => Ok(Some(*one)),
-            Some(_) => Err(
-                "this command takes a single --shards value (lists are for bench-engine)".into(),
-            ),
-        }
-    };
     let graph = || graph.clone().ok_or("--graph is required");
     let single_alg = |algs: &[&'static AlgorithmSpec]| -> Result<&'static AlgorithmSpec, String> {
         match algs {
@@ -583,7 +557,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             Command::Run {
                 request: RunRequest {
                     executor,
-                    shards: single_shards(&shards)?,
+                    shards,
                     faults: Some(faults),
                     energy,
                     wake_policy,
@@ -619,7 +593,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 sizes: sizes.ok_or("--sizes is required for 'sweep'")?,
                 seeds: seeds.unwrap_or_else(|| vec![seed]),
                 executor,
-                shards: single_shards(&shards)?,
+                shards,
                 energy,
             };
             spec.validate().map_err(invalid_flag)?;
@@ -650,7 +624,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut spec = ChaosSpec {
                 seed,
                 executor: executor.unwrap_or_default(),
-                shards: single_shards(&shards)?,
+                shards,
                 energy,
                 ..ChaosSpec::default()
             };
@@ -665,8 +639,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             executors: executors.unwrap_or_else(|| {
                 executor.map_or_else(|| vec![Executor::Calendar, Executor::Sync], |e| vec![e])
             }),
-            wave_sizes: wave_sizes.unwrap_or_default(),
-            shards: shards.unwrap_or_else(|| vec![1]),
             out,
         },
         "serve" => Command::Serve {
@@ -714,7 +686,6 @@ USAGE:
                         [--shards K] [--energy-model M] [--budget B]
     sleeping-mst bench-engine [--sizes N,N,…] [--seed S] [--out FILE]
                         [--executors calendar,sync[,naive] | --executor E]
-                        [--wave-sizes N,N,…] [--shards K,K,…]
     sleeping-mst serve  --socket PATH [--workers W] [--cache-capacity C]
                         [--bucket-capacity B] [--refill-per-sec R]
 
@@ -825,9 +796,10 @@ BENCH-ENGINE:
     Times the drivers themselves on a sparse-wake panel (a few wakes per
     node separated by gaps of thousands of rounds — the regime the
     sleeping model is about) and prints per-driver JSON rows: rounds,
-    messages, wall seconds, rounds/sec, messages/sec. With --out the rows
-    are written as the BENCH_engine.json artifact. The naive oracle costs
-    O(rounds·n); include it via --executors only at small sizes.
+    messages, wall seconds, nanoseconds per node wake, messages/sec. With
+    --out the rows are written as the BENCH_engine.json artifact. The
+    naive oracle costs O(rounds·n); include it via --executors only at
+    small sizes.
 "
     )
 }
@@ -1071,16 +1043,12 @@ pub fn execute(cmd: &Command) -> (i32, String) {
             sizes,
             seed,
             executors,
-            wave_sizes,
-            shards,
             out,
         } => {
             let spec = engine_panel::EnginePanelSpec {
                 sizes: sizes.clone(),
                 executors: executors.clone(),
                 seed: *seed,
-                wave_sizes: wave_sizes.clone(),
-                shards: shards.clone(),
                 ..engine_panel::EnginePanelSpec::default()
             };
             match engine_panel::run_engine_panel(&spec) {
@@ -1293,34 +1261,25 @@ mod tests {
         };
         assert_eq!(spec.shards, Some(2));
 
-        // run/sweep take exactly one value; bench-engine takes a list.
+        // A shard count is one value >= 1.
         assert!(parse_args(&args(&[
             "run", "--alg", "prim", "--graph", "ring:8", "--shards", "1,2"
         ]))
         .unwrap_err()
-        .contains("single --shards"));
+        .contains("shard count"));
         assert!(parse_args(&args(&[
             "run", "--alg", "prim", "--graph", "ring:8", "--shards", "0"
         ]))
         .unwrap_err()
         .contains("shard count"));
 
-        let cmd = parse_args(&args(&[
-            "bench-engine",
-            "--wave-sizes",
-            "256,512",
-            "--shards",
-            "1,2,4",
-        ]))
-        .unwrap();
-        let Command::BenchEngine {
-            wave_sizes, shards, ..
-        } = cmd
-        else {
-            unreachable!("expected bench-engine command");
-        };
-        assert_eq!(wave_sizes, vec![256, 512]);
-        assert_eq!(shards, vec![1, 2, 4]);
+        // bench-engine times drivers only; the wide-round shard sweep is
+        // the repository benchmark's wide-wave workload.
+        for flag in ["--wave-sizes", "--shards"] {
+            let err = parse_args(&args(&["bench-engine", flag, "2"])).unwrap_err();
+            assert!(err.contains(&format!("'{flag}'")), "{flag}: {err}");
+            assert!(err.contains("'bench-engine'"), "{flag}: {err}");
+        }
     }
 
     #[test]
@@ -1358,8 +1317,6 @@ mod tests {
                 sizes: vec![1 << 14],
                 seed: 0,
                 executors: vec![Executor::Calendar, Executor::Sync],
-                wave_sizes: vec![],
-                shards: vec![1],
                 out: None,
             }
         );
@@ -1379,8 +1336,6 @@ mod tests {
                 sizes: vec![64],
                 seed: 3,
                 executors: vec![Executor::Calendar, Executor::Sync, Executor::Naive],
-                wave_sizes: vec![],
-                shards: vec![1],
                 out: None,
             }
         );
@@ -2172,7 +2127,7 @@ mod tests {
             "\"rounds\":",
             "\"messages\":",
             "\"wall_seconds\":",
-            "\"rounds_per_sec\":",
+            "\"ns_per_wake\":",
             "\"messages_per_sec\":",
         ] {
             assert!(text.contains(key), "missing {key} in {text}");

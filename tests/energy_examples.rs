@@ -3,8 +3,9 @@
 //!
 //! * `energy_comparison` prices the Table-1 panel under the reference
 //!   model and must agree on the MST across all four algorithms;
-//! * `radio_energy` drives the radio executor under the classic
-//!   one-unit-per-active-round `radio` preset.
+//! * `radio_energy` runs the radio toolbox on the kernel under the
+//!   classic one-unit-per-active-round `radio` preset, and prints the
+//!   pinned Local/Detection/Silence rows.
 //!
 //! Both are spawned through the real `cargo run --example` entry point,
 //! so drift in the examples' use of the public API (the exact surface
@@ -65,6 +66,21 @@ fn radio_energy_example_runs_on_the_radio_preset() {
             stdout.matches(rule).count(),
             2,
             "missing rows for collision rule {rule}:\n{stdout}"
+        );
+    }
+    // The exact rows: the Local rule informs everyone at the sleeping
+    // model's cost, the collision rules lose nodes to collisions.
+    for row in [
+        "| Local     |    32/32 |          2 |       1.62 |          0 |",
+        "| Detection |    27/32 |          2 |       1.56 |          2 |",
+        "| Silence   |    27/32 |          2 |       1.56 |          2 |",
+        "| Local     |         true |          2 |          0 |",
+        "| Detection |        false |          2 |          9 |",
+        "| Silence   |        false |          2 |          9 |",
+    ] {
+        assert!(
+            stdout.lines().any(|line| line == row),
+            "missing row {row}:\n{stdout}"
         );
     }
 }
