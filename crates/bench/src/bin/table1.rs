@@ -16,9 +16,6 @@
 //! run their trials on all available cores (results are seed-deterministic
 //! and identical to a single-threaded run).
 
-// lint:allow(wall-clock) -- throughput column reports real elapsed time
-use std::time::Instant;
-
 use bench::{aggregate, Sweep};
 use graphlib::generators;
 use mst_core::registry;
@@ -38,15 +35,12 @@ fn main() {
     println!("| n    | awake max | awake/log2(n) | rounds    | rounds/(n·log2 n) | phases |");
     println!("|------|-----------|---------------|-----------|-------------------|--------|");
     let family = sparse_family(0.05);
-    // lint:allow(wall-clock) -- throughput column reports real elapsed time
-    let started = Instant::now();
     let results = Sweep::new(&family)
         .algorithm(randomized)
         .sizes([16usize, 32, 64, 128, 256, 512])
         .seeds(0..3)
         .run()
         .expect("randomized sweep");
-    let panel1_elapsed = started.elapsed();
     for c in aggregate(&results) {
         let log_n = (c.n as f64).log2();
         println!(
@@ -187,10 +181,5 @@ fn main() {
          rounds/(n log2 n) resp. rounds/(n N log2 n) flat (the round bounds);\n\
          the always-awake baseline pays awake = rounds, and the Prim baseline\n\
          shows sleep states alone don't help (awake/n flat, i.e. Θ(n) awake)."
-    );
-    println!(
-        "\nWall clock: randomized panel (n ≤ 512 × 3 seeds) took {:.2?} on {} worker thread(s).",
-        panel1_elapsed,
-        std::thread::available_parallelism().map_or(1, |p| p.get()),
     );
 }

@@ -6,9 +6,9 @@
 //! node-awake event, so the round-synchronous driver's extra cost (one
 //! silent tick per empty round) drowns in protocol work. This panel runs
 //! the opposite regime, the one the sleeping model is *about*: each node
-//! wakes only [`EnginePanelSpec::wakes`] times, with seed-chosen gaps of
-//! up to `gap_per_node · n` rounds between wakes, and sends a single
-//! cheap message per wake. Total rounds then exceed total wake events by
+//! wakes only [`WAKES`] times, with seed-chosen gaps of up to
+//! `gap_per_node · n` rounds between wakes, and sends a single cheap
+//! message per wake. Total rounds then exceed total wake events by
 //! a factor of ~`gap_per_node`, which is exactly where the calendar
 //! driver's calendar jump (`O(1)` amortized per *wake*) beats the synchronous
 //! driver's tick loop (`O(1)` per *round*).
@@ -17,9 +17,13 @@
 //! is astronomical at panel sizes — include [`netsim::Executor::Naive`]
 //! in a spec only at small `n`.
 //!
-//! The `bench-engine` CLI subcommand renders this panel as
-//! `BENCH_engine.json`; `EXPERIMENTS.md` tabulates the resulting
-//! calendar-vs-sync wall-clock win across `n`.
+//! The `bench-engine` CLI subcommand renders this panel in two parts:
+//! the deterministic rows ([`render_engine_panel_json`], the committed
+//! `BENCH_engine.json`, byte-identical on every regeneration) and a
+//! separate, labelled wall-clock block
+//! ([`render_engine_panel_wall_clock`], one sample per row on whatever
+//! host ran it). `EXPERIMENTS.md` quotes one such block for the
+//! calendar-vs-sync gap across `n`.
 //!
 //! The opposite regime — every node awake in the same maximally wide
 //! rounds, where [`netsim::SimConfig::shards`] can win — is measured by
@@ -30,7 +34,13 @@ use netsim::{
     EnergyModel, Executor, NextWake, NodeCtx, Outbox, Protocol, Round, SimConfig, Simulator,
 };
 
+/// Awake rounds per node before it halts.
+pub const WAKES: u32 = 3;
+
 /// What the panel sweeps: sizes × drivers, plus the wake-schedule shape.
+/// Every run is priced by [`EnergyModel::reference`], so every row
+/// carries an `energy_total` ledger sum and the cross-driver
+/// [`netsim::RunStats`] equality check covers the per-node ledger too.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnginePanelSpec {
     /// Node counts to run (one graph per size).
@@ -41,16 +51,8 @@ pub struct EnginePanelSpec {
     /// derive from it, so the simulated work is identical across drivers
     /// (the panel asserts this by comparing [`netsim::RunStats`]).
     pub seed: u64,
-    /// Awake rounds per node before it halts.
-    pub wakes: u32,
     /// Maximum sleep gap between a node's wakes, in units of `n` rounds.
     pub gap_per_node: u64,
-    /// Optional pricing model charged inside the kernel. When set, every
-    /// row carries an `energy_total` ledger sum, and the panel's existing
-    /// cross-driver [`netsim::RunStats`] equality check
-    /// extends to the per-node energy ledger for free (the ledger lives
-    /// in the stats).
-    pub energy: Option<EnergyModel>,
 }
 
 impl Default for EnginePanelSpec {
@@ -59,9 +61,7 @@ impl Default for EnginePanelSpec {
             sizes: vec![1 << 14],
             executors: vec![Executor::Calendar, Executor::Sync],
             seed: 0,
-            wakes: 3,
             gap_per_node: 4096,
-            energy: Some(EnergyModel::reference()),
         }
     }
 }
@@ -82,10 +82,12 @@ pub struct EnginePanelRow {
     pub graph_bytes: u64,
     /// Graph bytes per node — the scale campaign's memory budget column.
     pub bytes_per_node: f64,
-    /// Ledger sum under [`EnginePanelSpec::energy`] (0 with no model).
-    /// Deterministic in the spec seed, like `rounds` and `messages`.
+    /// Ledger sum under [`EnergyModel::reference`]. Deterministic in the
+    /// spec seed, like `rounds` and `messages`.
     pub energy_total: u64,
-    /// Wall-clock seconds for the simulation call.
+    /// Wall-clock seconds for the simulation call. This and the two rates
+    /// below vary run to run; they are rendered apart from the
+    /// deterministic fields, by [`render_engine_panel_wall_clock`].
     pub wall_seconds: f64,
     /// Wall-clock nanoseconds per node-awake event. Rounds in which every
     /// node sleeps cost the calendar driver nothing, so a per-round rate
@@ -212,17 +214,15 @@ pub fn run_engine_panel(spec: &EnginePanelSpec) -> Result<Vec<EnginePanelRow>, S
         let max_gap = spec.gap_per_node.saturating_mul(n.max(1) as u64);
         let mut reference: Option<netsim::RunStats> = None;
         for &executor in &spec.executors {
-            let mut config = SimConfig::default()
+            let config = SimConfig::default()
                 .with_seed(spec.seed)
-                .with_executor(executor);
-            if let Some(model) = spec.energy {
-                config = config.with_energy(model);
-            }
+                .with_executor(executor)
+                .with_energy(EnergyModel::reference());
             let sim = Simulator::new(&graph, config);
             // lint:allow(wall-clock) -- the panel's whole point is real elapsed time per driver
             let started = std::time::Instant::now();
             let out = sim
-                .run(|ctx| SparseWake::new(ctx, spec.wakes, max_gap))
+                .run(|ctx| SparseWake::new(ctx, WAKES, max_gap))
                 .map_err(|e| format!("engine panel n={n} {executor}: {e}"))?;
             let wall_seconds = started.elapsed().as_secs_f64().max(1e-9);
             match &reference {
@@ -255,9 +255,9 @@ pub fn run_engine_panel(spec: &EnginePanelSpec) -> Result<Vec<EnginePanelRow>, S
     Ok(rows)
 }
 
-/// Renders panel rows as a JSON array (the `BENCH_engine.json` artifact).
-/// Only the wall-clock fields vary run to run; `n`, `executor`,
-/// `rounds`, and `messages` are deterministic in the spec seed.
+/// Renders the deterministic fields of the panel rows as a JSON array
+/// (the `BENCH_engine.json` artifact). Every field is a function of the
+/// spec, so the same spec renders the same bytes on any host.
 pub fn render_engine_panel_json(rows: &[EnginePanelRow]) -> String {
     let body: Vec<String> = rows
         .iter()
@@ -265,8 +265,7 @@ pub fn render_engine_panel_json(rows: &[EnginePanelRow]) -> String {
             format!(
                 "{{\"n\":{},\"executor\":\"{}\",\
                  \"rounds\":{},\"messages\":{},\"graph_bytes\":{},\
-                 \"bytes_per_node\":{:.2},\"energy_total\":{},\"wall_seconds\":{:.6},\
-                 \"ns_per_wake\":{:.1},\"messages_per_sec\":{:.1}}}",
+                 \"bytes_per_node\":{:.2},\"energy_total\":{}}}",
                 r.n,
                 r.executor,
                 r.rounds,
@@ -274,13 +273,26 @@ pub fn render_engine_panel_json(rows: &[EnginePanelRow]) -> String {
                 r.graph_bytes,
                 r.bytes_per_node,
                 r.energy_total,
-                r.wall_seconds,
-                r.ns_per_wake,
-                r.messages_per_sec,
             )
         })
         .collect();
     format!("[{}]", body.join(","))
+}
+
+/// Renders the wall-clock fields of the panel rows: a `wall-clock`
+/// header line, then one line per row. One sample per row on the host
+/// that ran the panel, so these numbers vary run to run and never enter
+/// the JSON artifact.
+pub fn render_engine_panel_wall_clock(rows: &[EnginePanelRow]) -> String {
+    let mut text =
+        String::from("wall-clock (one sample per row on this host; varies run to run)\n");
+    for r in rows {
+        text.push_str(&format!(
+            "n={} executor={} wall_seconds={:.6} ns_per_wake={:.1} messages_per_sec={:.1}\n",
+            r.n, r.executor, r.wall_seconds, r.ns_per_wake, r.messages_per_sec,
+        ));
+    }
+    text
 }
 
 #[cfg(test)]
@@ -306,9 +318,7 @@ mod tests {
             sizes: vec![32, 48],
             executors: vec![Executor::Calendar, Executor::Sync, Executor::Naive],
             seed: 9,
-            wakes: 3,
             gap_per_node: 4,
-            energy: Some(EnergyModel::reference()),
         };
         let rows = run_engine_panel(&spec).unwrap();
         assert_eq!(rows.len(), 6);
@@ -326,7 +336,13 @@ mod tests {
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert_eq!(json.matches("\"executor\"").count(), 6);
         assert_eq!(json.matches("\"energy_total\"").count(), 6);
-        assert_eq!(json.matches("\"ns_per_wake\"").count(), 6);
+        for key in ["wall_seconds", "ns_per_wake", "messages_per_sec"] {
+            assert!(!json.contains(key), "{key} in {json}");
+        }
+        let wall = render_engine_panel_wall_clock(&rows);
+        let mut lines = wall.lines();
+        assert!(lines.next().unwrap().starts_with("wall-clock"), "{wall}");
+        assert_eq!(lines.count(), rows.len(), "{wall}");
         assert!(rows.iter().all(|r| r.ns_per_wake > 0.0));
     }
 

@@ -26,7 +26,8 @@ pub mod serve;
 
 pub use chaos::{run_chaos, ChaosReport, ChaosSpec, ChaosTrial, Outcome};
 pub use engine_panel::{
-    render_engine_panel_json, run_engine_panel, EnginePanelRow, EnginePanelSpec,
+    render_engine_panel_json, render_engine_panel_wall_clock, run_engine_panel, EnginePanelRow,
+    EnginePanelSpec,
 };
 pub use harness::{aggregate, Cell, Invalid, Sweep, SweepSpec, TrialResult};
 pub use report::{generate, Report, ReportSpec};

@@ -667,6 +667,22 @@ mod tests {
     }
 
     #[test]
+    fn chorded_cycle_footprint_is_pinned_and_within_budget() {
+        // Exact CSR footprint for the c = 2 chorded cycle (m = 3n): edges
+        // at 16 B, 2m port entries at 24 B, n + 1 offsets at 4 B, n
+        // external ids at 8 B. The pin catches any layout change; the
+        // 256 B/node budget is the scale campaign's memory ceiling.
+        let n = 1usize << 16;
+        let g = chorded_cycle(n, 2, 1).unwrap();
+        assert_eq!(g.memory_bytes(), 13_369_348);
+        let bytes_per_node = g.memory_bytes() as f64 / n as f64;
+        assert!(
+            bytes_per_node <= 256.0,
+            "{bytes_per_node:.1} bytes/node exceeds the 256 B budget"
+        );
+    }
+
+    #[test]
     fn chorded_cycle_rejects_bad_sizes() {
         assert!(chorded_cycle(4, 0, 0).is_err());
         // n = 11: gaps 2..=5 are available, so at most 4 chords per node.

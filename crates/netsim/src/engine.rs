@@ -20,7 +20,8 @@
 //!   every round one at a time, paying a per-round tick even when every
 //!   node sleeps. Outcomes are bit-identical to the calendar driver; it
 //!   exists to measure what sparse schedules cost a traditional
-//!   round-driven simulator (`BENCH_engine.json` pins the gap).
+//!   round-driven simulator (the `bench-engine` subcommand times the
+//!   gap).
 //! * [`Executor::Naive`] — the differential-testing oracle: a per-round
 //!   `O(n)` scan of every node's next wake, as close to a transliteration
 //!   of the round semantics as possible. Never use it for real
@@ -116,7 +117,7 @@ pub fn shard_chunk_len(awake_len: usize, shards: u32, record_trace: bool) -> Opt
 /// metrics) for every protocol, fault plan, and metrics setting — the
 /// cross-driver proptests in `tests/differential.rs` pin this. They
 /// differ only in how the clock advances between populated rounds, i.e.
-/// in wall-clock cost (see `BENCH_engine.json`).
+/// in wall-clock cost (the `bench-engine` subcommand times it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Executor {
     /// Round-synchronous: the clock visits every round from 1 upward,
@@ -1959,40 +1960,6 @@ where
         trace,
         metrics,
     })
-}
-
-/// Reference run under the [`Executor::Naive`] driver: a per-round
-/// `O(n)` scan of every node's next wake, from round 1 upward.
-///
-/// Semantically identical to the calendar executor — identical final
-/// states, [`RunStats`], trace, and metrics — but costs time
-/// proportional to the run's round count. It exists as the
-/// differential-testing oracle that locks in the calendar machinery's
-/// behavior (see `tests/differential.rs`); it is not part of the
-/// supported simulation API surface.
-///
-/// # Errors
-///
-/// Propagates the same [`SimError`] conditions as
-/// [`Simulator::run`](crate::Simulator::run).
-pub fn run_naive<P, F>(
-    graph: &WeightedGraph,
-    config: &SimConfig,
-    factory: F,
-) -> Result<RunOutcome<P>, SimError>
-where
-    P: Protocol,
-    F: FnMut(&NodeCtx) -> P,
-{
-    let mut config = config.clone();
-    config.executor = Executor::Naive;
-    run(
-        graph,
-        &config,
-        factory,
-        |_, _: &[P]| {},
-        &mut ExecutorScratch::new(),
-    )
 }
 
 #[cfg(test)]

@@ -71,9 +71,11 @@ pub enum Heard<M> {
     /// Listened into a collision ([`CollisionRule::Detection`] only).
     Collision,
     /// Listened under [`CollisionRule::Local`]: every transmitted message
-    /// arrives (possibly none — then [`Heard::Silence`] is reported
-    /// instead).
-    All(Vec<M>),
+    /// arrives, with the port it arrived on, sorted by port (possibly none
+    /// — then [`Heard::Silence`] is reported instead). The ports let a
+    /// listener tell the neighbors it expects from others that transmit
+    /// in the same round.
+    All(Vec<Envelope<M>>),
     /// This node transmitted (half-duplex: it hears nothing).
     Transmitted,
     /// This node idled.
@@ -217,7 +219,7 @@ impl<P: RadioProtocol> RadioAdapter<P> {
         self.counters.receptions += inbox.len() as u64;
         match (self.rule, inbox) {
             (_, []) => Heard::Silence,
-            (CollisionRule::Local, _) => Heard::All(inbox.iter().map(|e| e.msg.clone()).collect()),
+            (CollisionRule::Local, _) => Heard::All(inbox.to_vec()),
             (_, [one]) => Heard::One(one.msg.clone()),
             (CollisionRule::Detection, _) => {
                 self.counters.collisions += 1;
@@ -310,7 +312,7 @@ where
 mod tests {
     use super::*;
     use crate::{EnergyModel, SimConfig};
-    use graphlib::{generators, NodeId, WeightedGraph};
+    use graphlib::{generators, NodeId, Port, WeightedGraph};
 
     /// A simulator priced by the classic radio model.
     fn radio_sim(g: &WeightedGraph) -> Simulator<'_> {
@@ -411,7 +413,9 @@ mod tests {
             .unwrap();
             for leaf in 1..5 {
                 match (&rule, out.states[leaf].heard.as_ref().unwrap()) {
-                    (CollisionRule::Local, Heard::All(v)) => assert_eq!(v, &vec![1]),
+                    (CollisionRule::Local, Heard::All(v)) => {
+                        assert_eq!(v, &vec![Envelope::new(Port::new(0), 1)])
+                    }
                     (_, Heard::One(id)) => assert_eq!(*id, 1),
                     other => panic!("unexpected outcome under {rule:?}: {other:?}"),
                 }

@@ -1,14 +1,14 @@
 //! Differential tests: one generic kernel, three interchangeable time
 //! drivers. The calendar driver (heap-jumping, the default behind
 //! [`Simulator::run`]), the synchronous driver (ticks every round), and
-//! the naive driver (O(n)-scan oracle, also reachable as
-//! [`netsim::engine::run_naive`]) share the kernel body but disagree on
-//! the entire scheduling core, so agreement here pins down the hot
-//! path's observable semantics: final protocol states, the full
-//! [`RunStats`] (awake counts, rounds, message delivery/loss, per-edge
-//! bits), the execution trace, and the metrics stream.
+//! the naive driver (O(n)-scan oracle, [`Executor::Naive`]) share the
+//! kernel body but disagree on the entire scheduling core, so agreement
+//! here pins down the hot path's observable semantics: final protocol
+//! states, the full [`RunStats`] (awake counts, rounds, message
+//! delivery/loss, per-edge bits), the execution trace, and the metrics
+//! stream.
 //!
-//! The legacy pairwise tests (calendar vs `run_naive`) are kept as-is;
+//! The pairwise tests compare the calendar driver with the naive oracle;
 //! the `all_three_drivers_*` section below runs the full driver matrix
 //! through [`SimConfig::with_executor`] — including metrics on/off,
 //! fault plans, and the sparse shapes (empty graph, single node,
@@ -111,7 +111,9 @@ fn assert_executors_agree(
     let factory = |ctx: &NodeCtx| Chaotic::new(ctx, wakes, max_gap);
 
     let fast = Simulator::new(graph, config.clone()).run(factory).unwrap();
-    let slow = engine::run_naive(graph, &config, factory).unwrap();
+    let slow = Simulator::new(graph, config.with_executor(Executor::Naive))
+        .run(factory)
+        .unwrap();
 
     prop_assert_eq!(&fast.stats, &slow.stats);
     prop_assert_eq!(&fast.trace, &slow.trace);
@@ -174,7 +176,7 @@ proptest! {
             let pooled = Simulator::new(&g, config.clone())
                 .run_with_scratch(&mut scratch, factory)
                 .unwrap();
-            let slow = engine::run_naive(&g, &config, factory).unwrap();
+            let slow = Simulator::new(&g, config.with_executor(Executor::Naive)).run(factory).unwrap();
 
             prop_assert_eq!(&pooled.stats, &slow.stats);
             prop_assert_eq!(&pooled.trace, &slow.trace);
@@ -202,7 +204,7 @@ proptest! {
             let pooled = Simulator::new(&g, config.clone())
                 .run_with_scratch(&mut scratch, factory)
                 .unwrap();
-            let slow = engine::run_naive(&g, &config, factory).unwrap();
+            let slow = Simulator::new(&g, config.with_executor(Executor::Naive)).run(factory).unwrap();
             prop_assert_eq!(&pooled.stats, &slow.stats);
             prop_assert_eq!(&pooled.trace, &slow.trace);
             for (a, b) in pooled.states.iter().zip(&slow.states) {
@@ -247,7 +249,9 @@ fn executors_agree_under_dense_synchronous_load() {
     let config = SimConfig::default().with_trace();
     let factory = |_: &NodeCtx| Lockstep { left: 20, sum: 0 };
     let fast = Simulator::new(&g, config.clone()).run(factory).unwrap();
-    let slow = engine::run_naive(&g, &config, factory).unwrap();
+    let slow = Simulator::new(&g, config.with_executor(Executor::Naive))
+        .run(factory)
+        .unwrap();
     assert_eq!(fast.stats, slow.stats);
     assert_eq!(fast.trace, slow.trace);
     assert_eq!(fast.stats.messages_lost, 0);
@@ -274,7 +278,9 @@ fn assert_executors_agree_with_faults(
     let factory = |ctx: &NodeCtx| Chaotic::new(ctx, wakes, max_gap);
 
     let fast = Simulator::new(graph, config.clone()).run(factory).unwrap();
-    let slow = engine::run_naive(graph, &config, factory).unwrap();
+    let slow = Simulator::new(graph, config.with_executor(Executor::Naive))
+        .run(factory)
+        .unwrap();
 
     prop_assert_eq!(&fast.stats, &slow.stats);
     prop_assert_eq!(&fast.trace, &slow.trace);
@@ -1116,7 +1122,7 @@ proptest! {
             config = config.with_faults(FaultPlan::seeded(fault_seed).with_duplicate_ppm(dup_ppm));
         }
         let factory = |ctx: &NodeCtx| Chatter::new(ctx, rounds);
-        let oracle = engine::run_naive(&g, &config, factory).unwrap();
+        let oracle = Simulator::new(&g, config.clone().with_executor(Executor::Naive)).run(factory).unwrap();
         prop_assert!(oracle.stats.messages_delivered > 0);
         assert_chatter_matches(&oracle, &oracle, "oracle")?;
         for executor in Executor::ALL {
@@ -1143,7 +1149,9 @@ fn rounds_too_large_to_group_in_place_keep_inbox_order() {
             config = config.with_faults(plan);
         }
         let factory = |ctx: &NodeCtx| Chatter::new(ctx, 2);
-        let oracle = engine::run_naive(&g, &config, factory).unwrap();
+        let oracle = Simulator::new(&g, config.clone().with_executor(Executor::Naive))
+            .run(factory)
+            .unwrap();
         let arena_bytes =
             oracle.stats.arena_peak_envelopes as usize * std::mem::size_of::<Envelope<Note>>();
         assert!(

@@ -108,59 +108,6 @@ pub fn render_text(alg: &AlgorithmSpec, graph: &WeightedGraph, out: &MstOutcome)
     )
 }
 
-/// Renders the executor-throughput report a `sweep --bench-out FILE`
-/// writes (the `BENCH_engine.json` artifact): wall-clock time over the
-/// whole grid plus aggregate runs-, messages-, and rounds-per-second.
-///
-/// The trial *work* (messages, rounds, per-trial stats) is deterministic
-/// in the grid; only the wall-clock fields vary between machines.
-pub fn render_bench_report(
-    template: &str,
-    threads: usize,
-    results: &[harness::TrialResult],
-    // lint:allow(wall-clock) -- bench report carries the measured wall time
-    wall: std::time::Duration,
-) -> String {
-    let algorithms: Vec<&str> = {
-        let mut names: Vec<&str> = results.iter().map(|r| r.algorithm.as_str()).collect();
-        names.dedup();
-        names
-    };
-    let messages: u64 = results.iter().map(|r| r.stats.messages_delivered).sum();
-    let rounds: u64 = results.iter().map(|r| r.stats.rounds).sum();
-    let max_bits: u64 = results
-        .iter()
-        .map(|r| r.stats.max_message_bits)
-        .max()
-        .unwrap_or(0);
-    let log_constant: u64 = results
-        .iter()
-        .map(|r| r.stats.log_constant(r.nodes))
-        .max()
-        .unwrap_or(0);
-    let secs = wall.as_secs_f64().max(1e-9);
-    format!(
-        "{{\"kind\":\"engine_throughput\",\"graph_template\":\"{}\",\
-         \"algorithms\":\"{}\",\"threads\":{},\"trials\":{},\
-         \"wall_seconds\":{:.6},\"runs_per_sec\":{:.3},\
-         \"messages_delivered\":{},\"messages_per_sec\":{:.1},\
-         \"rounds\":{},\"rounds_per_sec\":{:.1},\
-         \"max_message_bits\":{},\"log_constant\":{}}}\n",
-        template,
-        algorithms.join(","),
-        threads,
-        results.len(),
-        secs,
-        results.len() as f64 / secs,
-        messages,
-        messages as f64 / secs,
-        rounds,
-        rounds as f64 / secs,
-        max_bits,
-        log_constant,
-    )
-}
-
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -214,9 +161,6 @@ pub enum Command {
         threads: usize,
         /// Emit raw per-trial JSON instead of the aggregated table.
         json: bool,
-        /// Write executor-throughput metrics (runs/sec, messages/sec,
-        /// rounds/sec over the whole grid) to this file as JSON.
-        bench_out: Option<String>,
     },
     /// `report`: generate the "Table 1, measured" artifact
     /// ([`bench::report`]) — every registry algorithm swept across graph
@@ -322,8 +266,8 @@ const FLAGS: &[(&str, &str)] = &[
     ("check", "--graph --alg --seed"),
     (
         "sweep",
-        "--alg --graph --sizes --seeds --seed --threads --json --bench-out --executor \
-         --shards --energy-model --budget",
+        "--alg --graph --sizes --seeds --seed --threads --json --executor --shards \
+         --energy-model --budget",
     ),
     (
         "report",
@@ -379,7 +323,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut threads = 0usize;
     let mut json = false;
     let mut profile = false;
-    let mut bench_out: Option<String> = None;
     let mut trials: Option<u64> = None;
     let mut out: Option<String> = None;
     let mut md_out: Option<String> = None;
@@ -427,9 +370,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             "--json" => json = true,
             "--profile" => profile = true,
-            "--bench-out" => {
-                bench_out = Some(it.next().ok_or("--bench-out needs a file path")?.clone());
-            }
             "--trials" => {
                 let v = it.next().ok_or("--trials needs a value")?;
                 trials = Some(
@@ -601,7 +541,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 spec,
                 threads,
                 json,
-                bench_out,
             }
         }
         "report" => {
@@ -674,8 +613,7 @@ USAGE:
     sleeping-mst check  --graph <SPEC> [--alg <ALG[,ALG…]>] [--seed S]
     sleeping-mst sweep  --alg <ALG[,ALG…]> --graph <TEMPLATE with {{n}}>
                         --sizes <N,N,…> [--seeds A..B|A,B,… | --seed S]
-                        [--threads T] [--json]
-                        [--bench-out FILE] [--executor sync|calendar|naive]
+                        [--threads T] [--json] [--executor sync|calendar|naive]
                         [--shards K] [--energy-model M] [--budget B]
     sleeping-mst report [--sizes N,N,…] [--seeds A..B|A,B,…]
                         [--executor sync|calendar|naive]
@@ -709,9 +647,7 @@ SWEEP:
     The template is a graph spec with {{n}} in place of the size, e.g.
     `--graph random:{{n}}:0.1 --sizes 32,64,128 --seeds 0..5`. Trials run
     in parallel (one graph+run per (algorithm, n, seed) cell); results are
-    deterministic per seed and independent of --threads. With --bench-out,
-    an executor-throughput JSON report (wall clock, runs/sec, messages/sec,
-    rounds/sec over the whole grid) is also written to FILE.
+    deterministic per seed and independent of --threads.
 
 FAULTS (run):
     Seeded, fully deterministic fault injection: --drop-ppm destroys
@@ -1016,29 +952,17 @@ pub fn execute(cmd: &Command) -> (i32, String) {
             spec,
             threads,
             json,
-            bench_out,
-        } => {
-            // lint:allow(wall-clock) -- sweep timing is reporting, not simulation input
-            let start = std::time::Instant::now();
-            match spec.run(*threads) {
-                Err(e) => (1, format!("error: {e}\n")),
-                Ok(results) => {
-                    let wall = start.elapsed();
-                    if let Some(path) = bench_out {
-                        let report = render_bench_report(&spec.template, *threads, &results, wall);
-                        if let Err(e) = std::fs::write(path, report) {
-                            return (1, format!("error: cannot write {path}: {e}\n"));
-                        }
-                    }
-                    let text = if *json {
-                        harness::render_json(&results) + "\n"
-                    } else {
-                        harness::render_cells(&harness::aggregate(&results))
-                    };
-                    (0, text)
-                }
+        } => match spec.run(*threads) {
+            Err(e) => (1, format!("error: {e}\n")),
+            Ok(results) => {
+                let text = if *json {
+                    harness::render_json(&results) + "\n"
+                } else {
+                    harness::render_cells(&harness::aggregate(&results))
+                };
+                (0, text)
             }
-        }
+        },
         Command::BenchEngine {
             sizes,
             seed,
@@ -1060,7 +984,8 @@ pub fn execute(cmd: &Command) -> (i32, String) {
                             return (1, format!("error: cannot write {path}: {e}\n"));
                         }
                     }
-                    (0, json)
+                    let wall = engine_panel::render_engine_panel_wall_clock(&rows);
+                    (0, format!("{json}\n{wall}"))
                 }
             }
         }
@@ -1374,7 +1299,6 @@ mod tests {
                 },
                 threads: 2,
                 json: false,
-                bench_out: None,
             }
         );
         assert!(parse_args(&args(&[
@@ -1414,8 +1338,13 @@ mod tests {
             let err = parse_args(&args(&argv)).unwrap_err();
             assert!(err.contains("'--naive'"), "{cmd}: {err}");
         }
-        // A flag another command reads is refused, not silently dropped.
+        // A flag another command reads, or a removed one, is refused by
+        // name, not silently dropped.
         for (cmd, flag) in [
+            (
+                "sweep --alg randomized --graph ring:{n} --sizes 8 --bench-out x",
+                "'--bench-out'",
+            ),
             (
                 "sweep --alg randomized --graph ring:{n} --sizes 16 --wake-policy duty:2 \
                  --drop-ppm 500000 --json",
@@ -1476,7 +1405,7 @@ mod tests {
                 "--executor" | "--executors" => "sync",
                 "--energy-model" => "radio",
                 "--wake-policy" => "duty:2",
-                "--socket" | "--out" | "--md-out" | "--bench-out" => "file",
+                "--socket" | "--out" | "--md-out" => "file",
                 _ => "2",
             };
             vec![flag.into(), value.into()]
@@ -1904,7 +1833,6 @@ mod tests {
             spec: spec.clone(),
             threads: 2,
             json: false,
-            bench_out: None,
         };
         let (code, text) = execute(&cmd);
         assert_eq!(code, 0, "{text}");
@@ -1918,7 +1846,6 @@ mod tests {
             },
             threads: 1,
             json: true,
-            bench_out: None,
         };
         let (code, text) = execute(&cmd_json);
         assert_eq!(code, 0, "{text}");
@@ -1926,50 +1853,8 @@ mod tests {
     }
 
     #[test]
-    fn sweep_bench_out_writes_throughput_report() {
-        let path = std::env::temp_dir().join("sleeping-mst-bench-out-test.json");
-        let path_str = path.to_str().unwrap().to_string();
-        let cmd = parse_args(&args(&[
-            "sweep",
-            "--alg",
-            "randomized",
-            "--graph",
-            "ring:{n}",
-            "--sizes",
-            "8,12",
-            "--seeds",
-            "0..2",
-            "--threads",
-            "1",
-            "--bench-out",
-            &path_str,
-        ]))
-        .unwrap();
-        let (code, text) = execute(&cmd);
-        assert_eq!(code, 0, "{text}");
-        let report = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert!(
-            report.contains("\"kind\":\"engine_throughput\""),
-            "{report}"
-        );
-        assert!(report.contains("\"trials\":4"), "{report}");
-        for key in [
-            "\"wall_seconds\":",
-            "\"runs_per_sec\":",
-            "\"messages_per_sec\":",
-            "\"rounds_per_sec\":",
-            "\"messages_delivered\":",
-            "\"max_message_bits\":",
-            "\"log_constant\":",
-        ] {
-            assert!(report.contains(key), "missing {key} in {report}");
-        }
-    }
-
-    #[test]
     fn bench_report_aggregates_deterministic_totals() {
-        let results = SweepSpec {
+        let spec = SweepSpec {
             algs: vec![registry::find("randomized").unwrap()],
             template: "ring:{n}".into(),
             sizes: vec![8],
@@ -1977,19 +1862,40 @@ mod tests {
             executor: None,
             shards: None,
             energy: None,
+        };
+        let results = spec.run(1).unwrap();
+        let (code, text) = execute(&Command::Sweep {
+            spec,
+            threads: 1,
+            json: true,
+        });
+        assert_eq!(code, 0, "{text}");
+        // `sweep --json` carries the deterministic work of every trial; no
+        // wall-clock figure is part of it.
+        assert_eq!(text.matches("\"algorithm\":\"randomized\"").count(), 2);
+        for r in &results {
+            let s = &r.stats;
+            for field in [
+                format!("\"rounds\":{}", s.rounds),
+                format!("\"messages_delivered\":{}", s.messages_delivered),
+                format!("\"max_message_bits\":{}", s.max_message_bits),
+            ] {
+                assert!(text.contains(&field), "missing {field} in {text}");
+            }
         }
-        .run(1)
-        .unwrap();
-        let report =
-            render_bench_report("ring:{n}", 1, &results, std::time::Duration::from_secs(2));
+        let total = |key: &str| -> u64 {
+            text.split(key)
+                .skip(1)
+                .map(|rest| {
+                    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
+                    digits.parse::<u64>().unwrap()
+                })
+                .sum()
+        };
         let messages: u64 = results.iter().map(|r| r.stats.messages_delivered).sum();
-        assert!(report.contains(&format!("\"messages_delivered\":{messages}")));
-        assert!(report.contains(&format!(
-            "\"messages_per_sec\":{:.1}",
-            messages as f64 / 2.0
-        )));
-        assert!(report.contains("\"algorithms\":\"randomized\""));
-        assert!(report.ends_with("}\n"));
+        assert_eq!(total("\"messages_delivered\":"), messages, "{text}");
+        assert_eq!(text.matches("\"log_constant\":").count(), 2, "{text}");
+        assert!(!text.contains("wall"), "{text}");
     }
 
     #[test]
@@ -2119,19 +2025,26 @@ mod tests {
         let written = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(code, 0, "{text}");
-        assert_eq!(text, written);
+        // The file holds the deterministic JSON alone; stdout repeats it
+        // and then prints the labelled wall-clock block.
+        let wall = text
+            .strip_prefix(&written)
+            .expect("stdout starts with the file");
         for key in [
             "\"executor\":\"calendar\"",
             "\"executor\":\"sync\"",
             "\"executor\":\"naive\"",
             "\"rounds\":",
             "\"messages\":",
-            "\"wall_seconds\":",
-            "\"ns_per_wake\":",
-            "\"messages_per_sec\":",
+            "\"energy_total\":",
         ] {
-            assert!(text.contains(key), "missing {key} in {text}");
+            assert!(written.contains(key), "missing {key} in {written}");
         }
+        for key in ["wall_seconds", "ns_per_wake", "messages_per_sec"] {
+            assert!(!written.contains(key), "{key} in {written}");
+            assert_eq!(wall.matches(key).count(), 3, "{key} per row in {wall}");
+        }
+        assert!(wall.trim_start().starts_with("wall-clock"), "{wall}");
     }
 
     #[test]
