@@ -1,47 +1,31 @@
-//! Declarative experiment sweeps over (algorithm × graph family × n × seed).
+//! Template sweeps over (registry algorithm × graph family × n × seed).
 //!
-//! A [`Sweep`] enumerates its trial grid in a fixed order, fans the trials
-//! out over `std::thread::scope` workers, and returns the results in grid
-//! order. Because each trial rebuilds its graph from `(n, seed)` and every
-//! bit of randomness derives from the trial seed, the results are
-//! **bit-identical regardless of thread count** — `threads(1)` is the
-//! reference schedule and the parallel runs must (and do, see the tests)
-//! reproduce it exactly.
+//! [`SweepSpec`] is the one sweep type: the `sweep` request of the CLI
+//! and the daemon alike, and the ring panels of the examples. Its
+//! [`SweepSpec::run`] enumerates the trial grid in a fixed order, fans
+//! the trials out over `std::thread::scope` workers, and returns the
+//! results in grid order. Because each trial rebuilds its graph from the
+//! template at `(n, seed)` and every bit of randomness derives from the
+//! trial seed, the results are **bit-identical regardless of thread
+//! count** — `run(1)` is the reference schedule and the parallel runs
+//! must (and do, see the tests) reproduce it exactly.
 //!
-//! Algorithms come from the [`mst_core::registry`] table by default;
-//! ablation-style sweeps can wrap a closure with [`Sweep::algorithm_fn`]
-//! to run configuration variants under their own label.
-//!
-//! [`SweepSpec`] is the plain-data template sweep behind the `sweep`
-//! request of both the CLI and the daemon; [`Invalid`] is how it — and the
-//! `report` and `chaos` specs — name a broken validity rule.
+//! [`Invalid`] is how the sweep — and the `report` and `chaos` specs —
+//! name a broken validity rule.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use graphlib::{generators, WeightedGraph};
+use graphlib::generators;
 use mst_core::registry::AlgorithmSpec;
-use mst_core::{ExecOptions, MstOutcome, MstScratch, RunError};
+use mst_core::{ExecOptions, MstScratch};
 use netsim::{EnergyModel, Executor, RunStats};
-
-/// How one sweep algorithm executes a trial.
-enum Runner<'a> {
-    Registry(&'static AlgorithmSpec),
-    #[allow(clippy::type_complexity)]
-    Custom(&'a (dyn Fn(&WeightedGraph, u64) -> Result<MstOutcome, RunError> + Sync)),
-}
-
-/// An algorithm entry of a sweep: a display name plus its runner.
-pub struct SweepAlgo<'a> {
-    name: String,
-    runner: Runner<'a>,
-}
 
 /// One completed trial of a sweep.
 #[derive(Debug, Clone)]
 pub struct TrialResult {
-    /// Display name of the algorithm (registry name or custom label).
-    pub algorithm: String,
+    /// Registry name of the algorithm.
+    pub algorithm: &'static str,
     /// The size parameter the graph family was instantiated with.
     pub n: usize,
     /// The trial seed (drives graph weights and algorithm coins).
@@ -65,209 +49,20 @@ pub struct TrialResult {
 /// Mean metrics of one (algorithm, n) sweep cell across its seeds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
-    /// Algorithm display name.
-    pub algorithm: String,
+    /// Registry name of the algorithm.
+    pub algorithm: &'static str,
     /// Family size parameter.
     pub n: usize,
     /// Number of trials (seeds) aggregated.
     pub count: usize,
-    /// Mean graph edge count `m`.
-    pub graph_edges: f64,
-    /// Mean id bound `N`.
-    pub max_external_id: f64,
     /// Mean awake complexity (max over nodes).
     pub awake_max: f64,
-    /// Mean per-node-average awake rounds.
-    pub awake_avg: f64,
     /// Mean run time in rounds.
     pub rounds: f64,
     /// Mean merge phases.
     pub phases: f64,
     /// Mean messages delivered.
     pub messages: f64,
-    /// Mean messages lost to sleeping receivers.
-    pub messages_lost: f64,
-    /// Mean awake × rounds product.
-    pub awake_round_product: f64,
-}
-
-/// A declarative sweep: one graph family, a set of algorithms, sizes, and
-/// seeds. Build with [`Sweep::new`], add axes with the builder methods,
-/// execute with [`Sweep::run`].
-pub struct Sweep<'a> {
-    graph: &'a (dyn Fn(usize, u64) -> Result<WeightedGraph, String> + Sync),
-    algos: Vec<SweepAlgo<'a>>,
-    sizes: Vec<usize>,
-    seeds: Vec<u64>,
-    threads: usize,
-    /// Driver, shard count and energy model for registry trials (set by
-    /// [`SweepSpec::run`]); custom [`Sweep::algorithm_fn`] runners build
-    /// their own options and ignore them.
-    executor: Option<Executor>,
-    shards: Option<u32>,
-    energy: Option<EnergyModel>,
-}
-
-impl<'a> Sweep<'a> {
-    /// Starts a sweep over the graph family `graph`: a function from
-    /// `(n, seed)` to a graph. The function must be deterministic — trials
-    /// rebuild the graph from scratch, possibly on different threads.
-    pub fn new(graph: &'a (dyn Fn(usize, u64) -> Result<WeightedGraph, String> + Sync)) -> Self {
-        Sweep {
-            graph,
-            algos: Vec::new(),
-            sizes: Vec::new(),
-            seeds: vec![0],
-            threads: 0,
-            executor: None,
-            shards: None,
-            energy: None,
-        }
-    }
-
-    /// Adds a registry algorithm to the sweep.
-    pub fn algorithm(mut self, spec: &'static AlgorithmSpec) -> Self {
-        self.algos.push(SweepAlgo {
-            name: spec.name.to_string(),
-            runner: Runner::Registry(spec),
-        });
-        self
-    }
-
-    /// Adds a custom runner under `label` — for ablation variants that
-    /// run a registry row under another protocol configuration.
-    pub fn algorithm_fn(
-        mut self,
-        label: impl Into<String>,
-        run: &'a (dyn Fn(&WeightedGraph, u64) -> Result<MstOutcome, RunError> + Sync),
-    ) -> Self {
-        self.algos.push(SweepAlgo {
-            name: label.into(),
-            runner: Runner::Custom(run),
-        });
-        self
-    }
-
-    /// Sets the family sizes to sweep.
-    pub fn sizes(mut self, sizes: impl IntoIterator<Item = usize>) -> Self {
-        self.sizes = sizes.into_iter().collect();
-        self
-    }
-
-    /// Sets the trial seeds (default: the single seed 0).
-    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.seeds = seeds.into_iter().collect();
-        self
-    }
-
-    /// Sets the worker thread count; `0` (the default) uses the machine's
-    /// available parallelism. Results do not depend on this value.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Executes every (algorithm, size, seed) trial and returns the
-    /// results in grid order: algorithms outermost, then sizes, then
-    /// seeds — the same order a sequential triple loop would produce.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the earliest failing trial in grid order
-    /// (graph construction failures and [`RunError`]s, stringified with
-    /// their trial coordinates).
-    pub fn run(&self) -> Result<Vec<TrialResult>, String> {
-        let trials: Vec<(usize, usize, u64)> = self
-            .algos
-            .iter()
-            .enumerate()
-            .flat_map(|(ai, _)| {
-                self.sizes
-                    .iter()
-                    .flat_map(move |&n| self.seeds.iter().map(move |&seed| (ai, n, seed)))
-            })
-            .collect();
-
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            self.threads
-        }
-        .min(trials.len().max(1));
-
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<TrialResult, String>>>> =
-            trials.iter().map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    // One executor scratch per worker: consecutive trials
-                    // on this thread reuse the wake queue, delivery arena,
-                    // and stats buffers instead of reallocating them.
-                    let mut scratch = MstScratch::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(ai, n, seed)) = trials.get(i) else {
-                            break;
-                        };
-                        let outcome = self.run_trial(ai, n, seed, &mut scratch);
-                        *slots[i].lock().expect("result slot poisoned") = Some(outcome);
-                    }
-                });
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("trial not executed")
-            })
-            .collect()
-    }
-
-    fn run_trial(
-        &self,
-        ai: usize,
-        n: usize,
-        seed: u64,
-        scratch: &mut MstScratch,
-    ) -> Result<TrialResult, String> {
-        let algo = &self.algos[ai];
-        let graph =
-            (self.graph)(n, seed).map_err(|e| format!("graph family at n={n} seed={seed}: {e}"))?;
-        let out = match algo.runner {
-            Runner::Registry(spec) => {
-                let mut opts = ExecOptions::seeded(seed);
-                if let Some(executor) = self.executor {
-                    opts = opts.with_executor(executor);
-                }
-                if let Some(shards) = self.shards {
-                    opts = opts.with_shards(shards);
-                }
-                if let Some(model) = self.energy {
-                    opts = opts.with_energy(model);
-                }
-                spec.run_with_options(&graph, &opts, scratch)
-            }
-            Runner::Custom(f) => f(&graph, seed),
-        }
-        .map_err(|e| format!("{} on n={n} seed={seed}: {e}", algo.name))?;
-        Ok(TrialResult {
-            algorithm: algo.name.clone(),
-            n,
-            seed,
-            nodes: graph.node_count(),
-            graph_edges: graph.edge_count(),
-            max_external_id: graph.max_external_id(),
-            tree_edges: out.edges.len(),
-            total_weight: u128::from(graph.total_weight(out.edges.iter().copied())),
-            phases: out.phases,
-            stats: out.stats,
-        })
-    }
 }
 
 /// A batch spec that breaks one of its validity rules: the field at
@@ -298,8 +93,9 @@ impl std::fmt::Display for Invalid {
 }
 
 /// A template sweep as plain data — the `sweep` request of the CLI and
-/// the daemon alike: registry algorithms × sizes × seeds over the graph
-/// family `template` (a graph spec with `{n}` in place of the size).
+/// the daemon alike, and the examples' ring panels: registry algorithms
+/// × sizes × seeds over the graph family `template` (a graph spec with
+/// `{n}` in place of the size).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Registry algorithms, in request order.
@@ -347,29 +143,102 @@ impl SweepSpec {
         Invalid::check(!self.seeds.is_empty(), "seeds", "needs at least one seed")
     }
 
-    /// Runs the grid on `threads` workers (`0` = all available cores);
-    /// results are in grid order and do not depend on `threads`.
+    /// Executes every (algorithm, size, seed) trial on `threads` workers
+    /// (`0` = all available cores) and returns the results in grid
+    /// order: algorithms outermost, then sizes, then seeds — the same
+    /// order a sequential triple loop would produce. Results do not
+    /// depend on `threads`.
     ///
     /// # Errors
     ///
-    /// As [`Sweep::run`].
+    /// The error of the earliest failing trial in grid order (graph
+    /// construction failures and [`mst_core::RunError`]s, stringified
+    /// with their trial coordinates).
     pub fn run(&self, threads: usize) -> Result<Vec<TrialResult>, String> {
-        let family = |n: usize, seed: u64| {
-            generators::from_spec(&self.template.replace("{n}", &n.to_string()), seed)
-        };
-        let mut sweep = Sweep {
-            sizes: self.sizes.clone(),
-            seeds: self.seeds.clone(),
-            threads,
-            executor: self.executor,
-            shards: self.shards,
-            energy: self.energy,
-            ..Sweep::new(&family)
-        };
-        for &alg in &self.algs {
-            sweep = sweep.algorithm(alg);
+        let trials: Vec<(&'static AlgorithmSpec, usize, u64)> = self
+            .algs
+            .iter()
+            .flat_map(|&alg| {
+                self.sizes
+                    .iter()
+                    .flat_map(move |&n| self.seeds.iter().map(move |&seed| (alg, n, seed)))
+            })
+            .collect();
+
+        let threads = if threads == 0 {
+            std::thread::available_parallelism().map_or(1, |p| p.get())
+        } else {
+            threads
         }
-        sweep.run()
+        .min(trials.len().max(1));
+
+        let next = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<Result<TrialResult, String>>>> =
+            trials.iter().map(|_| Mutex::new(None)).collect();
+
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    // One executor scratch per worker: consecutive trials
+                    // on this thread reuse the wake queue, delivery arena,
+                    // and stats buffers instead of reallocating them.
+                    let mut scratch = MstScratch::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(alg, n, seed)) = trials.get(i) else {
+                            break;
+                        };
+                        let outcome = self.run_trial(alg, n, seed, &mut scratch);
+                        *slots[i].lock().expect("result slot poisoned") = Some(outcome);
+                    }
+                });
+            }
+        });
+
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("result slot poisoned")
+                    .expect("trial not executed")
+            })
+            .collect()
+    }
+
+    fn run_trial(
+        &self,
+        alg: &'static AlgorithmSpec,
+        n: usize,
+        seed: u64,
+        scratch: &mut MstScratch,
+    ) -> Result<TrialResult, String> {
+        let graph = generators::from_spec(&self.template.replace("{n}", &n.to_string()), seed)
+            .map_err(|e| format!("graph family at n={n} seed={seed}: {e}"))?;
+        let mut opts = ExecOptions::seeded(seed);
+        if let Some(executor) = self.executor {
+            opts = opts.with_executor(executor);
+        }
+        if let Some(shards) = self.shards {
+            opts = opts.with_shards(shards);
+        }
+        if let Some(model) = self.energy {
+            opts = opts.with_energy(model);
+        }
+        let out = alg
+            .run_with_options(&graph, &opts, scratch)
+            .map_err(|e| format!("{} on n={n} seed={seed}: {e}", alg.name))?;
+        Ok(TrialResult {
+            algorithm: alg.name,
+            n,
+            seed,
+            nodes: graph.node_count(),
+            graph_edges: graph.edge_count(),
+            max_external_id: graph.max_external_id(),
+            tree_edges: out.edges.len(),
+            total_weight: u128::from(graph.total_weight(out.edges.iter().copied())),
+            phases: out.phases,
+            stats: out.stats,
+        })
     }
 }
 
@@ -386,18 +255,13 @@ pub fn aggregate(results: &[TrialResult]) -> Vec<Cell> {
             Some(i) => sums[i].push(r),
             None => {
                 cells.push(Cell {
-                    algorithm: r.algorithm.clone(),
+                    algorithm: r.algorithm,
                     n: r.n,
                     count: 0,
-                    graph_edges: 0.0,
-                    max_external_id: 0.0,
                     awake_max: 0.0,
-                    awake_avg: 0.0,
                     rounds: 0.0,
                     phases: 0.0,
                     messages: 0.0,
-                    messages_lost: 0.0,
-                    awake_round_product: 0.0,
                 });
                 sums.push(vec![r]);
             }
@@ -407,15 +271,10 @@ pub fn aggregate(results: &[TrialResult]) -> Vec<Cell> {
         let k = group.len() as f64;
         cell.count = group.len();
         for r in group {
-            cell.graph_edges += r.graph_edges as f64 / k;
-            cell.max_external_id += r.max_external_id as f64 / k;
             cell.awake_max += r.stats.awake_max() as f64 / k;
-            cell.awake_avg += r.stats.awake_avg() / k;
             cell.rounds += r.stats.rounds as f64 / k;
             cell.phases += r.phases as f64 / k;
             cell.messages += r.stats.messages_delivered as f64 / k;
-            cell.messages_lost += r.stats.messages_lost as f64 / k;
-            cell.awake_round_product += r.stats.awake_round_product() as f64 / k;
         }
     }
     cells
@@ -445,7 +304,7 @@ pub fn render_cells(cells: &[Cell]) -> String {
 }
 
 /// Renders raw trial results as a JSON array (hand-rolled; every field is
-/// a number or a registry/label string, so no escaping is needed).
+/// a number or a registry name, so no escaping is needed).
 pub fn render_json(results: &[TrialResult]) -> String {
     let rows: Vec<String> = results
         .iter()
@@ -483,27 +342,30 @@ pub fn render_json(results: &[TrialResult]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphlib::generators;
     use mst_core::registry;
 
-    fn ring_family(n: usize, seed: u64) -> Result<WeightedGraph, String> {
-        generators::ring(n, seed).map_err(|e| e.to_string())
+    fn ring_sweep(algs: &[&str]) -> SweepSpec {
+        SweepSpec {
+            algs: algs.iter().map(|a| registry::find(a).unwrap()).collect(),
+            template: "ring:{n}".into(),
+            sizes: vec![8, 16],
+            seeds: vec![0, 1],
+            executor: None,
+            shards: None,
+            energy: None,
+        }
     }
 
     #[test]
     fn sweep_runs_grid_in_order() {
-        let results = Sweep::new(&ring_family)
-            .algorithm(registry::find("randomized").unwrap())
-            .algorithm(registry::find("always-awake").unwrap())
-            .sizes([8, 16])
-            .seeds([1, 2])
-            .threads(1)
-            .run()
-            .unwrap();
-        let coords: Vec<(&str, usize, u64)> = results
-            .iter()
-            .map(|r| (r.algorithm.as_str(), r.n, r.seed))
-            .collect();
+        let results = SweepSpec {
+            seeds: vec![1, 2],
+            ..ring_sweep(&["randomized", "always-awake"])
+        }
+        .run(1)
+        .unwrap();
+        let coords: Vec<(&str, usize, u64)> =
+            results.iter().map(|r| (r.algorithm, r.n, r.seed)).collect();
         assert_eq!(
             coords,
             vec![
@@ -522,18 +384,13 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_bit_identical_to_sequential() {
-        let build = |threads| {
-            Sweep::new(&ring_family)
-                .algorithm(registry::find("randomized").unwrap())
-                .algorithm(registry::find("spanning-tree").unwrap())
-                .sizes([8, 12, 16, 24])
-                .seeds(0..3)
-                .threads(threads)
-                .run()
-                .unwrap()
+        let spec = SweepSpec {
+            sizes: vec![8, 12, 16, 24],
+            seeds: vec![0, 1, 2],
+            ..ring_sweep(&["randomized", "spanning-tree"])
         };
-        let sequential = build(1);
-        let parallel = build(4);
+        let sequential = spec.run(1).unwrap();
+        let parallel = spec.run(4).unwrap();
         assert_eq!(sequential.len(), parallel.len());
         for (a, b) in sequential.iter().zip(&parallel) {
             assert_eq!(a.algorithm, b.algorithm);
@@ -549,18 +406,15 @@ mod tests {
     }
 
     #[test]
-    fn custom_runner_and_aggregation() {
-        let fixed = |g: &WeightedGraph, _seed: u64| registry::find("randomized").unwrap().run(g, 7);
-        // Pin the graph seed too, so every trial is the identical instance.
-        let fixed_family = |n: usize, _seed: u64| generators::ring(n, 3).map_err(|e| e.to_string());
-        let results = Sweep::new(&fixed_family)
-            .algorithm_fn("randomized[seed=7]", &fixed)
-            .sizes([8])
-            .seeds(0..4)
-            .threads(2)
-            .run()
-            .unwrap();
-        // The custom runner pins the algorithm seed, so all 4 trials agree.
+    fn fixed_sweep_aggregates_and_renders() {
+        // One seed repeated: every trial is the identical instance and run.
+        let results = SweepSpec {
+            sizes: vec![8],
+            seeds: vec![7; 4],
+            ..ring_sweep(&["randomized"])
+        }
+        .run(2)
+        .unwrap();
         assert_eq!(results.len(), 4);
         for r in &results {
             assert_eq!(r.stats, results[0].stats);
@@ -568,25 +422,15 @@ mod tests {
         let cells = aggregate(&results);
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].count, 4);
-        assert_eq!(cells[0].algorithm, "randomized[seed=7]");
-        assert!((cells[0].awake_max - results[0].stats.awake_max() as f64).abs() < 1e-9);
+        assert_eq!(cells[0].algorithm, "randomized");
+        let awake = results[0].stats.awake_max() as f64;
+        assert!((cells[0].awake_max - awake).abs() < 1e-9);
         let table = render_cells(&cells);
-        assert!(table.contains("randomized[seed=7]"));
+        let row = format!("| randomized | 8 | 4 | {awake:.1} | {:.2} |", awake / 3.0);
+        assert!(table.contains(&row), "{table}");
         let json = render_json(&results);
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert_eq!(json.matches("\"algorithm\"").count(), 4);
-    }
-
-    fn ring_sweep(algs: &[&str]) -> SweepSpec {
-        SweepSpec {
-            algs: algs.iter().map(|a| registry::find(a).unwrap()).collect(),
-            template: "ring:{n}".into(),
-            sizes: vec![8, 16],
-            seeds: vec![0, 1],
-            executor: None,
-            shards: None,
-            energy: None,
-        }
     }
 
     #[test]
@@ -641,30 +485,28 @@ mod tests {
 
     #[test]
     fn failing_trial_reports_grid_coordinates() {
-        let err = Sweep::new(&ring_family)
-            .algorithm(registry::find("randomized").unwrap())
-            .sizes([2]) // rings need n >= 3
-            .threads(1)
-            .run()
-            .unwrap_err();
+        let err = SweepSpec {
+            sizes: vec![2], // rings need n >= 3
+            seeds: vec![0],
+            ..ring_sweep(&["randomized"])
+        }
+        .run(1)
+        .unwrap_err();
         assert!(err.contains("n=2"), "{err}");
     }
 
     #[test]
-    fn prim_disconnected_surfaces_as_sweep_error() {
-        let disconnected = |_n: usize, _seed: u64| {
-            graphlib::GraphBuilder::new(4)
-                .edge(0, 1, 1)
-                .edge(2, 3, 2)
-                .build()
-                .map_err(|e| e.to_string())
-        };
-        let err = Sweep::new(&disconnected)
-            .algorithm(registry::find("prim").unwrap())
-            .sizes([4])
-            .threads(1)
-            .run()
-            .unwrap_err();
-        assert!(err.contains("connected"), "{err}");
+    fn run_error_surfaces_with_grid_coordinates() {
+        let err = SweepSpec {
+            sizes: vec![8],
+            seeds: vec![3],
+            energy: Some(EnergyModel::reference().with_budget(1)),
+            ..ring_sweep(&["randomized"])
+        }
+        .run(1)
+        .unwrap_err();
+        for part in ["randomized", "n=8", "seed=3"] {
+            assert!(err.contains(part), "{part} missing from {err}");
+        }
     }
 }

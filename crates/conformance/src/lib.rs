@@ -19,7 +19,7 @@
 //!
 //! | rule | scope | what it forbids |
 //! |------|-------|-----------------|
-//! | `hash-container` | netsim, core, bench, lowerbound, root (tests included) | `HashMap`/`HashSet` (aliases resolved): iteration order is randomized per process, which has already produced a real nondeterminism bug (merge-depth BFS in `ablations.rs`) |
+//! | `hash-container` | netsim, core, bench, lowerbound, root (tests included) | `HashMap`/`HashSet` (aliases resolved): iteration order is randomized per process, which has already produced a real nondeterminism bug (the A1 merge-depth BFS now in `examples/ablations.rs`) |
 //! | `wall-clock` | every crate, non-test | `std::time`, `SystemTime`, `Instant::now`, `thread_rng`: ambient nondeterminism outside the vendored, seeded shims |
 //! | `print-in-lib` | every crate, non-bin, non-test | `println!`/`eprintln!`/`print!`/`eprint!`/`dbg!`: library code must return strings; only binaries print |
 //! | `bare-unwrap` | netsim, core, non-test | `.unwrap()` with no message: hot-path panics must be typed errors or `.expect("reason")` documenting the invariant |

@@ -9,32 +9,30 @@
 //!   3. We sweep the cap and report phases/awake/rounds.
 //! * **A3 — coin bias**: the paper flips fair coins; we sweep
 //!   `P(heads)` and report phase counts.
+//! * **A4 — id bound**: Corollary 1's Cole–Vishkin coloring against the
+//!   stage-based Fast-Awake coloring on sparse ids (`N = 16n`), where
+//!   the `O(n·N·log n)` run time of `Deterministic-MST` shows.
 //!
-//! A2 and A3 run through the shared harness: each configuration override
-//! is the registry row with its [`Family`] swapped, registered as a
-//! labeled custom runner ([`Sweep::algorithm_fn`]), so the sweep grid and
-//! the multi-seed averaging come for free.
+//! A2 and A3 run a registry row with its protocol [`Family`] swapped;
+//! every variant's output weight is checked against Kruskal's.
+//!
+//! ```text
+//! cargo run --release --example ablations
+//! ```
 
-use bench::{aggregate, mean, Sweep};
-use graphlib::{generators, mst, EdgeId, UnionFind, WeightedGraph};
-use mst_core::deterministic::DeterministicConfig;
-use mst_core::randomized::RandomizedConfig;
-use mst_core::{registry, AlgorithmSpec, Family, MstOutcome, RunError};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// A labeled configuration variant for [`Sweep::algorithm_fn`].
-type LabeledRunner = (
-    String,
-    Box<dyn Fn(&WeightedGraph, u64) -> Result<MstOutcome, RunError> + Sync>,
-);
+use sleeping_mst::graphlib::{generators, mst, EdgeId, UnionFind};
+use sleeping_mst::mst_core::deterministic::DeterministicConfig;
+use sleeping_mst::mst_core::randomized::RandomizedConfig;
+use sleeping_mst::mst_core::{registry, AlgorithmSpec, Family};
 
-/// The registry row `name` run with its protocol family replaced by
-/// `family`, as a labeled runner for [`Sweep::algorithm_fn`].
-fn labeled(label: String, name: &str, family: Family) -> LabeledRunner {
-    let spec = AlgorithmSpec {
+/// The registry row `name` with its protocol family replaced by `family`.
+fn variant(name: &str, family: Family) -> AlgorithmSpec {
+    AlgorithmSpec {
         family,
         ..*registry::find(name).expect("registered algorithm")
-    };
-    (label, Box::new(move |g, seed| spec.run(g, seed)))
+    }
 }
 
 /// Structural measurement for A1: simulate Borůvka phases and report the
@@ -42,7 +40,7 @@ fn labeled(label: String, name: &str, family: Family) -> LabeledRunner {
 /// all MOEs, as naive merging would, and (b) expected-star depth 1 under
 /// tails→heads pruning.
 fn unpruned_chain_depths(n: usize, seed: u64) -> Vec<usize> {
-    let g = generators::random_connected(n, 0.1, seed).unwrap();
+    let g = generators::random_connected(n, 0.1, seed).expect("valid random graph");
     let mut uf = UnionFind::new(n);
     let mut depths = Vec::new();
     loop {
@@ -70,8 +68,7 @@ fn unpruned_chain_depths(n: usize, seed: u64) -> Vec<usize> {
         // BTreeMap, not HashMap: `max_depth` depends on which node of each
         // component the BFS starts from, so iteration order below must be
         // deterministic or the reported depths drift run to run.
-        let mut adj: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
+        let mut adj: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (r, moe) in best.iter().enumerate() {
             if let Some(id) = moe {
                 let e = g.edge(*id);
@@ -82,7 +79,7 @@ fn unpruned_chain_depths(n: usize, seed: u64) -> Vec<usize> {
                 debug_assert!(a == r || b == r);
             }
         }
-        let mut seen = std::collections::BTreeSet::new();
+        let mut seen = BTreeSet::new();
         let mut max_depth = 0usize;
         for &start in adj.keys() {
             if !seen.insert(start) {
@@ -115,18 +112,17 @@ fn unpruned_chain_depths(n: usize, seed: u64) -> Vec<usize> {
     depths
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("## A1 — why valid-MOE pruning: merge-component depth without it\n");
     println!("| n    | phases | max chain depth | mean chain depth |");
     println!("|------|--------|-----------------|------------------|");
     for &n in &[32usize, 128, 512] {
         let depths = unpruned_chain_depths(n, 1);
-        let dd: Vec<f64> = depths.iter().map(|&d| d as f64).collect();
+        let mean = depths.iter().map(|&d| d as f64).sum::<f64>() / depths.len() as f64;
         println!(
-            "| {n:<4} | {:<6} | {:>15} | {:>16.1} |",
+            "| {n:<4} | {:<6} | {:>15} | {mean:>16.1} |",
             depths.len(),
-            depths.iter().max().unwrap(),
-            mean(&dd)
+            depths.iter().max().expect("at least one phase"),
         );
     }
     println!(
@@ -138,41 +134,24 @@ fn main() {
     println!("## A2 — deterministic token cap sweep\n");
     println!("| cap | phases | awake max | rounds   |");
     println!("|-----|--------|-----------|----------|");
-    let a2_family =
-        |_n: usize, _seed: u64| generators::random_connected(48, 0.1, 3).map_err(|e| e.to_string());
-    let reference = mst::kruskal(&generators::random_connected(48, 0.1, 3).unwrap()).total_weight;
-    let capped: Vec<LabeledRunner> = [1u64, 2, 3]
-        .into_iter()
-        .map(|cap| {
-            let config = DeterministicConfig {
-                token_cap: cap,
-                ..DeterministicConfig::PAPER
-            };
-            labeled(
-                format!("cap={cap}"),
-                "deterministic",
-                Family::Deterministic(config),
-            )
-        })
-        .collect();
-    let mut sweep = Sweep::new(&a2_family).sizes([48]);
-    for (label, run) in &capped {
-        sweep = sweep.algorithm_fn(label.clone(), run.as_ref());
-    }
-    let results = sweep.run().expect("token cap sweep");
-    for r in &results {
+    let g = generators::random_connected(48, 0.1, 3)?;
+    let reference = mst::kruskal(&g).total_weight;
+    for cap in [1u64, 2, 3] {
+        let config = DeterministicConfig {
+            token_cap: cap,
+            ..DeterministicConfig::PAPER
+        };
+        let out = variant("deterministic", Family::Deterministic(config)).run(&g, 0)?;
         assert_eq!(
-            r.total_weight,
-            u128::from(reference),
-            "{} broke correctness",
-            r.algorithm
+            g.total_weight(out.edges.iter().copied()),
+            reference,
+            "cap={cap} broke correctness"
         );
         println!(
-            "| {:<3} | {:<6} | {:>9} | {:>8} |",
-            r.algorithm.trim_start_matches("cap="),
-            r.phases,
-            r.stats.awake_max(),
-            r.stats.rounds
+            "| {cap:<3} | {:<6} | {:>9} | {:>8} |",
+            out.phases,
+            out.stats.awake_max(),
+            out.stats.rounds
         );
     }
     println!(
@@ -185,42 +164,60 @@ fn main() {
     println!("## A3 — coin bias sweep (Randomized-MST, 5 seeds each)\n");
     println!("| P(heads) | mean phases | mean awake | mean rounds |");
     println!("|----------|-------------|------------|-------------|");
-    let a3_family = |_n: usize, _seed: u64| {
-        generators::random_connected(64, 0.08, 5).map_err(|e| e.to_string())
-    };
-    let a3_reference =
-        mst::kruskal(&generators::random_connected(64, 0.08, 5).unwrap()).total_weight;
-    let biased: Vec<LabeledRunner> = [0.1f64, 0.3, 0.5, 0.7, 0.9]
-        .into_iter()
-        .map(|bias| {
-            let config = RandomizedConfig {
-                heads_probability: bias,
-                ..RandomizedConfig::PAPER
-            };
-            labeled(format!("{bias}"), "randomized", Family::Randomized(config))
-        })
-        .collect();
-    let mut sweep = Sweep::new(&a3_family).sizes([64]).seeds(0..5);
-    for (label, run) in &biased {
-        sweep = sweep.algorithm_fn(label.clone(), run.as_ref());
-    }
-    let results = sweep.run().expect("coin bias sweep");
-    for r in &results {
-        assert_eq!(
-            r.total_weight,
-            u128::from(a3_reference),
-            "bias {} broke correctness",
-            r.algorithm
-        );
-    }
-    for c in aggregate(&results) {
-        println!(
-            "| {:<8} | {:>11.1} | {:>10.1} | {:>11.0} |",
-            c.algorithm, c.phases, c.awake_max, c.rounds
-        );
+    let g = generators::random_connected(64, 0.08, 5)?;
+    let reference = mst::kruskal(&g).total_weight;
+    let seeds = [0u64, 1, 2, 3, 4];
+    let k = seeds.len() as f64;
+    for bias in [0.1f64, 0.3, 0.5, 0.7, 0.9] {
+        let config = RandomizedConfig {
+            heads_probability: bias,
+            ..RandomizedConfig::PAPER
+        };
+        let spec = variant("randomized", Family::Randomized(config));
+        let (mut phases, mut awake, mut rounds) = (0.0, 0.0, 0.0);
+        for seed in seeds {
+            let out = spec.run(&g, seed)?;
+            assert_eq!(
+                g.total_weight(out.edges.iter().copied()),
+                reference,
+                "bias {bias} broke correctness"
+            );
+            phases += out.phases as f64 / k;
+            awake += out.stats.awake_max() as f64 / k;
+            rounds += out.stats.rounds as f64 / k;
+        }
+        println!("| {bias:<8} | {phases:>11.1} | {awake:>10.1} | {rounds:>11.0} |");
     }
     println!(
         "\nFair coins minimize expected phases (P(tails→heads) = p(1-p) peaks\n\
-         at 1/2) — the paper's choice is the sweet spot."
+         at 1/2) — the paper's choice is the sweet spot.\n"
     );
+
+    println!("## A4 — id bound: Cole–Vishkin (Corollary 1) vs Fast-Awake coloring, N = 16n\n");
+    println!("| n    | N    | awake max | rounds     | rounds vs Fast-Awake |");
+    println!("|------|------|-----------|------------|----------------------|");
+    let deterministic = registry::find("deterministic").expect("registered algorithm");
+    let logstar = registry::find("logstar").expect("registered algorithm");
+    for n in [8usize, 16, 32, 64] {
+        let g = generators::with_id_space(
+            generators::random_connected(n, 0.1, n as u64)?,
+            16 * n as u64,
+            1,
+        )?;
+        let fast = deterministic.run(&g, 0)?;
+        let cv = logstar.run(&g, 0)?;
+        assert_eq!(fast.edges, cv.edges, "variants disagree on the MST");
+        println!(
+            "| {n:<4} | {:<4} | {:>9} | {:>10} | {:>19.1}x |",
+            g.max_external_id(),
+            cv.stats.awake_max(),
+            cv.stats.rounds,
+            fast.stats.rounds as f64 / cv.stats.rounds as f64,
+        );
+    }
+    println!(
+        "\nRun time drops from O(n·N·log n) to O(n log n log* n) — the speed-up\n\
+         grows with N — at an O(log* n) awake overhead."
+    );
+    Ok(())
 }
