@@ -55,10 +55,14 @@
 //! error, and lanes 1.. record their wake decisions; the kernel folds
 //! them in lane order — serial node order — so every shard count
 //! produces the same bits. Nothing is logged per message and replayed.
-//! All per-run and per-round state (node contexts, the weight table,
-//! lanes and their buckets, the slot table, the inbox arena) lives in an
+//! All per-run and per-round state (node contexts, lanes and their
+//! buckets, the slot table, the inbox arena) lives in an
 //! [`ExecutorScratch`] that is reused across rounds *and across runs*,
-//! so the steady-state hot path performs no allocations.
+//! so the steady-state hot path performs no allocations. The port-weight
+//! table the contexts view belongs to the graph
+//! ([`WeightedGraph::flat_port_weights`]), built once per graph; the
+//! contexts are built once per graph and master seed, and a run on the
+//! graph and seed of the scratch's previous run keeps them.
 
 use std::num::NonZeroU64;
 use std::sync::Arc;
@@ -191,15 +195,16 @@ fn active_policy(config: &SimConfig) -> Option<WakePolicy> {
 
 /// Builds the initial knowledge handed to `node` (KT0 plus run
 /// parameters). Every driver derives identical contexts — notably the
-/// per-node RNG seed — which is what lets differential runs agree.
-/// `max_external_id` and the shared `weights` array are passed in rather
-/// than recomputed: `max_external_id()` is an `O(n)` scan of the id
-/// table, and calling it per node made setup `O(n²)`; likewise each
-/// node's `port_weights` is a [`PortWeights`] window into one run-wide
-/// weight table instead of a per-node `Vec`.
+/// per-node RNG seed — which is what lets differential runs agree. The
+/// graph and the master seed are the only inputs. `max_external_id` and
+/// the graph's `weights` table are passed in rather than recomputed:
+/// `max_external_id()` is an `O(n)` scan of the id table, and calling it
+/// per node made setup `O(n²)`; likewise each node's `port_weights` is a
+/// [`PortWeights`] window into the graph's one weight table instead of a
+/// per-node `Vec`.
 fn node_ctx(
     graph: &WeightedGraph,
-    config: &SimConfig,
+    master_seed: u64,
     node: NodeId,
     max_external_id: u64,
     weights: &Arc<[u64]>,
@@ -214,45 +219,39 @@ fn node_ctx(
             graph.port_base(node),
             graph.degree(node) as u32,
         ),
-        rng_seed: config
-            .master_seed
+        rng_seed: master_seed
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(u64::from(node.raw()).wrapping_mul(0xff51_afd7_ed55_8ccd)),
     }
 }
 
-/// Refills a scratch's node contexts and shared weight table for a run
-/// on `graph`, in place where the previous run's storage allows.
-///
-/// The previous run's contexts are dropped first: they hold the other
-/// references to the weight table, so afterwards the table is uniquely
-/// owned and, when the port count matches, is overwritten in place
-/// instead of reallocated. It stays shared — and is replaced by a fresh
-/// copy — when a caller still holds a context from an earlier run (a
-/// protocol state that kept its `port_weights`, say), so a reused
-/// scratch can never hand a run stale weights.
+/// Makes a scratch's node contexts those of a run on `graph` under
+/// `master_seed`. The previous run's contexts are kept when they were
+/// built for the same graph — the same weight-table allocation
+/// ([`WeightedGraph::flat_port_weights`]) — and the same seed, the only
+/// inputs of [`node_ctx`]; otherwise they are rebuilt. `built_for` holds
+/// that key, and its clone of the table pins the allocation, so no other
+/// graph's table can take its address while the contexts are kept.
 fn refill_contexts(
     graph: &WeightedGraph,
-    config: &SimConfig,
+    master_seed: u64,
     ctxs: &mut Vec<NodeCtx>,
-    weights: &mut Arc<[u64]>,
+    built_for: &mut Option<(Arc<[u64]>, u64)>,
 ) {
-    ctxs.clear();
-    match Arc::get_mut(weights).filter(|table| table.len() == graph.total_ports()) {
-        Some(table) => {
-            let ports = graph.nodes().flat_map(|node| graph.ports(node));
-            for (slot, entry) in table.iter_mut().zip(ports) {
-                *slot = entry.weight;
-            }
+    let weights = graph.flat_port_weights();
+    if let Some((held, seed)) = built_for {
+        if Arc::ptr_eq(held, &weights) && *seed == master_seed {
+            return;
         }
-        None => *weights = graph.flat_port_weights(),
     }
+    ctxs.clear();
     let max_external_id = graph.max_external_id();
     ctxs.extend(
         graph
             .nodes()
-            .map(|node| node_ctx(graph, config, node, max_external_id, weights)),
+            .map(|node| node_ctx(graph, master_seed, node, max_external_id, &weights)),
     );
+    *built_for = Some((weights, master_seed));
 }
 
 /// `slot_of` entry of a node asleep in the executing round.
@@ -1064,16 +1063,19 @@ impl WakeQueue {
     }
 }
 
-/// Reusable executor state: the wake queue, the node contexts and their
-/// shared weight table, the per-round delivery buffers (lanes, slot
-/// table, flat inbox arena), and a pool of recycled [`RunStats`].
+/// Reusable executor state: the wake queue, the node contexts and the
+/// graph and seed they were built for, the per-round delivery buffers
+/// (lanes, slot table, flat inbox arena), and a pool of recycled
+/// [`RunStats`].
 ///
 /// [`Simulator::run_with_scratch`](crate::Simulator::run_with_scratch)
 /// threads one value through many runs — a sweep's worker thread creates
 /// one scratch and reuses it for its whole trial stream, so executor
-/// allocations are O(workers) instead of O(runs). Every run fully
-/// re-initializes the scratch before use; nothing observable leaks
-/// between runs (the reused-scratch differential proptests pin this).
+/// allocations are O(workers) instead of O(runs). Every run
+/// re-initializes the scratch before use, except the node contexts: a
+/// run keeps them only when they were built for its graph and master
+/// seed, the only inputs they depend on. Nothing observable leaks
+/// between runs (the reused-scratch differential tests pin this).
 #[derive(Debug)]
 pub struct ExecutorScratch<M> {
     queue: WakeQueue,
@@ -1090,11 +1092,13 @@ pub struct ExecutorScratch<M> {
     /// rounds and runs — the scatter overwrites every position a round
     /// reads — so only growth past the high-water mark is filled.
     arena: Vec<Envelope<M>>,
-    /// The run's node contexts, refilled in place every run.
+    /// The node contexts of the last run. Runs never change them, so the
+    /// next run keeps them when it is on the same graph under the same
+    /// master seed, and rebuilds them otherwise.
     ctxs: Vec<NodeCtx>,
-    /// The run-wide port-weight table every context's
-    /// [`PortWeights`] views.
-    weights: Arc<[u64]>,
+    /// What `ctxs` were built for: the graph's port-weight table, which
+    /// every context's [`PortWeights`] views, and the master seed.
+    ctxs_built_for: Option<(Arc<[u64]>, u64)>,
     /// Lanes: lane 0 serves every round, and a run with `shards > 1` adds
     /// one per shard the first time a round is wide enough to
     /// parallelize.
@@ -1122,7 +1126,7 @@ impl<M> ExecutorScratch<M> {
             slot_of: Vec::new(),
             arena: Vec::new(),
             ctxs: Vec::new(),
-            weights: Arc::default(),
+            ctxs_built_for: None,
             shard_lanes: Vec::new(),
             stats_pool: Vec::new(),
             profile: None,
@@ -1400,7 +1404,7 @@ struct KernelBuffers<'a, M> {
     slot_of: &'a mut Vec<u32>,
     arena: &'a mut Vec<Envelope<M>>,
     ctxs: &'a mut Vec<NodeCtx>,
-    weights: &'a mut Arc<[u64]>,
+    ctxs_built_for: &'a mut Option<(Arc<[u64]>, u64)>,
     shard_lanes: &'a mut Vec<ShardScratch<M>>,
     profile: &'a mut Option<StageClock>,
 }
@@ -1433,7 +1437,7 @@ where
         slot_of,
         arena,
         ctxs,
-        weights,
+        ctxs_built_for,
         shard_lanes,
         profile,
         ..
@@ -1443,7 +1447,7 @@ where
         slot_of,
         arena,
         ctxs,
-        weights,
+        ctxs_built_for,
         shard_lanes,
         profile,
     };
@@ -1498,7 +1502,7 @@ where
         slot_of,
         arena,
         ctxs,
-        weights,
+        ctxs_built_for,
         shard_lanes,
         profile,
     } = bufs;
@@ -1531,7 +1535,7 @@ where
     };
 
     // --- Init: contexts, protocol values, first wakes ---
-    refill_contexts(graph, config, ctxs, weights);
+    refill_contexts(graph, config.master_seed, ctxs, ctxs_built_for);
     let mut protocols = Vec::with_capacity(ctxs.len());
     let mut running = 0usize;
     for ctx in ctxs.iter() {
@@ -2131,7 +2135,7 @@ mod tests {
             slot_of,
             arena,
             ctxs,
-            weights,
+            ctxs_built_for,
             shard_lanes,
             profile,
             ..
@@ -2141,7 +2145,7 @@ mod tests {
             slot_of,
             arena,
             ctxs,
-            weights,
+            ctxs_built_for,
             shard_lanes,
             profile,
         };

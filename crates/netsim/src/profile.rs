@@ -21,8 +21,9 @@ type Clock = std::time::Instant;
 /// A stage of the kernel's per-run work, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Scratch reset, node contexts, protocol construction and `init`,
-    /// first wakes.
+    /// Scratch reset, node contexts (kept from the scratch's previous run
+    /// on the same graph and master seed, built otherwise), protocol
+    /// construction and `init`, first wakes.
     Init,
     /// The time driver's `next_round`, plus crash and spurious-sleep
     /// adjudication of the popped awake set.

@@ -57,14 +57,16 @@ pub struct NodeCtx {
     pub rng_seed: u64,
 }
 
-/// A node's per-port edge weights: a `[Port]`-indexed view into one shared
-/// run-wide weight array (the graph's flat CSR weights).
+/// A node's per-port edge weights: a `[Port]`-indexed view into the
+/// graph's immutable flat weight table
+/// ([`graphlib::WeightedGraph::flat_port_weights`]).
 ///
-/// Behaves like the `Vec<u64>` it replaced — `weights[i]`, `len()`,
-/// iteration — but every node's view shares a single `Arc<[u64]>`, so
-/// building `n` contexts costs one allocation instead of `n` (the
-/// scale-campaign setup-cost fix), and contexts stay cheaply clonable and
-/// `Send + Sync` for the sharded send path.
+/// Behaves like a `Vec<u64>` — `weights[i]`, `len()`, iteration — but
+/// every node's view shares the graph's single `Arc<[u64]>`, so building
+/// `n` contexts allocates nothing per node, and contexts stay cheaply
+/// clonable and `Send + Sync` for the sharded send path. The table is
+/// never written after it is built, so a view a protocol keeps past its
+/// run stays valid.
 #[derive(Debug, Clone, Eq)]
 pub struct PortWeights {
     all: Arc<[u64]>,

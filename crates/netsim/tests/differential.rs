@@ -1204,10 +1204,11 @@ impl Protocol for KeepsWeights {
 }
 
 /// One scratch runs a graph, a graph with the same nodes and ports but
-/// other weights (the weight table is rewritten in place), and a smaller
-/// graph, under protocols that read `ctx.port_weights`: each outcome
-/// equals a run on a fresh scratch. When earlier states still hold their
-/// weight view, the scratch must not rewrite that table under them.
+/// other weights (so it has its own weight table, of the same length),
+/// and a smaller graph, under protocols that read `ctx.port_weights`:
+/// each outcome equals a run on a fresh scratch. States that keep their
+/// weight view past their run still see their own graph's weights: the
+/// tables belong to the graphs and are never rewritten.
 #[test]
 fn reused_scratch_refills_contexts_and_weights_for_each_graph() {
     let a = generators::chorded_cycle(300, 2, 7).unwrap();
@@ -1262,6 +1263,97 @@ fn reused_scratch_refills_contexts_and_weights_for_each_graph() {
             assert_eq!(state.weights.as_slice(), expected.as_slice());
         }
     }
+}
+
+/// Folds every field of its context into its digest, and sends it on
+/// every port: a run's outcome tells which contexts it was handed.
+#[derive(Debug)]
+struct EchoesContext {
+    digest: u64,
+}
+
+impl EchoesContext {
+    fn new(ctx: &NodeCtx) -> Self {
+        let mut digest = ctx.rng_seed;
+        for v in [ctx.external_id, ctx.max_external_id, ctx.n as u64]
+            .into_iter()
+            .chain(ctx.port_weights.iter().copied())
+        {
+            digest = digest.rotate_left(7) ^ v;
+        }
+        EchoesContext { digest }
+    }
+}
+
+impl Protocol for EchoesContext {
+    type Msg = u64;
+
+    fn init(&mut self, _ctx: &NodeCtx) -> NextWake {
+        NextWake::At(1)
+    }
+
+    fn send(&mut self, ctx: &NodeCtx, _round: Round, outbox: &mut Outbox<u64>) {
+        for p in ctx.ports() {
+            outbox.push(p, self.digest);
+        }
+    }
+
+    fn deliver(&mut self, _ctx: &NodeCtx, _round: Round, inbox: &[Envelope<u64>]) -> NextWake {
+        for e in inbox {
+            self.digest = self.digest.rotate_left(5) ^ e.msg;
+        }
+        NextWake::Halt
+    }
+}
+
+/// A scratch keeps its node contexts only for a run on the same graph
+/// (the same weight-table allocation) under the same master seed. One
+/// scratch runs, at shards 1 and 2: a graph, the same graph again, the
+/// graph under another seed, a clone of it with permuted external ids
+/// (the clone shares the graph's table until `set_external_ids` drops
+/// it), an identically rebuilt copy, and a smaller graph. Every outcome
+/// equals a run on a fresh scratch.
+#[test]
+fn reused_scratch_keeps_contexts_only_for_the_same_graph_and_seed() {
+    let a = generators::chorded_cycle(300, 2, 7).unwrap();
+    let rebuilt = generators::chorded_cycle(300, 2, 7).unwrap();
+    let small = generators::chorded_cycle(150, 2, 9).unwrap();
+    let mut scratch = ExecutorScratch::new();
+    let mut run_both = |g: &graphlib::WeightedGraph, seed: u64, step: &str| {
+        for shards in [1u32, 2] {
+            let config = SimConfig::default().with_seed(seed).with_shards(shards);
+            let reused = Simulator::new(g, config.clone())
+                .run_with_scratch(&mut scratch, EchoesContext::new)
+                .unwrap();
+            let fresh = Simulator::new(g, config).run(EchoesContext::new).unwrap();
+            assert_eq!(reused.stats, fresh.stats, "{step}, shards={shards}");
+            let digests = |states: &[EchoesContext]| -> Vec<u64> {
+                states.iter().map(|s| s.digest).collect()
+            };
+            assert_eq!(
+                digests(&reused.states),
+                digests(&fresh.states),
+                "{step}, shards={shards}"
+            );
+        }
+    };
+
+    run_both(&a, 11, "a");
+    run_both(&a, 11, "a again");
+    run_both(&a, 12, "a under another seed");
+    // Cloned after `a` ran, so the clone starts out sharing `a`'s table.
+    let mut permuted = a.clone();
+    assert!(std::sync::Arc::ptr_eq(
+        &permuted.flat_port_weights(),
+        &a.flat_port_weights()
+    ));
+    let n = permuted.node_count() as u64;
+    permuted
+        .set_external_ids((1..=n).map(|i| (i * 7) % n + 1).collect())
+        .unwrap();
+    run_both(&permuted, 12, "a with permuted ids");
+    run_both(&rebuilt, 12, "a rebuilt");
+    run_both(&small, 12, "a smaller graph");
 }
 
 /// A lockstep wave like [`WideWave`] that breaks in round 2: the `bad`

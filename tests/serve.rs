@@ -418,6 +418,29 @@ fn malformed_requests_are_rejected_with_typed_errors() {
     let s = stats(&mut client);
     assert_eq!((s.received, s.rejected), (0, 7));
 
+    // Specs beyond the CSR's u32 node-id or port-slot capacity fail as
+    // typed graph errors before anything is allocated, instead of
+    // aborting the daemon in the allocator; it keeps serving afterwards.
+    for graph in ["ring:4294967297", "scale:4294967297:2", "complete:70000"] {
+        let line = format!(
+            "{{\"id\":13,\"cmd\":\"run\",\"alg\":\"randomized\",\"graph\":\"{graph}\",\"seed\":1}}"
+        );
+        let resp = client.request(&line);
+        assert!(!resp.ok && resp.source == "exec", "{graph}: {resp:?}");
+        assert!(
+            resp.fragment
+                .contains(&format!("\"code\":\"{}\"", codes::BAD_GRAPH)),
+            "{graph}: {resp:?}"
+        );
+    }
+    let served = client.request(
+        "{\"id\":14,\"cmd\":\"run\",\"alg\":\"randomized\",\"graph\":\"ring:8\",\"seed\":1}",
+    );
+    assert!(served.ok && served.source == "exec", "{served:?}");
+    let s = stats(&mut client);
+    reconcile(&s);
+    assert_eq!((s.received, s.misses, s.rejected), (4, 4, 7), "{s:?}");
+
     server.begin_shutdown();
     server.join().unwrap();
 }
