@@ -226,6 +226,12 @@ fn fitted_exponent(points: &[(usize, f64)]) -> f64 {
 /// Generates the report for `spec`. Sequential by design — determinism
 /// over throughput; the default panel takes well under a second.
 ///
+/// Each `(family, n, seed)` graph is built once and run by every
+/// algorithm in turn. All six runs share the seed, so the scratch keeps
+/// the node contexts of the first for the other five. Every cell still
+/// averages its seeds in panel order, so the bytes do not depend on the
+/// loop order.
+///
 /// # Errors
 ///
 /// A broken [`ReportSpec::validate`] rule, or stringified
@@ -234,16 +240,19 @@ pub fn generate(spec: &ReportSpec) -> Result<Report, String> {
     spec.validate().map_err(|e| e.to_string())?;
     let breakdown_n = spec.sizes.iter().copied().max().unwrap_or(0);
     let breakdown_seed = spec.seeds[0];
+    let k = spec.seeds.len() as f64;
     let mut scratch = MstScratch::new();
     let mut families = Vec::new();
     for &family in FAMILIES {
-        let mut algorithms = Vec::new();
-        for alg in registry::ALGORITHMS {
-            let (awake_bound, rounds_bound) = paper_bounds(alg.name);
-            let mut rows = Vec::new();
-            let mut phases = Vec::new();
-            for &n in &spec.sizes {
-                let mut cell = CellRow {
+        // Per algorithm, in registry order: one row per size, and the
+        // phase breakdown.
+        let mut rows: Vec<Vec<CellRow>> = registry::ALGORITHMS.iter().map(|_| Vec::new()).collect();
+        let mut phases: Vec<Vec<PhaseRow>> =
+            registry::ALGORITHMS.iter().map(|_| Vec::new()).collect();
+        for &n in &spec.sizes {
+            let mut cells: Vec<CellRow> = registry::ALGORITHMS
+                .iter()
+                .map(|_| CellRow {
                     n,
                     seeds: spec.seeds.len(),
                     awake_max: 0.0,
@@ -255,10 +264,13 @@ pub fn generate(spec: &ReportSpec) -> Result<Report, String> {
                     max_edge_bits: 0.0,
                     energy_max: 0.0,
                     energy_total: 0.0,
-                };
-                let k = spec.seeds.len() as f64;
-                for &seed in &spec.seeds {
-                    let graph = build_family(family, n, seed)?;
+                })
+                .collect();
+            for &seed in &spec.seeds {
+                let graph = build_family(family, n, seed)?;
+                for ((alg, cell), alg_phases) in
+                    registry::ALGORITHMS.iter().zip(&mut cells).zip(&mut phases)
+                {
                     let (stats, metrics) =
                         run_once(alg, &graph, seed, spec.executor, spec.energy, &mut scratch)?;
                     cell.energy_max += stats.energy_max() as f64 / k;
@@ -271,7 +283,7 @@ pub fn generate(spec: &ReportSpec) -> Result<Report, String> {
                     cell.max_edge_bits += metrics.max_round_edge_bits() as f64 / k;
                     if n == breakdown_n && seed == breakdown_seed {
                         let total_awake = metrics.awake_total().max(1);
-                        phases = alg
+                        *alg_phases = alg
                             .phase_totals(&graph, &metrics)
                             .into_iter()
                             .map(|t| PhaseRow {
@@ -285,23 +297,33 @@ pub fn generate(spec: &ReportSpec) -> Result<Report, String> {
                             .collect();
                     }
                 }
-                cell.awake_over_log = cell.awake_max / (n as f64).log2().max(1.0);
-                rows.push(cell);
             }
-            let fit = |f: &dyn Fn(&CellRow) -> f64| {
-                fitted_exponent(&rows.iter().map(|r| (r.n, f(r))).collect::<Vec<_>>())
-            };
-            algorithms.push(AlgorithmReport {
-                name: alg.name,
-                awake_bound,
-                rounds_bound,
-                awake_exponent: fit(&|r| r.awake_max),
-                rounds_exponent: fit(&|r| r.rounds),
-                messages_exponent: fit(&|r| r.messages_sent),
-                rows,
-                phases,
-            });
+            for (alg_rows, mut cell) in rows.iter_mut().zip(cells) {
+                cell.awake_over_log = cell.awake_max / (n as f64).log2().max(1.0);
+                alg_rows.push(cell);
+            }
         }
+        let algorithms = registry::ALGORITHMS
+            .iter()
+            .zip(rows)
+            .zip(phases)
+            .map(|((alg, rows), phases)| {
+                let (awake_bound, rounds_bound) = paper_bounds(alg.name);
+                let fit = |f: &dyn Fn(&CellRow) -> f64| {
+                    fitted_exponent(&rows.iter().map(|r| (r.n, f(r))).collect::<Vec<_>>())
+                };
+                AlgorithmReport {
+                    name: alg.name,
+                    awake_bound,
+                    rounds_bound,
+                    awake_exponent: fit(&|r| r.awake_max),
+                    rounds_exponent: fit(&|r| r.rounds),
+                    messages_exponent: fit(&|r| r.messages_sent),
+                    rows,
+                    phases,
+                }
+            })
+            .collect();
         families.push(FamilyReport { family, algorithms });
     }
     Ok(Report {
