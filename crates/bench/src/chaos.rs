@@ -24,7 +24,7 @@
 use graphlib::{generators, WeightedGraph};
 use mst_core::registry::{AlgorithmSpec, ALGORITHMS};
 use mst_core::{ExecOptions, MstScratch, RunError};
-use netsim::{EnergyModel, Executor, FaultPlan};
+use netsim::{EnergyModel, FaultPlan};
 
 use crate::harness::Invalid;
 
@@ -47,14 +47,9 @@ pub struct ChaosSpec {
     pub sizes: Vec<usize>,
     /// Trials per cell.
     pub trials: u64,
-    /// Time driver every trial runs under. All drivers are bit-identical,
-    /// so the report bytes do not depend on this — running the sweep under
-    /// [`Executor::Sync`] or [`Executor::Naive`] *is* the differential
-    /// check against the default calendar driver.
-    pub executor: Executor,
-    /// Send-half-step shard count every trial runs under. Like the
-    /// executor, shard counts are bit-identical, so this knob is part of
-    /// the same differential surface (CI `cmp`s shards 1 vs 2 matrices).
+    /// Send-half-step shard count every trial runs under. Shard counts
+    /// are bit-identical, so the report bytes do not depend on this (CI
+    /// `cmp`s shards 1 vs 2 matrices).
     pub shards: Option<u32>,
     /// Optional [`EnergyModel`] every trial charges against. Fills the
     /// report's energy column; a budgeted model adds the
@@ -81,7 +76,6 @@ impl Default for ChaosSpec {
             seed: 0,
             sizes: vec![8, 12],
             trials: 2,
-            executor: Executor::Calendar,
             shards: None,
             energy: None,
         }
@@ -263,9 +257,7 @@ fn run_trial(
         }
     };
     let plan = plan_for(level, seed, graph.node_count());
-    let mut opts = ExecOptions::seeded(seed)
-        .with_faults(plan)
-        .with_executor(spec.executor);
+    let mut opts = ExecOptions::seeded(seed).with_faults(plan);
     if let Some(shards) = spec.shards {
         opts = opts.with_shards(shards);
     }
@@ -495,26 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn chaos_report_is_bit_identical_across_executors() {
-        let spec = ChaosSpec {
-            seed: 11,
-            sizes: vec![6],
-            trials: 1,
-            ..ChaosSpec::default()
-        };
-        let calendar = run_chaos(&spec).to_json();
-        for executor in [Executor::Sync, Executor::Naive] {
-            let other = run_chaos(&ChaosSpec {
-                executor,
-                ..spec.clone()
-            })
-            .to_json();
-            assert_eq!(calendar, other, "{executor}");
-        }
-    }
-
-    #[test]
-    fn energy_column_is_populated_and_bit_identical_across_executors_and_shards() {
+    fn energy_column_is_populated_and_bit_identical_across_shards() {
         let spec = ChaosSpec {
             seed: 5,
             sizes: vec![6],
@@ -535,15 +508,8 @@ mod tests {
                 t.level
             );
         }
-        // The ledger is part of the differential surface: executors and
-        // shard counts must produce the same matrix bytes.
-        for executor in [Executor::Sync, Executor::Naive] {
-            let other = run_chaos(&ChaosSpec {
-                executor,
-                ..spec.clone()
-            });
-            assert_eq!(json, other.to_json(), "{executor}");
-        }
+        // The ledger is part of the differential surface: shard counts
+        // must produce the same matrix bytes.
         let sharded = run_chaos(&ChaosSpec {
             shards: Some(2),
             ..spec.clone()

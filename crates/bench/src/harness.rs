@@ -19,7 +19,7 @@ use std::sync::Mutex;
 use graphlib::generators;
 use mst_core::registry::AlgorithmSpec;
 use mst_core::{ExecOptions, MstScratch};
-use netsim::{EnergyModel, Executor, RunStats};
+use netsim::{EnergyModel, RunStats};
 
 /// One completed trial of a sweep.
 #[derive(Debug, Clone)]
@@ -106,11 +106,8 @@ pub struct SweepSpec {
     pub sizes: Vec<usize>,
     /// Trial seeds (graph weights and algorithm coins).
     pub seeds: Vec<u64>,
-    /// Time driver for every trial (`None` = the calendar driver). All
-    /// drivers are bit-identical, so results do not depend on it.
-    pub executor: Option<Executor>,
     /// Send-half-step shard count per trial (`None` = serial). Shard
-    /// counts are bit-identical too.
+    /// counts are bit-identical, so results do not depend on it.
     pub shards: Option<u32>,
     /// Energy pricing model charged on every trial (`None` = no
     /// charging); a budgeted model can fail trials with the typed
@@ -215,9 +212,6 @@ impl SweepSpec {
         let graph = generators::from_spec(&self.template.replace("{n}", &n.to_string()), seed)
             .map_err(|e| format!("graph family at n={n} seed={seed}: {e}"))?;
         let mut opts = ExecOptions::seeded(seed);
-        if let Some(executor) = self.executor {
-            opts = opts.with_executor(executor);
-        }
         if let Some(shards) = self.shards {
             opts = opts.with_shards(shards);
         }
@@ -350,7 +344,6 @@ mod tests {
             template: "ring:{n}".into(),
             sizes: vec![8, 16],
             seeds: vec![0, 1],
-            executor: None,
             shards: None,
             energy: None,
         }
@@ -431,29 +424,6 @@ mod tests {
         let json = render_json(&results);
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert_eq!(json.matches("\"algorithm\"").count(), 4);
-    }
-
-    #[test]
-    fn sweep_is_bit_identical_across_executors() {
-        let build = |executor| {
-            SweepSpec {
-                executor: Some(executor),
-                ..ring_sweep(&["randomized", "deterministic"])
-            }
-            .run(1)
-            .unwrap()
-        };
-        let calendar = build(Executor::Calendar);
-        for executor in [Executor::Sync, Executor::Naive] {
-            let other = build(executor);
-            assert_eq!(calendar.len(), other.len());
-            for (a, b) in calendar.iter().zip(&other) {
-                assert_eq!(a.stats, b.stats, "{executor} {} n={}", a.algorithm, a.n);
-                assert_eq!(a.tree_edges, b.tree_edges);
-                assert_eq!(a.total_weight, b.total_weight);
-                assert_eq!(a.phases, b.phases);
-            }
-        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The experiment plane behind the CLI and the daemon: template sweeps,
-//! the Table-1 report, the chaos matrix, the engine panel and the serve
-//! daemon.
+//! the Table-1 report, the chaos matrix and the serve daemon.
 //!
 //! Each paper artifact has one program (see `EXPERIMENTS.md` at the
 //! repository root):
@@ -20,15 +19,10 @@
 #![forbid(unsafe_code)]
 
 pub mod chaos;
-pub mod engine_panel;
 pub mod harness;
 pub mod report;
 pub mod serve;
 
 pub use chaos::{run_chaos, ChaosReport, ChaosSpec, ChaosTrial, Outcome};
-pub use engine_panel::{
-    render_engine_panel_json, render_engine_panel_wall_clock, run_engine_panel, EnginePanelRow,
-    EnginePanelSpec,
-};
 pub use harness::{aggregate, Cell, Invalid, SweepSpec, TrialResult};
 pub use report::{generate, Report, ReportSpec};

@@ -7,31 +7,24 @@
 //! Determinism contract: generation is sequential (one scratch, fixed
 //! grid order), every run derives from `(family, n, seed)`, floats are
 //! rendered with fixed precision, and no wall-clock or hashed container
-//! is involved — regenerating the report yields identical bytes, and
-//! because every time driver is a bit-equal oracle of the others, a
-//! report generated under [`Executor::Naive`] (or [`Executor::Sync`])
-//! matches the [`Executor::Calendar`] bytes too (pinned in
-//! `tests/report_golden.rs`).
+//! is involved — regenerating the report yields identical bytes (pinned
+//! in `tests/report_golden.rs`).
 
 use graphlib::{generators, WeightedGraph};
 use mst_core::registry::{self, AlgorithmSpec};
 use mst_core::{ExecOptions, MstScratch};
-use netsim::{EnergyModel, Executor, Metrics, RunStats};
+use netsim::{EnergyModel, Metrics, RunStats};
 
 use crate::harness::Invalid;
 
-/// The report panel: sizes, seeds, and the backing time driver — the
-/// `report` request of the CLI and the daemon alike.
+/// The report panel: sizes, seeds, and the energy model — the `report`
+/// request of the CLI and the daemon alike.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportSpec {
     /// Graph sizes swept per family.
     pub sizes: Vec<usize>,
     /// Trial seeds per (family, algorithm, n) cell.
     pub seeds: Vec<u64>,
-    /// Backing time driver. All drivers render identical report bytes
-    /// (the golden tests pin `Naive` against `Calendar`); the choice only
-    /// changes generation wall-clock.
-    pub executor: Executor,
     /// Energy model the panel charges under (no budget by default, so
     /// outcomes are unchanged — the model only fills the energy columns).
     /// The ledger is deterministic, so it is part of the pinned report
@@ -56,7 +49,6 @@ impl Default for ReportSpec {
         ReportSpec {
             sizes: vec![8, 12, 16, 24],
             seeds: vec![0, 1],
-            executor: Executor::Calendar,
             energy: EnergyModel::reference(),
         }
     }
@@ -179,24 +171,17 @@ fn build_family(family: &str, n: usize, seed: u64) -> Result<WeightedGraph, Stri
 
 const FAMILIES: &[&str] = &["random", "ring"];
 
-/// One run under the chosen time driver, reduced to what the report
-/// needs. Every driver goes through the same registry runner — the
-/// executor knob on [`ExecOptions`] is the only difference — so the
-/// drivers simulate the identical protocol stream.
+/// One registry run with metrics on, reduced to what the report needs.
 fn run_once(
     spec: &AlgorithmSpec,
     graph: &WeightedGraph,
     seed: u64,
-    executor: Executor,
     energy: EnergyModel,
     scratch: &mut MstScratch,
 ) -> Result<(RunStats, Metrics), String> {
     spec.run_with_options(
         graph,
-        &ExecOptions::seeded(seed)
-            .with_metrics()
-            .with_executor(executor)
-            .with_energy(energy),
+        &ExecOptions::seeded(seed).with_metrics().with_energy(energy),
         scratch,
     )
     .map(|out| (out.stats, out.metrics))
@@ -271,8 +256,7 @@ pub fn generate(spec: &ReportSpec) -> Result<Report, String> {
                 for ((alg, cell), alg_phases) in
                     registry::ALGORITHMS.iter().zip(&mut cells).zip(&mut phases)
                 {
-                    let (stats, metrics) =
-                        run_once(alg, &graph, seed, spec.executor, spec.energy, &mut scratch)?;
+                    let (stats, metrics) = run_once(alg, &graph, seed, spec.energy, &mut scratch)?;
                     cell.energy_max += stats.energy_max() as f64 / k;
                     cell.energy_total += stats.energy_total() as f64 / k;
                     cell.awake_max += stats.awake_max() as f64 / k;

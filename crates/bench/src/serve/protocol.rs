@@ -12,7 +12,7 @@
 //! ```json
 //! {"id":1,"cmd":"run","alg":"randomized","graph":"ring:64","seed":7}
 //! {"id":2,"cmd":"run","alg":"logstar","graph":"grid:4x8","seed":1,
-//!  "executor":"calendar","shards":4,"energy":"reference","budget":900000,
+//!  "shards":4,"energy":"reference","budget":900000,
 //!  "wake_policy":"duty:2",
 //!  "faults":{"fault_seed":9,"drop_ppm":200,"crashes":[[3,40]]}}
 //! {"id":3,"cmd":"sweep","algs":"randomized,aa",
@@ -68,8 +68,6 @@ pub mod codes {
     pub const BAD_ALGORITHM: &str = "request.bad-algorithm";
     /// A sweep template did not contain the `{n}` placeholder.
     pub const BAD_TEMPLATE: &str = "request.bad-template";
-    /// `executor` was not `sync`, `calendar`, or `naive`.
-    pub const BAD_EXECUTOR: &str = "request.bad-executor";
     /// The graph spec failed to build (deterministic, cacheable).
     pub const BAD_GRAPH: &str = "request.bad-graph";
     /// Shed by the token bucket: the daemon is over budget.
@@ -479,7 +477,6 @@ fn parse_command(top: &Fields<'_>) -> Result<Request, Refusal> {
             "alg",
             "graph",
             "seed",
-            "executor",
             "shards",
             "faults",
             "energy",
@@ -502,7 +499,6 @@ fn parse_command(top: &Fields<'_>) -> Result<Request, Refusal> {
                 template: doc.str("template")?.unwrap_or("ring:{n}").to_string(),
                 sizes: doc.sizes()?.unwrap_or(vec![16, 32]),
                 seeds: doc.u64_list("seeds")?.unwrap_or(vec![0]),
-                executor: None,
                 shards: None,
                 energy: None,
             };
@@ -552,10 +548,6 @@ fn parse_run(doc: &Fields<'_>) -> Result<RunRequest, Refusal> {
     let alg =
         wire::parse_algorithm(required("alg")?).map_err(|e| Refusal(codes::BAD_ALGORITHM, e))?;
     let mut req = RunRequest::new(alg, required("graph")?, doc.u64("seed")?.unwrap_or(0));
-    if let Some(name) = doc.str("executor")? {
-        req.executor =
-            Some(wire::parse_executor(name).map_err(|e| Refusal(codes::BAD_EXECUTOR, e))?);
-    }
     req.shards = doc.get("shards", "a shard count in 1..=4294967295", |v| {
         v.as_u64()
             .and_then(|n| u32::try_from(n).ok())
@@ -615,8 +607,8 @@ impl Request {
     /// The canonical cache-key string for cacheable requests (`None` for
     /// the control plane). Run keys come from
     /// [`RunRequest::cache_key`]; batch keys spell out every grid
-    /// parameter a serve line can set. Executor knobs never appear —
-    /// results are driver-independent by the bit-identity proofs — and a
+    /// parameter a serve line can set. Shard counts never appear —
+    /// results are shard-independent by the bit-identity proofs — and a
     /// batch line sets no energy model, so the spec's default is implied.
     pub fn cache_key(&self) -> Option<String> {
         fn join<T: std::fmt::Display>(items: &[T]) -> String {
@@ -855,12 +847,6 @@ mod tests {
         let err = parse_request(r#"{"id":3,"cmd":"sweep","template":"ring:64"}"#).unwrap_err();
         assert_eq!(err.code, codes::BAD_TEMPLATE);
 
-        let err = parse_request(
-            r#"{"id":4,"cmd":"run","alg":"prim","graph":"ring:8","executor":"warp"}"#,
-        )
-        .unwrap_err();
-        assert_eq!(err.code, codes::BAD_EXECUTOR);
-
         let err = parse_request("not json").unwrap_err();
         assert_eq!((err.id, err.code), (0, codes::PARSE));
 
@@ -888,7 +874,6 @@ mod tests {
             (run, r#""seed":1.5"#, "seed"),
             (run, r#""budget":"lots""#, "budget"),
             (run, r#""shards":null"#, "shards"),
-            (run, r#""executor":3"#, "executor"),
             (run, r#""energy":5"#, "energy"),
             (run, r#""wake_policy":2"#, "wake_policy"),
             (run, r#""faults":"drop_ppm:5000""#, "faults"),
@@ -937,6 +922,7 @@ mod tests {
             ),
             // Unknown: a field the command does not read.
             (run, r#""wake_polcy":"duty:2""#, "wake_polcy"),
+            (run, r#""executor":"calendar""#, "executor"),
             (run, r#""faults":{"drop":5}"#, "faults.drop"),
             (sweep, r#""graph":"ring:8""#, "graph"),
             (r#""cmd":"stats""#, r#""verbose":true"#, "verbose"),

@@ -1107,12 +1107,12 @@ mod tests {
         let src =
             "impl Protocol for Wave {\n    fn send(&mut self) { let m = Mutex::new(0); }\n}\n";
         assert_eq!(
-            rules_of(&lint_source("crates/bench/src/engine_panel.rs", src)),
+            rules_of(&lint_source("crates/bench/src/harness.rs", src)),
             vec!["shard-safety"]
         );
         // Outside the impl, bench is not lane scope.
         let free = "fn f() { let m = Mutex::new(0); }\n";
-        assert!(lint_source("crates/bench/src/engine_panel.rs", free).is_empty());
+        assert!(lint_source("crates/bench/src/harness.rs", free).is_empty());
         // Renaming the primitive does not hide it.
         let aliased = "use std::sync::Mutex as Lock;\nfn f() { let m = Lock::new(0); }\n";
         let findings = lint_source("crates/netsim/src/protocol.rs", aliased);
@@ -1150,7 +1150,7 @@ mod tests {
         // …except inside their Protocol impls.
         let proto = "impl Protocol for Wave {\n    fn send(&mut self) { let x = 0.5; }\n}\n";
         assert_eq!(
-            rules_of(&lint_source("crates/bench/src/engine_panel.rs", proto)),
+            rules_of(&lint_source("crates/bench/src/harness.rs", proto)),
             vec!["determinism"]
         );
     }

@@ -40,13 +40,12 @@ pub struct ExecOptions {
     /// Record per-round [`netsim::Metrics`] (round reports, awake
     /// timelines). Off by default; execution is bit-identical either way.
     pub record_metrics: bool,
-    /// Time-driver override ([`Executor`]). `None` keeps the simulator
-    /// default, the calendar driver. All drivers are bit-identical; this
-    /// knob only changes wall-clock cost.
-    pub executor: Option<Executor>,
+    /// Time driver ([`Executor`]). The default is the calendar driver;
+    /// only the differential suites set it, to run the naive oracle.
+    pub executor: Executor,
     /// Send-half-step shard count ([`SimConfig::shards`]). `None` keeps
-    /// the serial default. Like the executor choice, shard counts are
-    /// bit-identical — they trade wall-clock for cores, nothing else.
+    /// the serial default. Shard counts are bit-identical — they trade
+    /// wall-clock for cores, nothing else.
     pub shards: Option<u32>,
     /// Energy model to charge against, if any. `None` — and inert models
     /// (all costs zero, no matter the budget) — take the exact no-energy
@@ -89,7 +88,7 @@ impl ExecOptions {
 
     /// Selects the time driver for the run.
     pub fn with_executor(mut self, executor: Executor) -> Self {
-        self.executor = Some(executor);
+        self.executor = executor;
         self
     }
 
@@ -147,9 +146,7 @@ impl ExecOptions {
         if self.record_metrics {
             config = config.with_metrics();
         }
-        if let Some(executor) = self.executor {
-            config = config.with_executor(executor);
-        }
+        config = config.with_executor(self.executor);
         if let Some(shards) = self.shards {
             config = config.with_shards(shards);
         }

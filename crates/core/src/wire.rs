@@ -14,10 +14,6 @@
 //! the single place that guarantee is encoded. [`RunRequest::cache_key`]
 //! folds away every knob that is *proven* not to affect output bytes:
 //!
-//! * **executor** — all three time drivers are bit-identical (pinned by
-//!   the cross-driver differential proptests and the CI artifact `cmp`s),
-//!   so a `sync` request can be served from a result a `calendar` worker
-//!   computed;
 //! * **shards** — sharded send half-steps are byte-identical to serial
 //!   execution for every shard count (`tests/shard_boundary.rs`, CI
 //!   shards-1/2 `cmp`), so the shard knob is likewise erased;
@@ -45,7 +41,7 @@
 //! The fingerprint is FNV-1a 64 over the canonical key string — the same
 //! construction the report golden tests pin artifacts with.
 
-use netsim::{EnergyModel, Executor, FaultPlan, WakePolicy};
+use netsim::{EnergyModel, FaultPlan, WakePolicy};
 
 use crate::exec::ExecOptions;
 use crate::registry::{self, AlgorithmSpec};
@@ -73,16 +69,6 @@ pub fn parse_algorithm(name: &str) -> Result<&'static AlgorithmSpec, String> {
             registry::names()
         )
     })
-}
-
-/// Parses a time-driver name (`sync`, `calendar`, `naive`).
-///
-/// # Errors
-///
-/// Returns a message listing the valid names.
-pub fn parse_executor(name: &str) -> Result<Executor, String> {
-    Executor::parse(name)
-        .ok_or_else(|| format!("unknown executor '{name}' (expected sync, calendar, or naive)"))
 }
 
 /// Parses an energy-model spec ([`EnergyModel::parse`]).
@@ -139,7 +125,7 @@ pub fn crash_round(round: u64) -> Result<u64, String> {
 
 /// A validated, normalized run request: the algorithm resolved against
 /// the registry, the output-moving knobs in canonical form, and the
-/// bit-identical knobs (executor, shards) kept apart from the cache key.
+/// bit-identical shard count kept apart from the cache key.
 ///
 /// The fields are public for reading; a request built by hand should
 /// pass through [`RunRequest::normalized`] so it compares equal to (and
@@ -153,8 +139,6 @@ pub struct RunRequest {
     pub graph: String,
     /// Seed for graph weights and protocol coins.
     pub seed: u64,
-    /// Execution-only: requested time driver (excluded from the key).
-    pub executor: Option<Executor>,
     /// Execution-only: requested shard count (excluded from the key).
     pub shards: Option<u32>,
     /// The active fault plan, or `None` for no plan or an inert one.
@@ -170,13 +154,12 @@ pub struct RunRequest {
 
 impl RunRequest {
     /// A plain run: no faults, no energy model, the block timeline, and
-    /// the default driver and shard count.
+    /// the default shard count.
     pub fn new(alg: &'static AlgorithmSpec, graph: impl Into<String>, seed: u64) -> RunRequest {
         RunRequest {
             alg,
             graph: graph.into(),
             seed,
-            executor: None,
             shards: None,
             faults: None,
             energy: None,
@@ -197,8 +180,8 @@ impl RunRequest {
     }
 
     /// The canonical cache-key string. Everything that can change output
-    /// bytes is in here; everything proven bit-identical (executor,
-    /// shards) is not, and neither are inert plans, inert models, or
+    /// bytes is in here; the proven bit-identical shard count is not,
+    /// and neither are inert plans, inert models, or
     /// identity policies, which share the plain run's slot.
     pub fn cache_key(&self) -> String {
         let mut key = format!(
@@ -241,15 +224,12 @@ impl RunRequest {
     }
 
     /// The [`ExecOptions`] this request executes under. The
-    /// execution-only knobs (executor, shards) are honored here even
-    /// though the cache key erased them.
+    /// execution-only shard count is honored here even though the cache
+    /// key erased it.
     pub fn exec_options(&self) -> ExecOptions {
         let mut opts = ExecOptions::seeded(self.seed).with_wake_policy(self.wake_policy);
         if let Some(plan) = &self.faults {
             opts = opts.with_faults(plan.clone());
-        }
-        if let Some(executor) = self.executor {
-            opts = opts.with_executor(executor);
         }
         if let Some(shards) = self.shards {
             opts = opts.with_shards(shards);
@@ -284,18 +264,16 @@ mod tests {
     }
 
     #[test]
-    fn executor_and_shards_are_erased_from_the_key_but_kept_for_execution() {
+    fn shards_are_erased_from_the_key_but_kept_for_execution() {
         let plain = request("randomized", "ring:16", 7);
         let tuned = RunRequest {
-            executor: Some(Executor::Sync),
             shards: Some(4),
             ..plain.clone()
         };
         assert_eq!(plain.cache_key(), tuned.cache_key());
         assert_eq!(plain.fingerprint(), tuned.fingerprint());
-        assert_eq!(tuned.exec_options().executor, Some(Executor::Sync));
         assert_eq!(tuned.exec_options().shards, Some(4));
-        assert_eq!(plain.exec_options().executor, None);
+        assert_eq!(plain.exec_options().shards, None);
     }
 
     #[test]

@@ -18,12 +18,12 @@
 //!   duty cycle, seeded heavy-tailed slip, or a per-node adversarial
 //!   phase shift. Like [`FaultPlan`](crate::FaultPlan), every decision
 //!   is a pure stateless function of `(seed, tag, node, round)` through
-//!   a SplitMix64-style finalizer, so all three time drivers and the
+//!   a SplitMix64-style finalizer, so the calendar driver and the
 //!   naive oracle reach identical schedules with no shared RNG cursor.
 //!
 //! All charging happens inside the one generic `run_kernel`, as
 //! order-independent `u64` sums — the per-node ledger is bit-identical
-//! across {sync, calendar, naive} × every shard count (the energy
+//! across {calendar, naive} × every shard count (the energy
 //! differential and conservation suites pin this). The ledger satisfies
 //! the conservation identity
 //!

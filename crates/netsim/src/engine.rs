@@ -1,5 +1,5 @@
 //! The execution stack behind [`Simulator`](crate::Simulator): one
-//! generic kernel, three time drivers.
+//! generic kernel, two time drivers.
 //!
 //! Exactly one loop — the crate-private `run_kernel` — owns the
 //! per-active-round body: collect the awake set, run the send half-step
@@ -7,28 +7,23 @@
 //! invoke the observer. *Which round comes next* is delegated to a
 //! `TimeDriver`, selected by [`SimConfig::executor`]:
 //!
-//! * [`Executor::Calendar`] (the default) — keeps the scheduled wakes in
-//!   a `WakeQueue`, a monotone bucketed calendar of `(next-wake, node)`
-//!   events, and jumps time directly between populated rounds. Popping a
-//!   round that wakes `k` nodes costs `O(k)` amortized plus a sort of
-//!   the live set, so a run costs `O(W log W + M)` for `W` node-awake
-//!   events and `M` messages, independent of how many silent rounds the
-//!   schedule spans. This is the property the sleeping model exists to
-//!   exploit: nodes are awake only `O(log n)` of the `O(n log n)` rounds,
-//!   and the calendar never visits the empty ones.
-//! * [`Executor::Sync`] — round-synchronous: the clock walks through
-//!   every round one at a time, paying a per-round tick even when every
-//!   node sleeps. Outcomes are bit-identical to the calendar driver; it
-//!   exists to measure what sparse schedules cost a traditional
-//!   round-driven simulator (the `bench-engine` subcommand times the
-//!   gap).
+//! * [`Executor::Calendar`] (the default, and the driver of every real
+//!   workload) — keeps the scheduled wakes in a `WakeQueue`, a monotone
+//!   bucketed calendar of `(next-wake, node)` events, and jumps time
+//!   directly between populated rounds. Popping a round that wakes `k`
+//!   nodes costs `O(k)` amortized plus a sort of the live set, so a run
+//!   costs `O(W log W + M)` for `W` node-awake events and `M` messages,
+//!   independent of how many silent rounds the schedule spans. This is
+//!   the property the sleeping model exists to exploit: nodes are awake
+//!   only `O(log n)` of the `O(n log n)` rounds, and the calendar never
+//!   visits the empty ones.
 //! * [`Executor::Naive`] — the differential-testing oracle: a per-round
 //!   `O(n)` scan of every node's next wake, as close to a transliteration
 //!   of the round semantics as possible. Never use it for real
 //!   workloads; its entire value is being too simple to be wrong in the
 //!   same way as the calendar.
 //!
-//! All three drivers produce bit-identical outcomes — final states,
+//! Both drivers produce bit-identical outcomes — final states,
 //! [`RunStats`], [`Trace`], and metrics — for every protocol, fault
 //! plan, and metrics setting; `tests/differential.rs` pins this with
 //! cross-driver proptests.
@@ -117,17 +112,12 @@ pub fn shard_chunk_len(awake_len: usize, shards: u32, record_trace: bool) -> Opt
 
 /// Which time driver executes a run.
 ///
-/// All three produce bit-identical outcomes (final states, stats, trace,
+/// Both produce bit-identical outcomes (final states, stats, trace,
 /// metrics) for every protocol, fault plan, and metrics setting — the
-/// cross-driver proptests in `tests/differential.rs` pin this. They
-/// differ only in how the clock advances between populated rounds, i.e.
-/// in wall-clock cost (the `bench-engine` subcommand times it).
+/// cross-driver proptests in `tests/differential.rs` pin this. Only
+/// [`SimConfig::with_executor`] selects one; no user surface does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Executor {
-    /// Round-synchronous: the clock visits every round from 1 upward,
-    /// paying a per-round tick even when every node sleeps. The cost
-    /// model of a traditional round-driven simulator.
-    Sync,
     /// Event-driven calendar (the default): a bucketed calendar of
     /// `(next-wake, node)` events; time jumps directly between populated
     /// rounds.
@@ -136,38 +126,6 @@ pub enum Executor {
     /// Per-round `O(n)` scan of every node's next wake — the
     /// differential-testing oracle. Never use it for real workloads.
     Naive,
-}
-
-impl Executor {
-    /// Every executor, in presentation order.
-    pub const ALL: [Executor; 3] = [Executor::Sync, Executor::Calendar, Executor::Naive];
-
-    /// Parses a stable executor name (`sync`, `calendar`, `naive`), as
-    /// accepted by the CLI's `--executor` flag.
-    pub fn parse(s: &str) -> Option<Executor> {
-        match s {
-            "sync" => Some(Executor::Sync),
-            "calendar" => Some(Executor::Calendar),
-            "naive" => Some(Executor::Naive),
-            _ => None,
-        }
-    }
-
-    /// The stable name [`Executor::parse`] accepts, also used in reports
-    /// and JSON artifacts.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Executor::Sync => "sync",
-            Executor::Calendar => "calendar",
-            Executor::Naive => "naive",
-        }
-    }
-}
-
-impl std::fmt::Display for Executor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
 }
 
 /// The active fault plan of a config, if it can affect the run at all.
@@ -881,14 +839,13 @@ fn bucket_of(round: Round, base: Round) -> usize {
 /// place, otherwise they are redistributed into strictly lower buckets.
 /// An entry moves at most [`Round::BITS`] times in its lifetime, so
 /// popping a round that wakes `k` nodes costs `O(k)` amortized plus the
-/// sort of the live set, [`WakeQueue::peek_round`] is `O(1)` once
-/// settled, and memory is one `u32` per pending entry in a fixed set of
-/// [`BUCKETS`] vectors.
+/// sort of the live set, and memory is one `u32` per pending entry in a
+/// fixed set of [`BUCKETS`] vectors.
 ///
 /// The structure relies on time moving forward: every scheduled round
 /// must be later than the last round popped (the kernel only schedules
-/// wakes strictly after the executing round, and the `validate` feature
-/// checks that the rounds handed to the kernel strictly increase).
+/// wakes strictly after the executing round, and checks that the rounds
+/// handed to it strictly increase).
 ///
 /// `schedule` may supersede a not-yet-fired wake of the same node, and
 /// `halt` may cancel one. The old entry is then stale: it is dropped
@@ -1019,16 +976,9 @@ impl WakeQueue {
         *ready
     }
 
-    /// The earliest scheduled round, if any node is pending. `O(1)`
-    /// after the first call for a given round.
-    pub(crate) fn peek_round(&mut self) -> Option<Round> {
-        self.settle().map(|_| self.settled)
-    }
-
     /// Whether `node` is awake in the round currently being executed:
     /// popped for `round`, and neither halted nor rescheduled since.
     #[inline]
-    #[cfg_attr(not(feature = "validate"), allow(dead_code))]
     pub(crate) fn is_awake_in(&self, node: u32, round: Round) -> bool {
         self.next_wake[node as usize].map(NonZeroU64::get) == Some(round)
     }
@@ -1252,8 +1202,7 @@ trait TimeDriver {
     /// any live set); the kernel turns that into `MaxRoundsExceeded`.
     fn next_round(&mut self, live: &mut Vec<u32>) -> Option<Round>;
     /// Whether `node` is awake in the currently executing `round`. Only
-    /// the `validate` feature's awake-set check asks.
-    #[cfg_attr(not(feature = "validate"), allow(dead_code))]
+    /// the kernel's awake-set check asks.
     fn is_awake_in(&self, node: u32, round: Round) -> bool;
 }
 
@@ -1274,61 +1223,6 @@ impl TimeDriver for CalendarDriver<'_> {
     }
 
     fn next_round(&mut self, live: &mut Vec<u32>) -> Option<Round> {
-        self.queue.pop_round(live)
-    }
-
-    fn is_awake_in(&self, node: u32, round: Round) -> bool {
-        self.queue.is_awake_in(node, round)
-    }
-}
-
-/// [`Executor::Sync`]: the round-synchronous driver. Same calendar state
-/// as [`CalendarDriver`], but the clock walks from the current round to
-/// the next wake one round at a time, paying a per-round tick for every
-/// silent round — the cost model of a traditional round-driven
-/// simulator, kept honest by `std::hint::black_box`.
-struct SyncDriver<'a> {
-    queue: &'a mut WakeQueue,
-    /// The last round the clock has passed through.
-    cursor: Round,
-    /// The run's round budget; the walk never goes further than one
-    /// round past it (the kernel reports `MaxRoundsExceeded` there).
-    limit: Round,
-}
-
-impl<'a> SyncDriver<'a> {
-    fn new(queue: &'a mut WakeQueue, limit: Round) -> Self {
-        SyncDriver {
-            queue,
-            cursor: 0,
-            limit,
-        }
-    }
-}
-
-impl TimeDriver for SyncDriver<'_> {
-    fn schedule(&mut self, node: u32, round: Round) {
-        self.queue.schedule(node, round);
-    }
-
-    fn halt(&mut self, node: u32) {
-        self.queue.halt(node);
-    }
-
-    fn next_round(&mut self, live: &mut Vec<u32>) -> Option<Round> {
-        let target = self.queue.peek_round()?;
-        // Walk the clock one round at a time up to the next wake — but
-        // never past the round budget, so a single distant wake cannot
-        // turn the budget check into an unbounded spin. Every silent
-        // round pays the question a round-synchronous scheduler cannot
-        // skip ("does anyone wake now?"); `black_box` keeps the
-        // optimizer from collapsing the walk back into a calendar jump.
-        let stop = target.min(self.limit.saturating_add(1));
-        while self.cursor < stop {
-            self.cursor += 1;
-            let due = self.queue.peek_round() == Some(self.cursor);
-            std::hint::black_box(due);
-        }
         self.queue.pop_round(live)
     }
 
@@ -1398,7 +1292,7 @@ impl TimeDriver for NaiveDriver {
 
 /// The per-run and per-round state the kernel borrows from an
 /// [`ExecutorScratch`] — split out so the scratch's `queue` can be
-/// borrowed separately by the calendar/sync drivers.
+/// borrowed separately by the calendar driver.
 struct KernelBuffers<'a, M> {
     awake_now: &'a mut Vec<u32>,
     slot_of: &'a mut Vec<u32>,
@@ -1454,10 +1348,6 @@ where
     match config.executor {
         Executor::Calendar => {
             let driver = CalendarDriver { queue };
-            run_kernel(graph, config, factory, observer, stats, driver, bufs)
-        }
-        Executor::Sync => {
-            let driver = SyncDriver::new(queue, config.max_rounds);
             run_kernel(graph, config, factory, observer, stats, driver, bufs)
         }
         Executor::Naive => {
@@ -1575,24 +1465,20 @@ where
     }
     let ctxs: &[NodeCtx] = ctxs;
     // The previous round handed out by the driver (0 = none yet).
-    #[cfg(feature = "validate")]
     let mut previous_round: Round = 0;
     lap(profile, Stage::Init);
 
     while let Some(round) = driver.next_round(awake_now) {
-        // The calendar relies on time moving forward; under `validate`
-        // a driver breaking the `TimeDriver` contract fails the run
-        // with a typed error instead of corrupting it.
-        #[cfg(feature = "validate")]
-        {
-            if round <= previous_round {
-                return Err(SimError::RoundNotIncreasing {
-                    round,
-                    previous: previous_round,
-                });
-            }
-            previous_round = round;
+        // The calendar relies on time moving forward; a driver breaking
+        // the `TimeDriver` contract fails the run with a typed error
+        // instead of corrupting it.
+        if round <= previous_round {
+            return Err(SimError::RoundNotIncreasing {
+                round,
+                previous: previous_round,
+            });
         }
+        previous_round = round;
         if round > config.max_rounds {
             // An earlier exhaustion explains the overrun (the forced
             // sleep is what strands the survivors); report it instead.
@@ -1654,10 +1540,9 @@ where
         let mut round_energy = 0u64;
         for (slot, &v) in awake_now.iter().enumerate() {
             // The lanes trust the slot table instead of asking the driver
-            // per message; under `validate`, every node of the awake set
+            // per message, so every node of the awake set
             // must be listed once (its entry still reads asleep) and be
             // awake in the round according to the driver.
-            #[cfg(feature = "validate")]
             if slot_of[v as usize] != ASLEEP || !driver.is_awake_in(v, round) {
                 return Err(SimError::AwakeSetMismatch {
                     node: NodeId::new(v),
@@ -1971,12 +1856,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn executor_names_roundtrip_and_default_is_calendar() {
-        for e in Executor::ALL {
-            assert_eq!(Executor::parse(e.as_str()), Some(e));
-            assert_eq!(e.to_string(), e.as_str());
-        }
-        assert_eq!(Executor::parse("warp"), None);
+    fn default_executor_is_calendar() {
         assert_eq!(Executor::default(), Executor::Calendar);
     }
 
@@ -2019,7 +1899,6 @@ mod tests {
         assert_eq!(q.pop_round(&mut live), Some(2));
         assert_eq!(live, vec![0]);
         q.halt(0);
-        assert_eq!(q.peek_round(), Some(40));
         assert_eq!(q.pop_round(&mut live), Some(40));
         assert_eq!(live, vec![1]);
         assert_eq!(q.pop_round(&mut live), None);
@@ -2047,7 +1926,6 @@ mod tests {
         }
         let mut live = Vec::new();
         for (r, nodes) in expected {
-            assert_eq!(q.peek_round(), Some(r));
             assert_eq!(q.pop_round(&mut live), Some(r));
             assert_eq!(live, nodes);
             for &v in &live {
@@ -2092,17 +1970,15 @@ mod tests {
         assert_eq!(q.pop_round(&mut live), Some(7));
         assert_eq!(live, vec![0]);
         q.reset(2);
-        assert_eq!(q.peek_round(), None);
+        assert_eq!(q.pop_round(&mut live), None);
         q.schedule(0, 7); // same round number as the previous run
         assert_eq!(q.pop_round(&mut live), Some(7));
         assert_eq!(live, vec![0], "stale state swallowed the wake");
     }
 
     /// Node 0 wakes in round 2 and every round after it; node 1 halts.
-    #[cfg(feature = "validate")]
     struct Ticker;
 
-    #[cfg(feature = "validate")]
     impl Protocol for Ticker {
         type Msg = u64;
         fn init(&mut self, ctx: &NodeCtx) -> NextWake {
@@ -2120,7 +1996,6 @@ mod tests {
 
     /// Runs [`Ticker`] on a one-edge graph under `driver`: the run's
     /// result and the rounds the observer saw executed.
-    #[cfg(feature = "validate")]
     fn run_ticker<D: TimeDriver>(driver: D) -> (Result<RunOutcome<Ticker>, SimError>, Vec<Round>) {
         let graph = graphlib::GraphBuilder::new(2)
             .edge(0, 1, 1)
@@ -2164,8 +2039,7 @@ mod tests {
 
     /// A driver that breaks the `TimeDriver` contract — it hands out
     /// round 4 again after round 4 — fails the run with the typed error
-    /// under `validate`, before the repeated round executes.
-    #[cfg(feature = "validate")]
+    /// before the repeated round executes.
     #[test]
     fn validate_rejects_a_driver_whose_rounds_do_not_increase() {
         struct Repeating {
@@ -2198,10 +2072,9 @@ mod tests {
     }
 
     /// The lanes trust the kernel's slot table instead of the driver, so
-    /// under `validate` an awake set the driver disowns — a node it says
+    /// an awake set the driver disowns — a node it says
     /// is asleep, or a node listed twice — fails the run with the typed
     /// error before the round sends anything.
-    #[cfg(feature = "validate")]
     #[test]
     fn validate_rejects_an_awake_set_the_driver_disowns() {
         /// Hands out round 2 with `live`, then round 3 with node 0 alone;
@@ -2289,39 +2162,5 @@ mod tests {
         let mut live = Vec::new();
         assert_eq!(d.next_round(&mut live), Some(6));
         assert!(live.is_empty());
-    }
-
-    /// The sync driver reaches exactly the same rounds and live sets as
-    /// the calendar — it just walks the cursor through every round in
-    /// between.
-    #[test]
-    fn sync_driver_walks_to_each_wake() {
-        let mut q = WakeQueue::new(2);
-        let mut d = SyncDriver::new(&mut q, 100);
-        d.schedule(0, 3);
-        d.schedule(1, 7);
-        let mut live = Vec::new();
-        assert_eq!(d.next_round(&mut live), Some(3));
-        assert_eq!(live, vec![0]);
-        assert_eq!(d.cursor, 3);
-        assert!(d.is_awake_in(0, 3));
-        assert_eq!(d.next_round(&mut live), Some(7));
-        assert_eq!(live, vec![1]);
-        assert_eq!(d.cursor, 7);
-        assert_eq!(d.next_round(&mut live), None);
-    }
-
-    /// The sync walk is capped at one round past the budget, so a wake
-    /// scheduled astronomically far out cannot hang the driver before
-    /// the kernel's budget check fires.
-    #[test]
-    fn sync_driver_stops_walking_at_the_budget_boundary() {
-        let mut q = WakeQueue::new(1);
-        let mut d = SyncDriver::new(&mut q, 50);
-        d.schedule(0, Round::MAX);
-        let mut live = Vec::new();
-        assert_eq!(d.next_round(&mut live), Some(Round::MAX));
-        assert!(live == vec![0]);
-        assert_eq!(d.cursor, 51);
     }
 }

@@ -66,7 +66,7 @@ pub enum SimError {
     },
     /// The time driver handed the kernel a round that is not after the
     /// previous one, breaking the contract the wake calendar relies on.
-    /// Checked per round under the `validate` feature.
+    /// Checked every round.
     RoundNotIncreasing {
         /// The offending round.
         round: Round,
@@ -75,8 +75,7 @@ pub enum SimError {
     },
     /// The kernel's awake set disagrees with the time driver: a node the
     /// lanes treat as awake is listed twice, or is not awake in the
-    /// round according to the driver. Checked per round under the
-    /// `validate` feature.
+    /// round according to the driver. Checked every round.
     AwakeSetMismatch {
         /// The first node of the awake set that fails the check.
         node: NodeId,

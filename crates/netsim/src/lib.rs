@@ -17,9 +17,8 @@
 //! which every node sleeps are never visited, so algorithms
 //! with tiny awake complexity but huge round complexity (the whole point
 //! of the paper) simulate in time proportional to the total number of
-//! *node-awake* events, not rounds. A round-synchronous driver and a
-//! naive `O(n)`-scan oracle driver produce bit-identical outcomes for
-//! benchmarking and differential testing.
+//! *node-awake* events, not rounds. A naive `O(n)`-scan oracle driver
+//! produces bit-identical outcomes for differential testing.
 //!
 //! Nodes interact with the world only through the [`Protocol`] trait and
 //! the [`NodeCtx`] handed to them, which deliberately exposes only the
@@ -59,7 +58,6 @@ pub mod flood;
 pub mod metrics;
 pub mod profile;
 pub mod radio;
-#[cfg(feature = "validate")]
 pub mod validate;
 
 pub use energy::{EnergyModel, WakePolicy};
@@ -73,7 +71,6 @@ pub use protocol::{Envelope, NextWake, NodeCtx, Outbox, PortWeights, Protocol};
 pub use sim::{RunOutcome, SimConfig, Simulator};
 pub use stats::RunStats;
 pub use trace::{Trace, TraceEvent};
-#[cfg(feature = "validate")]
 pub use validate::{audit, ModelRule, ValidateError, ValidatingExecutor, Violation};
 
 /// A round number; rounds are numbered from 1 as in the paper.

@@ -30,9 +30,9 @@ pub struct SimConfig {
     /// Deterministic fault-injection plan ([`FaultPlan`]). `None` — or an
     /// inert plan — leaves the executors on the exact no-fault path.
     pub faults: Option<FaultPlan>,
-    /// Which time driver executes the run ([`Executor`]). All drivers
-    /// produce bit-identical outcomes; they differ only in wall-clock
-    /// cost. Defaults to [`Executor::Calendar`].
+    /// Which time driver executes the run ([`Executor`]). Defaults to
+    /// [`Executor::Calendar`]; [`Executor::Naive`] is the differential
+    /// oracle, bit-identical and only slower.
     pub executor: Executor,
     /// Worker shards for wide rounds. `1` (the default) runs fully
     /// serial; `K > 1` lets the kernel partition wide rounds' awake sets

@@ -1,4 +1,4 @@
-//! Dynamic model-conformance checking (feature `validate`).
+//! Dynamic model-conformance checking.
 //!
 //! The paper's results hold only under the exact model of Section 1.1:
 //! synchronous CONGEST rounds, `O(log n)`-bit messages, sends and receives

@@ -1,19 +1,18 @@
-//! Differential tests: one generic kernel, three interchangeable time
-//! drivers. The calendar driver (heap-jumping, the default behind
-//! [`Simulator::run`]), the synchronous driver (ticks every round), and
-//! the naive driver (O(n)-scan oracle, [`Executor::Naive`]) share the
-//! kernel body but disagree on the entire scheduling core, so agreement
-//! here pins down the hot path's observable semantics: final protocol
-//! states, the full [`RunStats`] (awake counts, rounds, message
-//! delivery/loss, per-edge bits), the execution trace, and the metrics
-//! stream.
+//! Differential tests: one generic kernel, two interchangeable time
+//! drivers. The calendar driver (bucket-jumping, the default behind
+//! [`Simulator::run`]) and the naive driver (O(n)-scan oracle,
+//! [`Executor::Naive`]) share the kernel body but disagree on the entire
+//! scheduling core, so agreement here pins down the hot path's
+//! observable semantics: final protocol states, the full [`RunStats`]
+//! (awake counts, rounds, message delivery/loss, per-edge bits), the
+//! execution trace, and the metrics stream.
 //!
-//! The pairwise tests compare the calendar driver with the naive oracle;
-//! the `all_three_drivers_*` section below runs the full driver matrix
-//! through [`SimConfig::with_executor`] — including metrics on/off,
-//! fault plans, and the sparse shapes (empty graph, single node,
-//! all-asleep runs, one wake a million rounds out) where a calendar
-//! jump and a round-by-round grind diverge most easily.
+//! The pairwise tests compare the calendar driver with the naive oracle
+//! on hand-built configs; the `both_drivers_*` section below selects the
+//! driver through [`SimConfig::with_executor`] — including metrics
+//! on/off, fault plans, and the sparse shapes (empty graph, single node,
+//! all-asleep runs, one wake a million rounds out) where a calendar jump
+//! and a round-by-round grind diverge most easily.
 
 use proptest::prelude::*;
 
@@ -22,6 +21,9 @@ use netsim::{
     engine, EnergyModel, Envelope, Executor, ExecutorScratch, FaultPlan, NextWake, NodeCtx, Outbox,
     Payload, PortWeights, Protocol, Round, RunOutcome, SimConfig, SimError, Simulator, WakePolicy,
 };
+
+/// Both time drivers, calendar first.
+const DRIVERS: [Executor; 2] = [Executor::Calendar, Executor::Naive];
 
 /// SplitMix64 — the same tiny generator the protocols in `mst-core` use
 /// for their private coins. Deterministic from the seed alone.
@@ -344,7 +346,7 @@ proptest! {
     }
 }
 
-/// Runs the same instance under all three time drivers — selected purely
+/// Runs the same instance under both time drivers — selected purely
 /// through [`SimConfig::with_executor`], the way every caller above the
 /// engine does it — and asserts bit-identical outcomes: stats, trace,
 /// metrics, and final protocol states.
@@ -358,19 +360,17 @@ fn assert_all_drivers_agree(
     let reference = Simulator::new(graph, base.clone().with_executor(Executor::Calendar))
         .run(factory)
         .unwrap();
-    for executor in [Executor::Sync, Executor::Naive] {
-        let other = Simulator::new(graph, base.clone().with_executor(executor))
-            .run(factory)
-            .unwrap();
-        prop_assert_eq!(&reference.stats, &other.stats, "{} stats", executor);
-        prop_assert_eq!(&reference.trace, &other.trace, "{} trace", executor);
-        prop_assert_eq!(&reference.metrics, &other.metrics, "{} metrics", executor);
-        prop_assert_eq!(reference.states.len(), other.states.len());
-        for (a, b) in reference.states.iter().zip(&other.states) {
-            prop_assert_eq!(&a.received, &b.received);
-            prop_assert_eq!(a.digest, b.digest);
-            prop_assert_eq!(a.wakes_left, b.wakes_left);
-        }
+    let other = Simulator::new(graph, base.clone().with_executor(Executor::Naive))
+        .run(factory)
+        .unwrap();
+    prop_assert_eq!(&reference.stats, &other.stats, "stats");
+    prop_assert_eq!(&reference.trace, &other.trace, "trace");
+    prop_assert_eq!(&reference.metrics, &other.metrics, "metrics");
+    prop_assert_eq!(reference.states.len(), other.states.len());
+    for (a, b) in reference.states.iter().zip(&other.states) {
+        prop_assert_eq!(&a.received, &b.received);
+        prop_assert_eq!(a.digest, b.digest);
+        prop_assert_eq!(a.wakes_left, b.wakes_left);
     }
     Ok(())
 }
@@ -383,7 +383,7 @@ proptest! {
     /// sleeps, wake jitter, crashes) layered on top. Driver choice must
     /// be observationally invisible in every combination.
     #[test]
-    fn all_three_drivers_agree_on_random_graphs(
+    fn both_drivers_agree_on_random_graphs(
         n in 3usize..12,
         graph_seed in 0u64..500,
         master_seed in 0u64..500,
@@ -422,11 +422,11 @@ proptest! {
 
     /// Same matrix on sparse wake schedules with *huge* gaps: most
     /// surfaced rounds are separated by thousands of silent rounds the
-    /// synchronous and naive drivers must grind through one by one while
-    /// the calendar driver jumps. Any off-by-one in the grind (a round
+    /// naive driver must grind through one by one while the calendar
+    /// driver jumps. Any off-by-one in the grind (a round
     /// surfaced early, a stale wake surfaced late) breaks agreement.
     #[test]
-    fn all_three_drivers_agree_across_long_silent_stretches(
+    fn both_drivers_agree_across_long_silent_stretches(
         n in 2usize..6,
         graph_seed in 0u64..200,
         master_seed in 0u64..200,
@@ -447,7 +447,7 @@ proptest! {
 /// return an empty zero-round outcome instead of panicking on an empty
 /// heap / empty scan.
 #[test]
-fn all_three_drivers_agree_on_the_empty_graph() {
+fn both_drivers_agree_on_the_empty_graph() {
     let g = GraphBuilder::new(0).build().unwrap();
     let config = SimConfig::default().with_trace().with_metrics();
     assert_all_drivers_agree(&g, &config, 3, 10).unwrap();
@@ -463,18 +463,17 @@ fn all_three_drivers_agree_on_the_empty_graph() {
 /// n = 1: a single node with no ports wakes a few times, sends nothing,
 /// and halts. The degenerate no-edges routing path must agree too.
 #[test]
-fn all_three_drivers_agree_on_a_single_node() {
+fn both_drivers_agree_on_a_single_node() {
     let g = GraphBuilder::new(1).build().unwrap();
     let config = SimConfig::default().with_trace().with_metrics();
     assert_all_drivers_agree(&g, &config, 4, 7).unwrap();
 }
 
 /// Every node halts at init: the run has *no* active round at all. The
-/// calendar heap starts empty, the synchronous driver has no target to
-/// tick toward, and the naive scan sees all-`None` on its first pass —
-/// all three must report zero rounds and an empty metrics stream.
+/// calendar starts empty and the naive scan sees all-`None` on its first
+/// pass — both must report zero rounds and an empty metrics stream.
 #[test]
-fn all_three_drivers_agree_when_every_node_sleeps_forever() {
+fn both_drivers_agree_when_every_node_sleeps_forever() {
     #[derive(Debug)]
     struct NeverWakes;
     impl Protocol for NeverWakes {
@@ -490,30 +489,29 @@ fn all_three_drivers_agree_when_every_node_sleeps_forever() {
     let g = generators::ring(6, 1).unwrap();
     let base = SimConfig::default().with_trace().with_metrics();
     let mut traces = Vec::new();
-    for executor in [Executor::Calendar, Executor::Sync, Executor::Naive] {
+    for executor in DRIVERS {
         let out = Simulator::new(&g, base.clone().with_executor(executor))
             .run(|_| NeverWakes)
             .unwrap();
-        assert_eq!(out.stats.rounds, 0, "{executor}");
-        assert_eq!(out.stats.awake_total(), 0, "{executor}");
-        assert_eq!(out.stats.messages_delivered, 0, "{executor}");
-        assert_eq!(out.metrics.last_round(), 0, "{executor}");
-        assert_eq!(out.metrics.active_rounds(), 0, "{executor}");
+        assert_eq!(out.stats.rounds, 0, "{executor:?}");
+        assert_eq!(out.stats.awake_total(), 0, "{executor:?}");
+        assert_eq!(out.stats.messages_delivered, 0, "{executor:?}");
+        assert_eq!(out.metrics.last_round(), 0, "{executor:?}");
+        assert_eq!(out.metrics.active_rounds(), 0, "{executor:?}");
         traces.push(out.trace);
     }
     // The init-time halt decisions are traced, but no round ever runs —
     // and the trace (init events only) is identical across drivers.
     assert_eq!(traces[0], traces[1]);
-    assert_eq!(traces[0], traces[2]);
 }
 
 /// One node schedules a single wake a million rounds out; everyone else
 /// halts immediately. The calendar driver jumps straight there; the
-/// synchronous and naive drivers must grind through 999 999 silent
-/// rounds without surfacing any of them. The message it sends goes to a
+/// naive driver must grind through 999 999 silent rounds without
+/// surfacing any of them. The message it sends goes to a
 /// halted neighbor and must count as lost under every driver.
 #[test]
-fn all_three_drivers_agree_on_a_single_deep_wake() {
+fn both_drivers_agree_on_a_single_deep_wake() {
     const DEEP: u64 = 1_000_000;
 
     #[derive(Debug)]
@@ -547,21 +545,19 @@ fn all_three_drivers_agree_on_a_single_deep_wake() {
     assert_eq!(reference.stats.messages_lost, 1);
     assert_eq!(reference.metrics.last_round(), DEEP);
     assert_eq!(reference.metrics.active_rounds(), 1);
-    for executor in [Executor::Sync, Executor::Naive] {
-        let out = Simulator::new(&g, base.clone().with_executor(executor))
-            .run(|_| DeepSleeper)
-            .unwrap();
-        assert_eq!(out.stats, reference.stats, "{executor}");
-        assert_eq!(out.trace, reference.trace, "{executor}");
-        assert_eq!(out.metrics, reference.metrics, "{executor}");
-    }
+    let out = Simulator::new(&g, base.clone().with_executor(Executor::Naive))
+        .run(|_| DeepSleeper)
+        .unwrap();
+    assert_eq!(out.stats, reference.stats);
+    assert_eq!(out.trace, reference.trace);
+    assert_eq!(out.metrics, reference.metrics);
 }
 
 /// Like [`assert_all_drivers_agree`], but tolerant of typed failures: a
 /// budgeted energy model can end the run in
 /// [`SimError::EnergyExhausted`], and a non-identity [`WakePolicy`] can
-/// starve a protocol into [`SimError::Stalled`] or the watchdog. All
-/// three drivers must then fail with the *same* typed error — agreement
+/// starve a protocol into [`SimError::Stalled`] or the watchdog. Both
+/// drivers must then fail with the *same* typed error — agreement
 /// on failures is as load-bearing as agreement on outcomes.
 fn assert_all_drivers_agree_or_fail_identically(
     graph: &graphlib::WeightedGraph,
@@ -572,24 +568,22 @@ fn assert_all_drivers_agree_or_fail_identically(
     let factory = |ctx: &NodeCtx| Chaotic::new(ctx, wakes, max_gap);
     let reference =
         Simulator::new(graph, base.clone().with_executor(Executor::Calendar)).run(factory);
-    for executor in [Executor::Sync, Executor::Naive] {
-        let other = Simulator::new(graph, base.clone().with_executor(executor)).run(factory);
-        match (&reference, &other) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(&a.stats, &b.stats, "{} stats", executor);
-                prop_assert_eq!(&a.trace, &b.trace, "{} trace", executor);
-                prop_assert_eq!(&a.metrics, &b.metrics, "{} metrics", executor);
-                for (sa, sb) in a.states.iter().zip(&b.states) {
-                    prop_assert_eq!(&sa.received, &sb.received, "{}", executor);
-                    prop_assert_eq!(sa.digest, sb.digest, "{}", executor);
-                }
+    let other = Simulator::new(graph, base.clone().with_executor(Executor::Naive)).run(factory);
+    match (&reference, &other) {
+        (Ok(a), Ok(b)) => {
+            prop_assert_eq!(&a.stats, &b.stats, "stats");
+            prop_assert_eq!(&a.trace, &b.trace, "trace");
+            prop_assert_eq!(&a.metrics, &b.metrics, "metrics");
+            for (sa, sb) in a.states.iter().zip(&b.states) {
+                prop_assert_eq!(&sa.received, &sb.received);
+                prop_assert_eq!(sa.digest, sb.digest);
             }
-            (Err(a), Err(b)) => prop_assert_eq!(a, b, "{} error", executor),
-            (a, b) => prop_assert!(
-                false,
-                "{executor} diverged on success/failure: calendar={a:?} other={b:?}"
-            ),
         }
+        (Err(a), Err(b)) => prop_assert_eq!(a, b, "error"),
+        (a, b) => prop_assert!(
+            false,
+            "naive diverged on success/failure: calendar={a:?} naive={b:?}"
+        ),
     }
     Ok(())
 }
@@ -615,11 +609,11 @@ proptest! {
 
     /// Satellite: every [`WakePolicy`] variant — with and without a
     /// fault plan layered on top, and with an optional priced energy
-    /// model — is observationally identical across all three drivers.
+    /// model — is observationally identical across both drivers.
     /// The policy rewrites wakes *after* fault jitter, so the stacking
     /// order is part of the pinned contract.
     #[test]
-    fn all_three_drivers_agree_under_every_wake_policy(
+    fn both_drivers_agree_under_every_wake_policy(
         n in 3usize..12,
         graph_seed in 0u64..500,
         master_seed in 0u64..500,
@@ -664,7 +658,7 @@ proptest! {
     /// suffices or exhausts mid-run — including budgets so tight the
     /// first awake round already overdraws.
     #[test]
-    fn all_three_drivers_agree_under_random_budgets(
+    fn both_drivers_agree_under_random_budgets(
         n in 3usize..10,
         graph_seed in 0u64..300,
         master_seed in 0u64..300,
@@ -702,15 +696,15 @@ fn zero_budget_exhausts_in_the_first_awake_round_under_every_driver() {
     let g = generators::ring(5, 1).unwrap();
     let config = SimConfig::default().with_energy(EnergyModel::reference().with_budget(0));
     let mut verdicts = Vec::new();
-    for executor in [Executor::Calendar, Executor::Sync, Executor::Naive] {
+    for executor in DRIVERS {
         let err = Simulator::new(&g, config.clone().with_executor(executor))
             .run(|_| WakeOnce)
             .unwrap_err();
         let SimError::EnergyExhausted { node, round } = err else {
-            panic!("{executor}: expected exhaustion, got {err}");
+            panic!("{executor:?}: expected exhaustion, got {err}");
         };
-        assert_eq!(round, 1, "{executor}");
-        assert_eq!(node.raw(), 0, "{executor}: first waker in node order");
+        assert_eq!(round, 1, "{executor:?}");
+        assert_eq!(node.raw(), 0, "{executor:?}: first waker in node order");
         verdicts.push((node, round));
     }
     assert!(verdicts.windows(2).all(|w| w[0] == w[1]));
@@ -732,7 +726,7 @@ fn whole_network_exhaustion_mid_broadcast_is_identical_across_drivers_and_shards
         .with_budget(2500);
     let factory = |_: &NodeCtx| WideWave::new(10);
     let mut verdicts = Vec::new();
-    for executor in [Executor::Calendar, Executor::Sync, Executor::Naive] {
+    for executor in DRIVERS {
         for shards in [1u32, 2, 4] {
             let config = SimConfig::default()
                 .with_energy(model)
@@ -740,10 +734,10 @@ fn whole_network_exhaustion_mid_broadcast_is_identical_across_drivers_and_shards
                 .with_shards(shards);
             let err = Simulator::new(&g, config).run(factory).unwrap_err();
             let SimError::EnergyExhausted { node, round } = err else {
-                panic!("{executor}/shards={shards}: expected exhaustion, got {err}");
+                panic!("{executor:?}/shards={shards}: expected exhaustion, got {err}");
             };
-            assert_eq!(round, 3, "{executor}/shards={shards}");
-            assert_eq!(node.raw(), 0, "{executor}/shards={shards}");
+            assert_eq!(round, 3, "{executor:?}/shards={shards}");
+            assert_eq!(node.raw(), 0, "{executor:?}/shards={shards}");
             verdicts.push((node, round));
         }
     }
@@ -795,7 +789,7 @@ fn duty_cycle_rounds_are_on_cycle_under_every_driver() {
         .with_seed(11)
         .with_metrics()
         .with_wake_policy(WakePolicy::DutyCycle { period });
-    for executor in [Executor::Calendar, Executor::Sync, Executor::Naive] {
+    for executor in DRIVERS {
         let out = Simulator::new(&g, base.clone().with_executor(executor))
             .run(|ctx: &NodeCtx| Chaotic::new(ctx, 3, 13))
             .unwrap();
@@ -803,11 +797,11 @@ fn duty_cycle_rounds_are_on_cycle_under_every_driver() {
             assert_eq!(
                 (r.round - 1) % period,
                 0,
-                "{executor}: round {} is off-cycle",
+                "{executor:?}: round {} is off-cycle",
                 r.round
             );
         }
-        assert!(out.metrics.active_rounds() > 0, "{executor}");
+        assert!(out.metrics.active_rounds() > 0, "{executor:?}");
     }
 }
 
@@ -1125,12 +1119,12 @@ proptest! {
         let oracle = Simulator::new(&g, config.clone().with_executor(Executor::Naive)).run(factory).unwrap();
         prop_assert!(oracle.stats.messages_delivered > 0);
         assert_chatter_matches(&oracle, &oracle, "oracle")?;
-        for executor in Executor::ALL {
+        for executor in DRIVERS {
             for shards in [1u32, 2, 4] {
                 let out = Simulator::new(&g, config.clone().with_executor(executor).with_shards(shards))
                     .run(factory)
                     .unwrap();
-                assert_chatter_matches(&oracle, &out, &format!("{executor} shards={shards}"))?;
+                assert_chatter_matches(&oracle, &out, &format!("{executor:?} shards={shards}"))?;
             }
         }
     }

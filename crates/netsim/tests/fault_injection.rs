@@ -180,7 +180,6 @@ fn inert_plan_is_bit_identical_to_no_plan() {
     assert_eq!(inert.stats.crashed_nodes, 0);
 }
 
-#[cfg(feature = "validate")]
 #[test]
 fn audit_reconciles_faulted_runs() {
     use netsim::audit;
@@ -201,7 +200,6 @@ fn audit_reconciles_faulted_runs() {
     assert_eq!(audit(&out.stats, &out.trace, Some(64)), Vec::new());
 }
 
-#[cfg(feature = "validate")]
 #[test]
 fn audit_catches_forged_drop_counts() {
     use netsim::{audit, ModelRule};

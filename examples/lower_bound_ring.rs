@@ -36,7 +36,6 @@ fn ring_panel(alg: &str, sizes: &[usize], seeds: &[u64]) -> Result<(), String> {
         template: "ring:{n}".into(),
         sizes: sizes.to_vec(),
         seeds: seeds.to_vec(),
-        executor: None,
         shards: None,
         energy: None,
     }

@@ -27,13 +27,13 @@
 use bench::chaos::{self, ChaosSpec};
 use bench::harness::{self, Invalid, SweepSpec};
 use bench::report::{self, ReportSpec};
+use bench::serve;
 use bench::serve::protocol::render_run;
-use bench::{engine_panel, serve};
 use graphlib::{generators, traversal, WeightedGraph};
 use mst_core::registry::{self, AlgorithmSpec};
 use mst_core::wire::{self, RunRequest};
 use mst_core::{MstOutcome, MstScratch};
-use netsim::{EnergyModel, Executor, FaultPlan, WakePolicy};
+use netsim::{EnergyModel, FaultPlan, WakePolicy};
 
 /// This process's peak resident set size in bytes (Linux `VmHWM`), or 0
 /// where `/proc/self/status` is unavailable. Deliberately *not* part of
@@ -191,21 +191,6 @@ pub enum Command {
         /// Also write the JSON matrix to this file.
         out: Option<String>,
     },
-    /// `bench-engine`: time the drivers themselves on the sparse-wake
-    /// panel ([`bench::engine_panel`]) — few wakes per node, huge gaps —
-    /// and print/write the per-driver throughput rows
-    /// (`BENCH_engine.json`).
-    BenchEngine {
-        /// Node counts to run.
-        sizes: Vec<usize>,
-        /// Master seed for graph structure and wake schedules.
-        seed: u64,
-        /// Drivers to time (the naive oracle is `O(rounds · n)` — only
-        /// ask for it at small sizes).
-        executors: Vec<Executor>,
-        /// Also write the JSON rows to this file.
-        out: Option<String>,
-    },
     /// `serve`: the sweep-as-a-service daemon ([`bench::serve`]) — a
     /// fixed worker pool of warm executor scratches behind a Unix
     /// socket, answering NDJSON run/sweep/report/chaos requests with a
@@ -258,7 +243,7 @@ fn parse_seeds(s: &str) -> Result<Vec<u64>, String> {
 const FLAGS: &[(&str, &str)] = &[
     (
         "run",
-        "--alg --graph --seed --json --executor --shards --energy-model --budget \
+        "--alg --graph --seed --json --shards --energy-model --budget \
          --wake-policy --profile --fault-seed --drop-ppm --dup-ppm --sleep-ppm --jitter --crash",
     ),
     ("verify", "--alg --graph --seed"),
@@ -266,20 +251,16 @@ const FLAGS: &[(&str, &str)] = &[
     ("check", "--graph --alg --seed"),
     (
         "sweep",
-        "--alg --graph --sizes --seeds --seed --threads --json --executor --shards \
-         --energy-model --budget",
+        "--alg --graph --sizes --seeds --seed --threads --json --shards --energy-model \
+         --budget",
     ),
     (
         "report",
-        "--sizes --seeds --executor --energy-model --budget --json --out --md-out",
+        "--sizes --seeds --energy-model --budget --json --out --md-out",
     ),
     (
         "chaos",
-        "--seed --sizes --trials --json --out --executor --shards --energy-model --budget",
-    ),
-    (
-        "bench-engine",
-        "--sizes --seed --out --executors --executor",
+        "--seed --sizes --trials --json --out --shards --energy-model --budget",
     ),
     (
         "serve",
@@ -326,8 +307,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut trials: Option<u64> = None;
     let mut out: Option<String> = None;
     let mut md_out: Option<String> = None;
-    let mut executor: Option<Executor> = None;
-    let mut executors: Option<Vec<Executor>> = None;
     let mut shards: Option<u32> = None;
     let mut faults = FaultPlan::default();
     let mut energy: Option<EnergyModel> = None;
@@ -379,20 +358,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             "--out" => out = Some(it.next().ok_or("--out needs a file path")?.clone()),
             "--md-out" => md_out = Some(it.next().ok_or("--md-out needs a file path")?.clone()),
-            "--executor" => {
-                let v = it
-                    .next()
-                    .ok_or("--executor needs sync, calendar, or naive")?;
-                executor = Some(wire::parse_executor(v)?);
-            }
-            "--executors" => {
-                let v = it.next().ok_or("--executors needs a comma list")?;
-                executors = Some(
-                    v.split(',')
-                        .map(|x| wire::parse_executor(x.trim()))
-                        .collect::<Result<Vec<Executor>, String>>()?,
-                );
-            }
             "--shards" => {
                 let v = it.next().ok_or("--shards needs a value")?;
                 shards = Some(
@@ -496,7 +461,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             Command::Run {
                 request: RunRequest {
-                    executor,
                     shards,
                     faults: Some(faults),
                     energy,
@@ -532,7 +496,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 template,
                 sizes: sizes.ok_or("--sizes is required for 'sweep'")?,
                 seeds: seeds.unwrap_or_else(|| vec![seed]),
-                executor,
                 shards,
                 energy,
             };
@@ -544,10 +507,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
         }
         "report" => {
-            let mut spec = ReportSpec {
-                executor: executor.unwrap_or_default(),
-                ..ReportSpec::default()
-            };
+            let mut spec = ReportSpec::default();
             spec.sizes = sizes.unwrap_or(spec.sizes);
             spec.seeds = seeds.unwrap_or(spec.seeds);
             spec.energy = energy.unwrap_or(spec.energy);
@@ -562,7 +522,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         "chaos" => {
             let mut spec = ChaosSpec {
                 seed,
-                executor: executor.unwrap_or_default(),
                 shards,
                 energy,
                 ..ChaosSpec::default()
@@ -572,14 +531,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             spec.validate().map_err(invalid_flag)?;
             Command::Chaos { spec, json, out }
         }
-        "bench-engine" => Command::BenchEngine {
-            sizes: sizes.unwrap_or_else(|| vec![1 << 14]),
-            seed,
-            executors: executors.unwrap_or_else(|| {
-                executor.map_or_else(|| vec![Executor::Calendar, Executor::Sync], |e| vec![e])
-            }),
-            out,
-        },
         "serve" => Command::Serve {
             socket: socket.ok_or("--socket is required for 'serve'")?,
             workers,
@@ -603,9 +554,8 @@ sleeping-mst — distributed MST in the sleeping model (PODC 2022 reproduction)
 
 USAGE:
     sleeping-mst run    --alg <ALG> --graph <SPEC> [--seed S] [--json]
-                        [--executor sync|calendar|naive] [--shards K]
-                        [--energy-model M] [--budget B] [--wake-policy P]
-                        [--profile]
+                        [--shards K] [--energy-model M] [--budget B]
+                        [--wake-policy P] [--profile]
                         [--fault-seed S] [--drop-ppm P] [--dup-ppm P]
                         [--sleep-ppm P] [--jitter J] [--crash NODE@ROUND]…
     sleeping-mst verify --alg <ALG> --graph <SPEC> [--seed S]
@@ -613,17 +563,14 @@ USAGE:
     sleeping-mst check  --graph <SPEC> [--alg <ALG[,ALG…]>] [--seed S]
     sleeping-mst sweep  --alg <ALG[,ALG…]> --graph <TEMPLATE with {{n}}>
                         --sizes <N,N,…> [--seeds A..B|A,B,… | --seed S]
-                        [--threads T] [--json] [--executor sync|calendar|naive]
-                        [--shards K] [--energy-model M] [--budget B]
+                        [--threads T] [--json] [--shards K]
+                        [--energy-model M] [--budget B]
     sleeping-mst report [--sizes N,N,…] [--seeds A..B|A,B,…]
-                        [--executor sync|calendar|naive]
                         [--energy-model M] [--budget B]
                         [--json] [--out FILE] [--md-out FILE]
     sleeping-mst chaos  [--seed S] [--sizes N,N,…] [--trials K] [--json]
-                        [--out FILE] [--executor sync|calendar|naive]
-                        [--shards K] [--energy-model M] [--budget B]
-    sleeping-mst bench-engine [--sizes N,N,…] [--seed S] [--out FILE]
-                        [--executors calendar,sync[,naive] | --executor E]
+                        [--out FILE] [--shards K] [--energy-model M]
+                        [--budget B]
     sleeping-mst serve  --socket PATH [--workers W] [--cache-capacity C]
                         [--bucket-capacity B] [--refill-per-sec R]
 
@@ -668,8 +615,7 @@ REPORT:
     across the panel, and break each run's awake node-rounds down by
     logical phase. Prints markdown (or JSON with --json) and writes the
     artifacts with --out (JSON) / --md-out (markdown). Byte-deterministic:
-    the same panel always produces identical bytes, whichever --executor
-    backs the runs (`naive` is the reference oracle) — output unchanged.
+    the same panel always produces identical bytes.
 
 CHAOS:
     Sweeps every registry algorithm × graph family (ring, random,
@@ -685,26 +631,18 @@ ENERGY (run, sweep, report, chaos; serve takes it per request):
     `reference` (round:1000,tx:8,rx:4,idle:50), `radio` (1 unit per awake
     round), or a comma list like round:R,tx:T,rx:X,idle:I[,budget:B].
     Charging happens inside the one execution kernel, so per-node ledgers
-    are bit-identical across executors and shard counts. --budget B caps
-    every node at B units (implying the reference model if no
-    --energy-model is given); a node that overspends is forced asleep
-    permanently and the run fails with the typed error
-    `run.energy-exhausted` rather than passing off a partial forest.
+    are bit-identical across shard counts. --budget B caps every node at
+    B units (implying the reference model if no --energy-model is
+    given); a node that overspends is forced asleep permanently and the
+    run fails with the typed error `run.energy-exhausted` rather than
+    passing off a partial forest.
     --wake-policy (run; serve takes it per request as \"wake_policy\")
     reschedules wakes deterministically: `block` (exact timeline, the
     default), `duty:P` (wakes snap up to rounds 1, 1+P, 1+2P, …),
     `heavytail:SEED:CAP` (seeded geometric slip), or `shift:SEED:MAX`
     (seeded constant per-node phase offset). Policies hash like fault
-    decisions, so all drivers and the naive oracle agree; a policy that
-    moves wakes is named in the `--json` output as \"wake_policy\".
-
-EXECUTORS:
-    Execution is one generic kernel parameterized by a time driver:
-    `calendar` (the default) jumps between scheduled wakes on a calendar,
-    `sync` ticks every round, `naive` is an O(n)-scan oracle. All three
-    are bit-identical on every run — fingerprints, stats, traces, and
-    metrics — so --executor only changes wall-clock cost (that is what
-    `bench-engine` measures) and any divergence is a simulator bug.
+    decisions, so every shard count replays the same schedule; a policy
+    that moves wakes is named in the `--json` output as \"wake_policy\".
 
 SHARDS:
     --shards K splits each round's send and receive half-steps across K
@@ -721,23 +659,31 @@ SERVE:
     (run, sweep, report, chaos, stats, shutdown) over a Unix socket, one
     response line per request. Workers keep warm executor scratches;
     identical requests coalesce onto one execution; results land in a
-    deterministic LRU keyed by the canonical request (executor and shard
-    knobs erased — all drivers are bit-identical); a token bucket sheds
+    deterministic LRU keyed by the canonical request (the shard knob
+    erased — shard counts are bit-identical); a token bucket sheds
     over-budget requests with the typed error `serve.over-capacity`
     instead of queueing them. Blocks until a `shutdown` request, drains
     every admitted job, then prints the front-door counters. Drive it
     with the `loadgen` binary to produce the BENCH_serve.json artifact.
-
-BENCH-ENGINE:
-    Times the drivers themselves on a sparse-wake panel (a few wakes per
-    node separated by gaps of thousands of rounds — the regime the
-    sleeping model is about) and prints per-driver JSON rows: rounds,
-    messages, wall seconds, nanoseconds per node wake, messages/sec. With
-    --out the rows are written as the BENCH_engine.json artifact. The
-    naive oracle costs O(rounds·n); include it via --executors only at
-    small sizes.
 "
     )
+}
+
+/// Largest `n·m` for which `info` computes the exact diameter: all-pairs
+/// BFS costs `O(n·m)`, about a second at this size.
+const EXACT_DIAMETER_MAX_WORK: u64 = 1 << 28;
+
+/// The `info` diameter line: exact up to [`EXACT_DIAMETER_MAX_WORK`],
+/// beyond it the double-sweep lower bound (two BFS passes), labelled.
+fn describe_diameter(g: &WeightedGraph) -> String {
+    let disconnected = || "disconnected".to_string();
+    if g.node_count() as u64 * g.edge_count() as u64 <= EXACT_DIAMETER_MAX_WORK {
+        traversal::diameter(g).map_or_else(disconnected, |d| d.to_string())
+    } else {
+        traversal::diameter_double_sweep(g).map_or_else(disconnected, |d| {
+            format!("≥ {d} (double-sweep lower bound)")
+        })
+    }
 }
 
 /// Executes a parsed command; returns the process exit code and the text
@@ -786,9 +732,7 @@ pub fn execute(cmd: &Command) -> (i32, String) {
                     "nodes     : {}\nedges     : {}\ndiameter  : {}\nmax id N  : {}\n",
                     g.node_count(),
                     g.edge_count(),
-                    traversal::diameter(&g)
-                        .map(|d| d.to_string())
-                        .unwrap_or_else(|| "disconnected".to_string()),
+                    describe_diameter(&g),
                     g.max_external_id(),
                 ),
             ),
@@ -963,32 +907,6 @@ pub fn execute(cmd: &Command) -> (i32, String) {
                 (0, text)
             }
         },
-        Command::BenchEngine {
-            sizes,
-            seed,
-            executors,
-            out,
-        } => {
-            let spec = engine_panel::EnginePanelSpec {
-                sizes: sizes.clone(),
-                executors: executors.clone(),
-                seed: *seed,
-                ..engine_panel::EnginePanelSpec::default()
-            };
-            match engine_panel::run_engine_panel(&spec) {
-                Err(e) => (1, format!("error: {e}\n")),
-                Ok(rows) => {
-                    let json = engine_panel::render_engine_panel_json(&rows) + "\n";
-                    if let Some(path) = out {
-                        if let Err(e) = std::fs::write(path, &json) {
-                            return (1, format!("error: cannot write {path}: {e}\n"));
-                        }
-                    }
-                    let wall = engine_panel::render_engine_panel_wall_clock(&rows);
-                    (0, format!("{json}\n{wall}"))
-                }
-            }
-        }
     }
 }
 
@@ -1197,73 +1115,36 @@ mod tests {
         ]))
         .unwrap_err()
         .contains("shard count"));
-
-        // bench-engine times drivers only; the wide-round shard sweep is
-        // the repository benchmark's wide-wave workload.
-        for flag in ["--wave-sizes", "--shards"] {
-            let err = parse_args(&args(&["bench-engine", flag, "2"])).unwrap_err();
-            assert!(err.contains(&format!("'{flag}'")), "{flag}: {err}");
-            assert!(err.contains("'bench-engine'"), "{flag}: {err}");
-        }
     }
 
+    /// The calendar driver runs every request, so no command takes a
+    /// driver choice; perfbench is the one wall-clock harness, so there
+    /// is no driver-benchmark command.
     #[test]
-    fn parses_executor_flags() {
-        let cmd = parse_args(&args(&[
-            "run",
-            "--alg",
-            "randomized",
-            "--graph",
-            "ring:8",
-            "--executor",
-            "sync",
-        ]))
-        .unwrap();
-        let Command::Run { request, .. } = cmd else {
-            unreachable!("expected run command");
-        };
-        assert_eq!(request.executor, Some(Executor::Sync));
-        assert!(parse_args(&args(&[
-            "run",
-            "--alg",
-            "prim",
-            "--graph",
-            "ring:8",
-            "--executor",
-            "warp"
-        ]))
-        .unwrap_err()
-        .contains("unknown executor"));
-
-        let cmd = parse_args(&args(&["bench-engine"])).unwrap();
-        assert_eq!(
-            cmd,
-            Command::BenchEngine {
-                sizes: vec![1 << 14],
-                seed: 0,
-                executors: vec![Executor::Calendar, Executor::Sync],
-                out: None,
+    fn executor_flags_and_bench_engine_are_refused() {
+        let base: [(&str, &[&str]); 4] = [
+            ("run", &["--alg", "prim", "--graph", "ring:8"]),
+            (
+                "sweep",
+                &["--alg", "prim", "--graph", "ring:{n}", "--sizes", "8"],
+            ),
+            ("report", &[]),
+            ("chaos", &[]),
+        ];
+        for (cmd, rest) in base {
+            for flag in ["--executor", "--executors"] {
+                let mut argv = vec![cmd];
+                argv.extend_from_slice(rest);
+                argv.extend([flag, "calendar"]);
+                let err = parse_args(&args(&argv)).unwrap_err();
+                assert!(
+                    err.starts_with(&format!("'{cmd}' does not take '{flag}'")),
+                    "{argv:?}: {err}"
+                );
             }
-        );
-        let cmd = parse_args(&args(&[
-            "bench-engine",
-            "--sizes",
-            "64",
-            "--seed",
-            "3",
-            "--executors",
-            "calendar,sync,naive",
-        ]))
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::BenchEngine {
-                sizes: vec![64],
-                seed: 3,
-                executors: vec![Executor::Calendar, Executor::Sync, Executor::Naive],
-                out: None,
-            }
-        );
+        }
+        let err = parse_args(&args(&["bench-engine", "--executors", "calendar"])).unwrap_err();
+        assert!(err.starts_with("unknown command 'bench-engine'"), "{err}");
     }
 
     #[test]
@@ -1293,7 +1174,6 @@ mod tests {
                     template: "ring:{n}".into(),
                     sizes: vec![8, 16],
                     seeds: vec![0, 1, 2],
-                    executor: None,
                     shards: None,
                     energy: None,
                 },
@@ -1327,7 +1207,7 @@ mod tests {
             .unwrap_err()
             .contains("unknown command"));
         assert!(matches!(parse_args(&args(&[])), Ok(Command::Help)));
-        // No subcommand takes `--naive`; the oracle is `--executor naive`.
+        // No subcommand takes `--naive`: the oracle is a test-only driver.
         for cmd in [
             "run --alg randomized --graph ring:8 --naive --json",
             "report --naive",
@@ -1402,7 +1282,6 @@ mod tests {
                 "--alg" => "prim",
                 "--graph" => "ring:{n}",
                 "--crash" => "1@5",
-                "--executor" | "--executors" => "sync",
                 "--energy-model" => "radio",
                 "--wake-policy" => "duty:2",
                 "--socket" | "--out" | "--md-out" => "file",
@@ -1625,7 +1504,6 @@ mod tests {
                     seed: 5,
                     sizes: vec![6],
                     trials: 1,
-                    executor: Executor::Calendar,
                     shards: None,
                     energy: None,
                 },
@@ -1654,7 +1532,6 @@ mod tests {
                 spec: ReportSpec {
                     sizes: vec![8, 12, 16, 24],
                     seeds: vec![0, 1],
-                    executor: Executor::Calendar,
                     energy: EnergyModel::reference(),
                 },
                 json: false,
@@ -1663,14 +1540,7 @@ mod tests {
             }
         );
         let cmd = parse_args(&args(&[
-            "report",
-            "--sizes",
-            "6,8",
-            "--seeds",
-            "0..2",
-            "--executor",
-            "naive",
-            "--json",
+            "report", "--sizes", "6,8", "--seeds", "0..2", "--json",
         ]))
         .unwrap();
         assert_eq!(
@@ -1679,7 +1549,6 @@ mod tests {
                 spec: ReportSpec {
                     sizes: vec![6, 8],
                     seeds: vec![0, 1],
-                    executor: Executor::Naive,
                     energy: EnergyModel::reference(),
                 },
                 json: true,
@@ -1732,6 +1601,24 @@ mod tests {
         }
     }
 
+    /// Past the exact-diameter work cap, `info` prints the labelled
+    /// double-sweep bound (two BFS passes) instead of an all-pairs BFS
+    /// that runs for minutes; on a path the bound is exact.
+    #[test]
+    fn info_bounds_the_diameter_of_large_graphs() {
+        let start = std::time::Instant::now();
+        let (code, text) = execute(&Command::Info {
+            graph: "path:40000".into(),
+            seed: 0,
+        });
+        assert_eq!(code, 0, "{text}");
+        assert!(
+            text.contains("diameter  : ≥ 39999 (double-sweep lower bound)\n"),
+            "{text}"
+        );
+        assert!(start.elapsed().as_secs() < 10, "{:?}", start.elapsed());
+    }
+
     #[test]
     fn execute_paths() {
         let (code, text) = execute(&Command::Help);
@@ -1743,7 +1630,7 @@ mod tests {
             seed: 0,
         });
         assert_eq!(code, 0, "{text}");
-        assert!(text.contains("diameter"));
+        assert!(text.contains("diameter  : 8\n"), "{text}");
 
         let (code, _) = execute(&Command::Info {
             graph: "nope".into(),
@@ -1825,7 +1712,6 @@ mod tests {
             template: "ring:{n}".into(),
             sizes: vec![8, 12],
             seeds: vec![0, 1],
-            executor: None,
             shards: None,
             energy: None,
         };
@@ -1859,7 +1745,6 @@ mod tests {
             template: "ring:{n}".into(),
             sizes: vec![8],
             seeds: vec![0, 1],
-            executor: None,
             shards: None,
             energy: None,
         };
@@ -1899,32 +1784,6 @@ mod tests {
     }
 
     #[test]
-    fn run_json_is_bit_identical_across_executors() {
-        let render = |executor: &str| {
-            let (code, text) = execute(
-                &parse_args(&args(&[
-                    "run",
-                    "--alg",
-                    "randomized",
-                    "--graph",
-                    "random:14:0.2",
-                    "--seed",
-                    "6",
-                    "--executor",
-                    executor,
-                    "--json",
-                ]))
-                .unwrap(),
-            );
-            assert_eq!(code, 0, "{executor}: {text}");
-            scrub_rss(&text)
-        };
-        let calendar = render("calendar");
-        assert_eq!(calendar, render("sync"));
-        assert_eq!(calendar, render("naive"));
-    }
-
-    #[test]
     fn run_json_is_bit_identical_across_shard_counts() {
         // The chorded cycle at n = 512 keeps every node in lockstep, so
         // wide rounds actually cross the sharding gate; the JSON (minus
@@ -1957,35 +1816,34 @@ mod tests {
     }
 
     #[test]
-    fn energy_run_json_is_bit_identical_across_executors_and_typed_on_exhaustion() {
-        let render = |executor: &str| {
+    fn energy_run_json_is_bit_identical_across_shard_counts_and_typed_on_exhaustion() {
+        let render = |shards: &str| {
             let (code, text) = execute(
                 &parse_args(&args(&[
                     "run",
                     "--alg",
                     "randomized",
                     "--graph",
-                    "random:14:0.2",
+                    "scale:512:2",
                     "--seed",
-                    "6",
+                    "4",
                     "--energy-model",
                     "reference",
-                    "--executor",
-                    executor,
+                    "--shards",
+                    shards,
                     "--json",
                 ]))
                 .unwrap(),
             );
-            assert_eq!(code, 0, "{executor}: {text}");
+            assert_eq!(code, 0, "shards={shards}: {text}");
             scrub_rss(&text)
         };
-        let calendar = render("calendar");
+        let serial = render("1");
         assert!(
-            calendar.contains("\"energy\":{\"model\":\"round:1000,tx:8,rx:4,idle:50\",\"total\":"),
-            "{calendar}"
+            serial.contains("\"energy\":{\"model\":\"round:1000,tx:8,rx:4,idle:50\",\"total\":"),
+            "{serial}"
         );
-        assert_eq!(calendar, render("sync"));
-        assert_eq!(calendar, render("naive"));
+        assert_eq!(serial, render("2"));
 
         // A starvation budget fails with the typed exhaustion error
         // instead of passing off a partial forest.
@@ -2003,48 +1861,6 @@ mod tests {
         );
         assert_eq!(code, 1, "{text}");
         assert!(text.contains("exhausted its energy budget"), "{text}");
-    }
-
-    #[test]
-    fn bench_engine_writes_per_driver_rows() {
-        let path = std::env::temp_dir().join("sleeping-mst-bench-engine-test.json");
-        let path_str = path.to_str().unwrap().to_string();
-        let cmd = parse_args(&args(&[
-            "bench-engine",
-            "--sizes",
-            "32",
-            "--seed",
-            "2",
-            "--executors",
-            "calendar,sync,naive",
-            "--out",
-            &path_str,
-        ]))
-        .unwrap();
-        let (code, text) = execute(&cmd);
-        let written = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(code, 0, "{text}");
-        // The file holds the deterministic JSON alone; stdout repeats it
-        // and then prints the labelled wall-clock block.
-        let wall = text
-            .strip_prefix(&written)
-            .expect("stdout starts with the file");
-        for key in [
-            "\"executor\":\"calendar\"",
-            "\"executor\":\"sync\"",
-            "\"executor\":\"naive\"",
-            "\"rounds\":",
-            "\"messages\":",
-            "\"energy_total\":",
-        ] {
-            assert!(written.contains(key), "missing {key} in {written}");
-        }
-        for key in ["wall_seconds", "ns_per_wake", "messages_per_sec"] {
-            assert!(!written.contains(key), "{key} in {written}");
-            assert_eq!(wall.matches(key).count(), 3, "{key} per row in {wall}");
-        }
-        assert!(wall.trim_start().starts_with("wall-clock"), "{wall}");
     }
 
     #[test]

@@ -169,7 +169,6 @@ fn chaos_report_is_byte_deterministic() {
         seed: 42,
         sizes: vec![6],
         trials: 1,
-        executor: sleeping_mst::netsim::Executor::Calendar,
         ..ChaosSpec::default()
     };
     let first = run_chaos(&spec);

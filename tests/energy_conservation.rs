@@ -11,7 +11,7 @@
 //!    no floats anywhere in the ledger);
 //! 2. the metrics timeline — per-round `energy_spent` re-adds to the
 //!    ledger total;
-//! 3. the same run under every other time driver and under sharded
+//! 3. the same run under the naive oracle driver and under sharded
 //!    sends (the full ledger vector must be bit-identical).
 //!
 //! The suite also pins inert-gating: a zero-cost model (budget or not)
@@ -47,13 +47,13 @@ fn assert_conserved(name: &str, model: &EnergyModel, stats: &RunStats) {
 }
 
 proptest! {
-    // Each case runs all six algorithms under three drivers and a shard
+    // Each case runs all six algorithms under both drivers and a shard
     // sweep; keep the counts modest.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// On a random connected panel, every algorithm's energy ledger
     /// reconciles with its stats and its metrics timeline, and is
-    /// bit-identical across {calendar, sync, naive} × {shards 1, 2, 4}.
+    /// bit-identical across {calendar, naive} × {shards 1, 2, 4}.
     #[test]
     fn ledgers_conserve_and_agree_across_drivers_and_shards(
         n in 4usize..16, p in 0.1f64..0.5, seed in 0u64..200, run_seed in 0u64..100
@@ -84,15 +84,13 @@ proptest! {
 
             // Witness 3: bit-identical ledgers on every driver and shard
             // count (charging happens inside the one kernel).
-            for executor in [Executor::Sync, Executor::Naive] {
-                let other = spec
-                    .run_with_options(&g, &base.clone().with_executor(executor), &mut scratch)
-                    .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-                prop_assert_eq!(&reference.stats, &other.stats,
-                    "{}: {executor} ledger diverged", spec.name);
-                prop_assert_eq!(&reference.metrics, &other.metrics,
-                    "{}: {executor} timeline diverged", spec.name);
-            }
+            let naive = spec
+                .run_with_options(&g, &base.clone().with_executor(Executor::Naive), &mut scratch)
+                .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+            prop_assert_eq!(&reference.stats, &naive.stats,
+                "{}: naive ledger diverged", spec.name);
+            prop_assert_eq!(&reference.metrics, &naive.metrics,
+                "{}: naive timeline diverged", spec.name);
             for shards in [2u32, 4] {
                 let other = spec
                     .run_with_options(&g, &base.clone().with_shards(shards), &mut scratch)

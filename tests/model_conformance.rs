@@ -144,30 +144,30 @@ fn crashed_stale_wake_does_not_inflate_rounds_past_the_metrics_stream() {
     }
 
     let g = generators::path(2, 1).unwrap();
-    for executor in [Executor::Calendar, Executor::Sync, Executor::Naive] {
+    for executor in [Executor::Calendar, Executor::Naive] {
         let config = SimConfig::default()
             .with_metrics()
             .with_faults(FaultPlan::seeded(1).with_crash(1, 3))
             .with_max_rounds(1_000)
             .with_executor(executor);
         let out = Simulator::new(&g, config).run(|_| StaleWake).unwrap();
-        assert_eq!(out.stats.crashed_nodes, 1, "{executor}");
+        assert_eq!(out.stats.crashed_nodes, 1, "{executor:?}");
         assert_eq!(
             out.stats.rounds, 1,
-            "{executor}: suppressed stale round must not count"
+            "{executor:?}: suppressed stale round must not count"
         );
         assert_eq!(
             out.metrics.last_round(),
             1,
-            "{executor}: suppressed round must not be reported"
+            "{executor:?}: suppressed round must not be reported"
         );
-        assert_eq!(out.metrics.active_rounds(), 1, "{executor}");
+        assert_eq!(out.metrics.active_rounds(), 1, "{executor:?}");
         assert_eq!(
             out.metrics.awake_rounds_by_node,
             vec![vec![1], vec![]],
-            "{executor}"
+            "{executor:?}"
         );
-        assert_eq!(out.stats.rounds, out.metrics.last_round(), "{executor}");
+        assert_eq!(out.stats.rounds, out.metrics.last_round(), "{executor:?}");
     }
 }
 

@@ -1,8 +1,8 @@
 //! Golden snapshot tests for the observability plane (satellite 2):
 //!
 //! * the Table-1 report artifact for a small seeded panel is pinned by
-//!   checksum and must regenerate byte-identically — across two runs in
-//!   the same process *and* across all three time drivers;
+//!   checksum and must regenerate byte-identically across two runs in
+//!   the same process;
 //! * the per-phase span fingerprint of `Merging-Fragments` (the
 //!   randomized algorithm) on the Figure-2 walkthrough graph
 //!   (`examples/merging_trace.rs`: `path(8, 5)`, seed 3) is pinned span
@@ -12,13 +12,11 @@
 use bench::report::{generate, ReportSpec};
 use sleeping_mst::graphlib::generators;
 use sleeping_mst::mst_core::{registry, ExecOptions, MstScratch};
-use sleeping_mst::netsim::Executor;
 
-fn small_panel(executor: Executor) -> ReportSpec {
+fn small_panel() -> ReportSpec {
     ReportSpec {
         sizes: vec![6, 8],
         seeds: vec![0],
-        executor,
         ..ReportSpec::default()
     }
 }
@@ -37,33 +35,23 @@ fn fnv64(bytes: &str) -> u64 {
 /// The pinned checksum of the small-panel report JSON. If an intentional
 /// change moves the artifact (new column, changed panel, algorithm
 /// change), regenerate with `sleeping-mst report --sizes 6,8 --seeds 0
-/// --json` and re-pin — but never because of executor choice, run order,
-/// or re-running.
+/// --json` and re-pin — but never because of run order or re-running.
 const REPORT_JSON_FNV: u64 = 0xc8d7_3477_f46b_5adf;
 
+/// `ReportSpec` names no time driver: the pinned bytes are the calendar
+/// driver's. Registry runs with metrics on, like the report's, are
+/// checked against the naive oracle in `tests/metrics_conservation.rs`.
 #[test]
 fn report_json_is_pinned_and_executor_independent() {
-    let first = generate(&small_panel(Executor::Calendar))
-        .unwrap()
-        .to_json();
-    let again = generate(&small_panel(Executor::Calendar))
-        .unwrap()
-        .to_json();
+    let first = generate(&small_panel()).unwrap().to_json();
+    let again = generate(&small_panel()).unwrap().to_json();
     assert_eq!(first, again, "report must regenerate byte-identically");
     assert_eq!(fnv64(&first), REPORT_JSON_FNV, "report JSON drifted");
-
-    for executor in [Executor::Sync, Executor::Naive] {
-        let other = generate(&small_panel(executor)).unwrap().to_json();
-        assert_eq!(
-            first, other,
-            "the {executor} driver must render identical report bytes"
-        );
-    }
 }
 
 #[test]
 fn report_markdown_is_byte_stable() {
-    let spec = small_panel(Executor::Calendar);
+    let spec = small_panel();
     let a = generate(&spec).unwrap().to_markdown();
     let b = generate(&spec).unwrap().to_markdown();
     assert_eq!(a, b);

@@ -167,24 +167,22 @@ fn cold_run(run: &RunRequest, scratch: &mut MstScratch) -> (bool, String) {
 
 const ALGS: &[&str] = &["randomized", "deterministic", "always-awake"];
 const GRAPHS: &[&str] = &["ring:10", "grid:3x3", "star:9", "ring:0"];
-const EXECUTORS: &[&str] = &["calendar", "sync", "naive"];
 
 /// One pool entry of the proptest traffic: indices into the tables
 /// above plus a seed and a fault toggle.
-fn request_line(id: u64, (a, g, seed, faulty, e): (usize, usize, u64, bool, usize)) -> String {
+fn request_line(id: u64, (a, g, seed, faulty): (usize, usize, u64, bool)) -> String {
     let faults = if faulty {
         ",\"faults\":{\"fault_seed\":1,\"drop_ppm\":5000}"
     } else {
         ""
     };
     format!(
-        "{{\"id\":{id},\"cmd\":\"run\",\"alg\":\"{}\",\"graph\":\"{}\",\"seed\":{seed},\
-         \"executor\":\"{}\"{faults}}}",
-        ALGS[a], GRAPHS[g], EXECUTORS[e]
+        "{{\"id\":{id},\"cmd\":\"run\",\"alg\":\"{}\",\"graph\":\"{}\",\"seed\":{seed}{faults}}}",
+        ALGS[a], GRAPHS[g]
     )
 }
 
-fn canonical((a, g, seed, faulty, _): (usize, usize, u64, bool, usize)) -> RunRequest {
+fn canonical((a, g, seed, faulty): (usize, usize, u64, bool)) -> RunRequest {
     let alg = registry::find(ALGS[a]).expect("pool algorithms are registered");
     RunRequest {
         faults: faulty.then(|| FaultPlan::seeded(1).with_drop_ppm(5000)),
@@ -202,7 +200,7 @@ proptest! {
     /// a cold direct execution. Counters must reconcile exactly.
     #[test]
     fn cached_responses_are_byte_identical_to_cold_runs(
-        sequence in vec((0usize..3, 0usize..4, 0u64..2, any::<bool>(), 0usize..3), 4..10),
+        sequence in vec((0usize..3, 0usize..4, 0u64..2, any::<bool>()), 4..10),
     ) {
         let server = Server::start(ServeConfig::new(test_socket("proptest"))).unwrap();
         let mut client = Client::connect(&server);
@@ -395,9 +393,10 @@ fn malformed_requests_are_rejected_with_typed_errors() {
         ("{\"id\":7,\"cmd\":\"warp\"}", codes::PARSE),
         ("{\"id\":8,\"cmd\":\"run\",\"alg\":\"bogus\",\"graph\":\"ring:8\"}", codes::BAD_ALGORITHM),
         ("{\"id\":9,\"cmd\":\"sweep\",\"template\":\"ring:64\"}", codes::BAD_TEMPLATE),
+        // The time driver is not a request knob: an unknown field.
         (
-            "{\"id\":10,\"cmd\":\"run\",\"alg\":\"prim\",\"graph\":\"ring:8\",\"executor\":\"warp\"}",
-            codes::BAD_EXECUTOR,
+            "{\"id\":10,\"cmd\":\"run\",\"alg\":\"prim\",\"graph\":\"ring:8\",\"executor\":\"calendar\"}",
+            codes::PARSE,
         ),
         // Empty grids are refused, never executed or cached.
         ("{\"id\":11,\"cmd\":\"report\",\"sizes\":[8],\"seeds\":[]}", codes::PARSE),
@@ -415,8 +414,17 @@ fn malformed_requests_are_rejected_with_typed_errors() {
         );
     }
 
+    // The refusal names the field, like any other unknown field.
+    let resp = client.request(
+        "{\"id\":15,\"cmd\":\"run\",\"alg\":\"prim\",\"graph\":\"ring:8\",\"executor\":\"naive\"}",
+    );
+    assert!(
+        resp.fragment.contains("unknown field 'executor'"),
+        "{resp:?}"
+    );
+
     let s = stats(&mut client);
-    assert_eq!((s.received, s.rejected), (0, 7));
+    assert_eq!((s.received, s.rejected), (0, 8));
 
     // Specs beyond the CSR's u32 node-id or port-slot capacity fail as
     // typed graph errors before anything is allocated, instead of
@@ -439,7 +447,7 @@ fn malformed_requests_are_rejected_with_typed_errors() {
     assert!(served.ok && served.source == "exec", "{served:?}");
     let s = stats(&mut client);
     reconcile(&s);
-    assert_eq!((s.received, s.misses, s.rejected), (4, 4, 7), "{s:?}");
+    assert_eq!((s.received, s.misses, s.rejected), (4, 4, 8), "{s:?}");
 
     server.begin_shutdown();
     server.join().unwrap();
@@ -508,8 +516,6 @@ struct RunSpec {
     alg: usize,
     graph: usize,
     seed: u64,
-    /// 0 = absent, else `EXECUTORS[executor - 1]`.
-    executor: usize,
     /// 0 = absent, else the shard count.
     shards: u32,
     /// The plan as spelled, inert ones included.
@@ -520,7 +526,7 @@ struct RunSpec {
 }
 
 type RunSpecTuple = (
-    (usize, usize, u64, usize, u32),
+    (usize, usize, u64, u32),
     (usize, u64, (usize, usize, usize, usize), Vec<(u32, u64)>),
     (usize, usize, usize),
 );
@@ -531,7 +537,7 @@ impl RunSpec {
     /// pick is 2) are drawn.
     fn from_tuple(
         (
-            (alg, graph, seed, executor, shards),
+            (alg, graph, seed, shards),
             (fault_mode, fault_seed, (drop, dup, sleep, jitter), crashes),
             (energy, budget, wake),
         ): RunSpecTuple,
@@ -555,7 +561,6 @@ impl RunSpec {
             alg,
             graph,
             seed,
-            executor,
             shards,
             faults,
             energy,
@@ -577,9 +582,6 @@ impl RunSpec {
             "--json".into(),
         ];
         let mut flag = |name: &str, value: String| argv.extend([name.to_string(), value]);
-        if self.executor > 0 {
-            flag("--executor", EXECUTORS[self.executor - 1].into());
-        }
         if self.shards > 0 {
             flag("--shards", self.shards.to_string());
         }
@@ -617,12 +619,6 @@ impl RunSpec {
             "{{\"id\":{id},\"cmd\":\"run\",\"alg\":\"{}\",\"graph\":\"{}\",\"seed\":{}",
             ALGORITHMS[self.alg].name, CONTRACT_GRAPHS[self.graph], self.seed
         );
-        if self.executor > 0 {
-            line.push_str(&format!(
-                ",\"executor\":\"{}\"",
-                EXECUTORS[self.executor - 1]
-            ));
-        }
         if self.shards > 0 {
             line.push_str(&format!(",\"shards\":{}", self.shards));
         }
@@ -737,7 +733,7 @@ proptest! {
     fn cli_and_daemon_agree_on_every_run_request(
         specs in vec(
             (
-                (0usize..ALGORITHMS.len(), 0usize..5, 0u64..1000, 0usize..4, 0u32..3),
+                (0usize..ALGORITHMS.len(), 0usize..5, 0u64..1000, 0u32..3),
                 (
                     0usize..3,
                     1u64..100,
@@ -752,7 +748,7 @@ proptest! {
         // Two runs known to complete, so the key rebuild always meets a
         // "wake_policy" field and a live fault plan with an energy model.
         let alg = |name: &str| ALGORITHMS.iter().position(|a| a.name == name).unwrap();
-        let plain = RunSpec::from_tuple(((0, 0, 0, 0, 0), (0, 0, (0, 0, 0, 0), vec![]), (0, 0, 0)));
+        let plain = RunSpec::from_tuple(((0, 0, 0, 0), (0, 0, (0, 0, 0, 0), vec![]), (0, 0, 0)));
         let anchors = [
             RunSpec { alg: alg("logstar"), graph: 2, wake: 3, ..plain.clone() },
             RunSpec {
